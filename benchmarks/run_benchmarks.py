@@ -44,7 +44,7 @@ must be bit-identical between the closure and compiled engines --
 results AND accounting ledgers -- with >= 10x compiled per-round
 throughput (enforced with ``--check``).  The ``ma_scale`` section runs
 the full packing round schedule on a 10^5-node network through the
-compiled backend and tabulates the charged MA rounds against the
+array Boruvka kernel and tabulates the charged MA rounds against the
 Theorem 17 Õ(D + sqrt(n)) CONGEST conversions.
 
 ``--compare BASELINE.json`` is the regression gate: it exits non-zero when
@@ -399,7 +399,7 @@ def run_ma_bench(repeats: int) -> dict:
 
 
 def run_ma_scale_bench() -> dict:
-    """The full packing round schedule at 10^5 nodes, compiled backend.
+    """The full packing round schedule at 10^5 nodes (array Boruvka).
 
     Runs once (no repeats -- the row is about feasibility, not variance)
     and converts the charged MA rounds to CONGEST rounds via Theorem 17:
@@ -423,8 +423,7 @@ def run_ma_scale_bench() -> dict:
     acct = RoundAccountant()
     start = time.perf_counter()
     packing = pack_trees(
-        graph, seed=1, accountant=acct, approx_cut_value=24.0,
-        ma_backend="compiled",
+        graph, seed=1, accountant=acct, approx_cut_value=24.0
     )
     seconds = time.perf_counter() - start
     estimates = congest_estimates(

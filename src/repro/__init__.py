@@ -55,6 +55,7 @@ from repro.errors import (
     CertificationError,
     FaultPlanError,
     GraphValidationError,
+    NumericalRangeError,
     PackingError,
     ReproError,
     SolverError,
@@ -102,6 +103,7 @@ __all__ = [
     "ReproError",
     "GraphValidationError",
     "SolverError",
+    "NumericalRangeError",
     "FaultPlanError",
     "PackingError",
     "BudgetExceeded",

@@ -146,10 +146,10 @@ def _build_graph(args):
 
 def cmd_mincut(args) -> int:
     config = repro.SolverConfig.from_args(args)
-    graph = _build_graph(args)
     try:
+        graph = _build_graph(args)
         result = repro.MinCutSolver(config).solve(graph, seed=args.seed)
-    except (ValueError, ReproError) as error:
+    except (OSError, ValueError, ReproError) as error:
         raise SystemExit(str(error))
     print(f"min-cut value : {result.value}")
     side_a, side_b = result.partition
@@ -251,11 +251,11 @@ def cmd_profile(args) -> int:
     from repro.obs import export_chrome, export_ndjson, render_profile, trace
 
     config = repro.SolverConfig.from_args(args).replace(trace=True)
-    graph = _build_graph(args)
-    trace.clear()
     try:
+        graph = _build_graph(args)
+        trace.clear()
         result = repro.MinCutSolver(config).solve(graph, seed=args.seed)
-    except (ValueError, ReproError) as error:
+    except (OSError, ValueError, ReproError) as error:
         raise SystemExit(str(error))
     profile = result.stats.get("profile")
     if profile is None:
@@ -278,7 +278,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    graph = _build_graph(args)
+    try:
+        graph = _build_graph(args)
+    except (OSError, ValueError, ReproError) as error:
+        raise SystemExit(str(error))
     if args.out and args.out.endswith(".npz"):
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
         csr.save_npz(args.out)

@@ -132,10 +132,6 @@ def _two_node_cut_csr(graph: CSRGraph) -> MinCutResult:
     )
 
 
-def _tree_nodes(tree) -> list:
-    return list(tree.nodes()) if hasattr(tree, "nodes") else list(tree.keys())
-
-
 def _relabel(candidate: CutCandidate, labels: list) -> CutCandidate:
     return CutCandidate(
         value=candidate.value,

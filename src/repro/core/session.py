@@ -28,7 +28,8 @@ compares.  This module is the redesigned public surface:
   BFS/Euler kernel build (:mod:`repro.kernel.forest`), and one chunked
   stacked-tensor oracle pass (:mod:`repro.kernel.batched`) -- with
   results bit-identical to looping ``minimum_cut`` (asserted by the
-  test suite).
+  test suite).  A single-graph ``oracle`` solve runs the same stages as
+  a batch of one and roots only its winning tree.
 
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
@@ -57,19 +58,23 @@ from repro.core.mincut import (
     MinCutResult,
     _empty_packing,
     _relabel,
-    _tree_nodes,
     _two_node_cut,
     _two_node_cut_csr,
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
 from repro.core.tree_packing import pack_trees, pack_trees_many
-from repro.errors import BudgetExceeded, GraphValidationError, PackingError
+from repro.errors import (
+    BudgetExceeded,
+    GraphValidationError,
+    NumericalRangeError,
+    PackingError,
+)
 from repro.graphs.csr import CSRGraph
 from repro.kernel.batched import (
     OracleJob,
     batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
-    candidate_from_flat,
+    stack_candidates,
 )
 from repro.kernel.config import (
     kernel_enabled,
@@ -83,7 +88,7 @@ from repro.ma.simulation import congest_estimates
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.profile import build_profile
-from repro.trees.rooted import RootedTree, edge_key
+from repro.trees.rooted import RootedTree, _node_sort_key, edge_key
 
 __all__ = [
     "SolverConfig",
@@ -94,7 +99,6 @@ __all__ = [
 ]
 
 _BACKENDS = ("csr", "networkx")
-_MA_BACKENDS = ("compiled", "closure")
 
 
 @dataclass(frozen=True)
@@ -117,12 +121,6 @@ class SolverConfig:
         Tri-state kernel switch: ``None`` inherits the ambient
         ``REPRO_TREE_KERNEL`` setting, ``True``/``False`` pin the
         array-kernel / legacy paths for this session's solves.
-    ma_backend:
-        Minor-Aggregation engine backend for CSR packings: ``None``
-        inherits ``REPRO_MA_BACKEND`` (default ``"compiled"``, the
-        array-op engine), ``"closure"`` pins the per-edge closure
-        reference.  Both produce bit-identical packings and ledgers;
-        networkx inputs always run the closure engine.
     batch_bytes:
         Scratch budget for the stacked-tensor batched oracle;
         ``None`` inherits ``REPRO_BATCH_BYTES`` (default 256 MiB).
@@ -144,7 +142,6 @@ class SolverConfig:
     backend: str = "csr"
     num_trees: int | None = None
     tree_kernel: bool | None = None
-    ma_backend: str | None = None
     batch_bytes: int | None = None
     compute_congest: bool = True
     trace: bool | None = None
@@ -153,11 +150,6 @@ class SolverConfig:
         if self.backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose from {_BACKENDS}"
-            )
-        if self.ma_backend is not None and self.ma_backend not in _MA_BACKENDS:
-            raise ValueError(
-                f"unknown ma_backend {self.ma_backend!r}; choose from "
-                f"{_MA_BACKENDS}"
             )
         if self.num_trees is not None and self.num_trees < 1:
             raise ValueError("num_trees must be positive")
@@ -173,19 +165,16 @@ class SolverConfig:
     ) -> "SolverConfig":
         """Capture the ``REPRO_*`` environment knobs into an explicit config.
 
-        ``REPRO_TREE_KERNEL``, ``REPRO_MA_BACKEND``, ``REPRO_BATCH_BYTES``,
-        and ``REPRO_TRACE`` become ``tree_kernel`` / ``ma_backend`` /
-        ``batch_bytes`` / ``trace`` (absent or unparsable values stay
-        ``None`` = inherit at run time); keyword overrides win.
+        ``REPRO_TREE_KERNEL``, ``REPRO_BATCH_BYTES``, and ``REPRO_TRACE``
+        become ``tree_kernel`` / ``batch_bytes`` / ``trace`` (absent or
+        unparsable values stay ``None`` = inherit at run time); keyword
+        overrides win.
         """
         env = os.environ if env is None else env
         fields: dict = {}
         raw = env.get("REPRO_TREE_KERNEL")
         if raw is not None:
             fields["tree_kernel"] = parse_kernel_flag(raw)
-        raw = env.get("REPRO_MA_BACKEND")
-        if raw is not None and raw.strip().lower() in _MA_BACKENDS:
-            fields["ma_backend"] = raw.strip().lower()
         raw = env.get("REPRO_BATCH_BYTES")
         if raw is not None:
             try:
@@ -243,8 +232,9 @@ class GraphPacking:
 
     The handle owns everything ``minimum_cut`` used to recompute per
     call: the Theorem 12 tree packing, the shared
-    :class:`~repro.kernel.cut_kernel.GraphArrays` extraction, and the
-    rooted per-tree views.  ``solve()`` may be called repeatedly -- with
+    :class:`~repro.kernel.cut_kernel.GraphArrays` extraction, the
+    stacked BFS/Euler forest of the packed trees, and the rooted
+    per-tree views.  ``solve()`` may be called repeatedly -- with
     different solver names, or fresh accountants -- without repacking;
     the packing's round charges are recorded once and replayed onto
     every later accountant, so each solve reports the same ledger a
@@ -275,7 +265,8 @@ class GraphPacking:
         self._packing = None
         self._packing_charges: dict[str, float] | None = None
         self._arrays: GraphArrays | None = None
-        self._rooted: list[RootedTree] | None = None
+        self._stack = None
+        self._rooted: dict[int, RootedTree] = {}
 
     # ------------------------------------------------------------------
     # Lazily computed pipeline state
@@ -298,7 +289,6 @@ class GraphPacking:
                         seed=self.seed,
                         num_trees=self.num_trees,
                         accountant=acct,
-                        ma_backend=self.config.ma_backend,
                     )
             after = acct.by_label()
             self._packing_charges = {
@@ -324,35 +314,43 @@ class GraphPacking:
         return self._arrays
 
     @property
+    def root_position(self) -> int:
+        """Node index every packed tree is rooted at (:func:`_root_position`)."""
+        return _root_position(
+            self.csr.nodes if self.csr is not None else self.arrays.nodes
+        )
+
+    @property
     def root(self):
-        """The per-tree root: label-space minimum for labelled CSR
-        graphs, the stable-minimum node otherwise (``None`` defers to
-        each tree's own minimum, which for index trees is node 0)."""
-        if self.csr is not None and self.csr.nodes is not None:
-            labels = self.csr.nodes
-            return min(
-                range(self.csr.n),
-                key=lambda i: (type(labels[i]).__name__, str(labels[i])),
-            )
-        return None
+        """The session root in the trees' own node space: the index for
+        CSR input, the label for networkx input."""
+        if self.csr is not None:
+            return self.root_position
+        return self.arrays.nodes[self.root_position]
+
+    @property
+    def stack(self):
+        """The packed trees as one stacked BFS/Euler forest over node
+        indices, rooted at the session root (built on first use)."""
+        if self._stack is None:
+            self._stack = _build_stacks(
+                [len(self.arrays.nodes)],
+                [self.packing.tree_edge_arrays],
+                [self.root_position],
+            )[0]
+        return self._stack
+
+    def rooted_tree(self, index: int) -> RootedTree:
+        """Packed tree ``index`` rooted at the session root (built on
+        first use; the oracle roots only its winning tree)."""
+        if index not in self._rooted:
+            self._rooted[index] = RootedTree(self.packing.trees[index], self.root)
+        return self._rooted[index]
 
     @property
     def rooted_trees(self) -> list[RootedTree]:
         """Every packed tree rooted at the session root."""
-        if self._rooted is None:
-            fixed_root = self.root
-            rooted: list[RootedTree] = []
-            for tree in self.packing.trees:
-                if fixed_root is None:
-                    root = min(
-                        _tree_nodes(tree),
-                        key=lambda v: (type(v).__name__, str(v)),
-                    )
-                else:
-                    root = fixed_root
-                rooted.append(RootedTree(tree, root))
-            self._rooted = rooted
-        return self._rooted
+        return [self.rooted_tree(i) for i in range(len(self.packing.trees))]
 
     # ------------------------------------------------------------------
     # Solving
@@ -452,7 +450,7 @@ class GraphPacking:
             csr=self.csr,
             arrays=self.arrays,
             packing=self.packing,
-            rooted_for=lambda index: self.rooted_trees[index],
+            rooted_for=self.rooted_tree,
             candidates=candidates,
             acct=ctx.accountant,
             compute_congest=ctx.compute_congest,
@@ -669,8 +667,11 @@ def _finalize_candidates_inner(
     # accumulation whose float error scales with total graph weight, while
     # the partition weight sums only the crossing edges.
     if abs(value - best.value) > 1e-6 * max(1.0, abs(value)):
-        raise AssertionError(
-            f"cut witness inconsistent: candidate {best.value}, partition {value}"
+        raise NumericalRangeError(
+            f"cut witness inconsistent: candidate {best.value}, partition "
+            f"{value} (float cancellation over the graph's weight range)",
+            candidate_value=best.value,
+            partition_value=value,
         )
     if csr is not None:
         universe: Iterable = range(csr.n)
@@ -759,46 +760,43 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
     description="centralized 2-respecting brute force, batched over stacked kernels",
 )
 def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
-    use_kernel_path = packed.csr is not None or kernel_enabled()
+    if packed.csr is None and not kernel_enabled():
+        # REPRO_TREE_KERNEL=legacy on networkx input: the pure-Python
+        # per-tree reference.
+        return packed.finalize(_per_tree_oracle(packed), ctx)
     degraded = None
-    if use_kernel_path:
-        started = time.perf_counter()
-        try:
-            # All Θ(log n) per-tree solves batched over stacked kernel arrays.
-            candidates = batched_two_respecting_oracle(
-                packed.arrays,
-                packed.rooted_trees,
-                batch_bytes=packed.config.batch_bytes,
-            )
-        except (BudgetExceeded, MemoryError) as exc:
-            # Automatic degradation: the stacked tensor does not fit the
-            # scratch budget (or the allocator), so give up on batching
-            # and solve tree by tree -- same candidates, just slower.
-            failed_phase = obs_trace.last_error_span() or "oracle.batched"
-            obs_metrics.counter("session.degraded").inc()
-            with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
-                candidates = [
-                    two_respecting_oracle(
-                        packed.graph, rooted, arrays=packed.arrays
-                    )
-                    for rooted in packed.rooted_trees
-                ]
-            degraded = {
-                "from": "batched-oracle",
-                "to": "per-tree-oracle",
-                "reason": f"{type(exc).__name__}: {exc}",
-                "phase": failed_phase,
-                "seconds": time.perf_counter() - started,
-            }
-    else:
-        candidates = [
-            two_respecting_oracle(packed.graph, rooted, arrays=packed.arrays)
-            for rooted in packed.rooted_trees
-        ]
+    started = time.perf_counter()
+    try:
+        # All Θ(log n) per-tree solves in one pass over the stacked forest.
+        candidates = batched_two_respecting_oracle(
+            packed.arrays, packed.stack, batch_bytes=packed.config.batch_bytes
+        )
+    except (BudgetExceeded, MemoryError) as exc:
+        # Automatic degradation: the stacked tensor does not fit the
+        # scratch budget (or the allocator), so give up on batching and
+        # solve tree by tree -- same candidates, just slower.
+        failed_phase = obs_trace.last_error_span() or "oracle.batched"
+        obs_metrics.counter("session.degraded").inc()
+        with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
+            candidates = _per_tree_oracle(packed)
+        degraded = {
+            "from": "batched-oracle",
+            "to": "per-tree-oracle",
+            "reason": f"{type(exc).__name__}: {exc}",
+            "phase": failed_phase,
+            "seconds": time.perf_counter() - started,
+        }
     result = packed.finalize(candidates, ctx)
     if degraded is not None:
         result.stats["degraded"] = degraded
     return result
+
+
+def _per_tree_oracle(packed: GraphPacking) -> list[CutCandidate]:
+    return [
+        two_respecting_oracle(packed.graph, rooted, arrays=packed.arrays)
+        for rooted in packed.rooted_trees
+    ]
 
 
 @register_solver(
@@ -1116,27 +1114,17 @@ def _solve_many_oracle(
         with obs_trace.span(
             "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
         ):
-            many = pack_trees_many(
-                graphs, seeds, num_trees=cfg.num_trees,
-                ma_backend=cfg.ma_backend,
-            )
+            many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
 
         # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
         # with a common node count share one level-synchronous build.
-        roots = []
-        for graph in graphs:
-            if graph.nodes is not None:
-                labels = graph.nodes
-                roots.append(
-                    min(
-                        range(graph.n),
-                        key=lambda i: (type(labels[i]).__name__, str(labels[i])),
-                    )
-                )
-            else:
-                roots.append(0)
+        roots = [_root_position(graph.nodes) for graph in graphs]
         with obs_trace.span("sweep.stacks", graphs=len(graphs)):
-            stacks = _build_stacks(graphs, many.tree_edge_arrays, roots)
+            stacks = _build_stacks(
+                [graph.n for graph in graphs],
+                [packing.tree_edge_arrays for packing in many.packings],
+                roots,
+            )
 
         # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
         arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
@@ -1154,34 +1142,19 @@ def _solve_many_oracle(
         # Stage 4: per-graph candidate decode + witness extraction.
         results = []
         for g, graph in enumerate(graphs):
-            stack = stacks[g]
-            values, flats = solved[g]
-            candidates = [
-                candidate_from_flat(
-                    values[t], flats[t], graph.n,
-                    lambda i, t=t: stack.edge_at(t, i),
-                    CutCandidate,
-                )
-                for t in range(len(values))
-            ]
             packing = many.packings[g]
-            acct = many.accountants[g]
-            rooted_cache: dict[int, RootedTree] = {}
-
-            def rooted_for(index, packing=packing, root=roots[g], cache=rooted_cache):
-                if index not in cache:
-                    cache[index] = RootedTree(packing.trees[index], root)
-                return cache[index]
-
             results.append(
                 _finalize_candidates(
                     graph=graph,
                     csr=graph,
                     arrays=arrays_list[g],
                     packing=packing,
-                    rooted_for=rooted_for,
-                    candidates=candidates,
-                    acct=acct,
+                    # finalize roots only the winning tree
+                    rooted_for=lambda index, trees=packing.trees, root=roots[g]: (
+                        RootedTree(trees[index], root)
+                    ),
+                    candidates=stack_candidates(*solved[g], stacks[g]),
+                    acct=many.accountants[g],
                     compute_congest=cfg.compute_congest,
                     solver_name="oracle",
                 )
@@ -1189,12 +1162,22 @@ def _solve_many_oracle(
         return results
 
 
-def _build_stacks(graphs, tree_edge_arrays, roots):
-    """One :class:`TreeStack` view per graph, same-``n`` graphs fused."""
+def _root_position(labels: "list | None") -> int:
+    """Index of the node every packed tree is rooted at: the least label
+    by ``(type name, str)`` -- index 0 when ``labels`` is ``None`` (the
+    indices are the labels)."""
+    if labels is None:
+        return 0
+    return min(range(len(labels)), key=lambda i: _node_sort_key(labels[i]))
+
+
+def _build_stacks(sizes, tree_edge_arrays, roots):
+    """One :class:`TreeStack` view per graph (node counts ``sizes``),
+    same-``n`` graphs fused."""
     by_n: dict[int, list[int]] = {}
-    for g, graph in enumerate(graphs):
-        by_n.setdefault(graph.n, []).append(g)
-    stacks: list = [None] * len(graphs)
+    for g, n in enumerate(sizes):
+        by_n.setdefault(n, []).append(g)
+    stacks: list = [None] * len(sizes)
     for n, members in by_n.items():
         edge_u_rows, edge_v_rows, root_rows, owners = [], [], [], []
         for g in members:

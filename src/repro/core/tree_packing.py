@@ -7,7 +7,7 @@ paper's proof sketch:
 (A) small min-cut: greedy tree packing directly -- each iteration computes a
     minimum-cost spanning tree where an edge's cost is its *relative load*
     (times used so far / multiplicity), via Boruvka in the
-    Minor-Aggregation engine (measured rounds);
+    Minor-Aggregation model (one measured round per phase);
 (B) large min-cut: Karger-sample each edge's multiplicity down so the
     sampled graph has Θ(log n) min-cut, then apply (A) on the sample; any
     1.05-minimum cut of G remains a 1.1-minimum cut of the sample w.h.p.
@@ -17,21 +17,18 @@ approximation of the min-cut value; the paper uses the Õ(1)-round
 (1+eps)-approximation of [GH16], we use our own Stoer-Wagner's exact value
 -- only the sampling probability depends on it.
 
-Two execution paths share every decision:
-
-* **networkx** input runs the engine-genuine Boruvka (one Minor-Aggregation
-  round per phase);
-* **CSR** input (:class:`~repro.graphs.csr.CSRGraph`) drives the engine
-  selected by ``ma_backend`` (``REPRO_MA_BACKEND``): the default
-  *compiled* engine lowers the whole Boruvka contraction sequence to
-  array passes -- per phase one component labelling, one masked
-  ``minimum.at`` scatter, zero networkx objects -- with the *same*
-  deterministic tie-break (``(cost, str(edge))``), the same sampling
-  draws (one binomial over the canonical edge order), and the same round
-  charges as the *closure* reference engine, so both backends (and both
-  graph representations) pack identical trees for identical graphs.
-  CSR trees are returned as plain adjacency mappings (what
-  :class:`~repro.trees.rooted.RootedTree` consumes directly).
+One implementation: :func:`pack_trees_many` packs any number of CSR graphs
+over one concatenated edge table, and :func:`pack_trees` is a batch of one
+(a networkx input is converted with :meth:`CSRGraph.from_networkx` on the
+way in).  Every greedy iteration runs Boruvka's contraction sequence as
+array passes (:func:`~repro.ma.compiled.compiled_boruvka_rows`) with the
+deterministic ``(cost, str(edge_key))`` tie-break and one
+Minor-Aggregation round charged per phase; the sampling regime draws one
+binomial over the canonical CSR edge order.  A networkx graph and its CSR
+conversion therefore pack identical trees with identical ledgers.  CSR
+trees come back as plain adjacency mappings (what
+:class:`~repro.trees.rooted.RootedTree` consumes directly), networkx
+trees as weighted ``nx.Graph`` objects over the input's labels.
 """
 
 from __future__ import annotations
@@ -44,15 +41,8 @@ import networkx as nx
 import numpy as np
 
 from repro.accounting import RoundAccountant, log2ceil
-from repro.graphs.csr import CSRGraph, merge_components
-from repro.ma.boruvka import boruvka_mst
-from repro.ma.compiled import (
-    CompiledMinorAggregationEngine,
-    compiled_boruvka_rows,
-    lower_edge_cost,
-    resolve_ma_backend,
-)
-from repro.ma.engine import MinorAggregationEngine
+from repro.graphs.csr import CSRGraph
+from repro.ma.compiled import compiled_boruvka_rows
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, _node_sort_key, edge_key
 
@@ -61,8 +51,12 @@ from repro.trees.rooted import Edge, _node_sort_key, edge_key
 class TreePacking:
     """The packed spanning trees plus provenance of how they were obtained.
 
-    ``trees`` holds :class:`networkx.Graph` objects on the networkx path
-    and plain ``{node: [neighbors]}`` adjacency mappings on the CSR path.
+    ``trees`` holds :class:`networkx.Graph` objects for networkx input and
+    plain ``{node: [neighbors]}`` adjacency mappings for CSR input.
+    ``tree_edge_arrays`` holds, for either input, one ``(edge_u, edge_v)``
+    pair of node-index arrays per tree in the exact insertion order the
+    trees were built with -- what
+    :func:`~repro.kernel.forest.stacked_tree_arrays` consumes.
     """
 
     trees: list
@@ -71,55 +65,36 @@ class TreePacking:
     approx_cut_value: float
     ma_rounds: float
     duplicates_removed: int = 0
-    #: CSR path only: per-tree (edge_u, edge_v) arrays in insertion order
-    #: (what the batched forest builds consume); ``None`` on the nx path.
-    tree_edge_arrays: "list[tuple[np.ndarray, np.ndarray]] | None" = field(
-        default=None, repr=False, compare=False
+    tree_edge_arrays: "list[tuple[np.ndarray, np.ndarray]]" = field(
+        default_factory=list, repr=False, compare=False
     )
+
+
+@dataclass
+class ManyPacking:
+    """Per-graph packings and the accountants their rounds were charged to."""
+
+    packings: list[TreePacking]
+    accountants: list[RoundAccountant]
 
 
 def _edge_order_key(edge: Edge) -> tuple:
     return (_node_sort_key(edge[0]), _node_sort_key(edge[1]))
 
 
-def _sample_multiplicities(
-    graph: nx.Graph, probability: float, rng: random.Random
-) -> nx.Graph:
-    """Binomially subsample each edge's weight-as-multiplicity.
-
-    One vectorized exact binomial draw over all edges (numpy's BTPE sampler
-    handles arbitrary multiplicities in O(1) each) replaces the former
-    per-unit Bernoulli loop, whose cost was O(total weight).  The generator
-    is seeded from ``rng``'s stream, so sampling stays a deterministic
-    function of the packing seed.  Caveat: NEP 19 lets Generator
-    distribution streams change between numpy feature releases, so
-    sampled-regime packings are reproducible per (seed, numpy version),
-    not across numpy upgrades.
-    """
-    sampled = nx.Graph()
-    sampled.add_nodes_from(graph.nodes())
-    pairs: list[tuple] = []
-    weights: list[int] = []
-    for u, v, data in graph.edges(data=True):
-        weight = int(round(data.get("weight", 1)))
-        if weight <= 0:
-            continue
-        pairs.append((u, v))
-        weights.append(weight)
-    if not pairs:
-        return sampled
-    generator = np.random.default_rng(rng.getrandbits(64))
-    kept = generator.binomial(np.array(weights, dtype=np.int64), probability)
-    for (u, v), count in zip(pairs, kept):
-        if count > 0:
-            sampled.add_edge(u, v, weight=int(count))
-    return sampled
-
-
 def _sample_multiplicities_csr(
     graph: CSRGraph, probability: float, rng: random.Random
 ) -> CSRGraph:
-    """CSR twin of :func:`_sample_multiplicities`: same draws, same order."""
+    """Binomially subsample each edge's weight-as-multiplicity.
+
+    One vectorized exact binomial draw over the canonical edge order
+    (numpy's BTPE sampler handles arbitrary multiplicities in O(1) each).
+    The generator is seeded from ``rng``'s stream, so sampling stays a
+    deterministic function of the packing seed.  Caveat: NEP 19 lets
+    Generator distribution streams change between numpy feature releases,
+    so sampled-regime packings are reproducible per (seed, numpy
+    version), not across numpy upgrades.
+    """
     weights = np.rint(graph.edge_w).astype(np.int64)
     positive = weights > 0
     generator = np.random.default_rng(rng.getrandbits(64))
@@ -144,28 +119,51 @@ def pack_trees(
     num_trees: int | None = None,
     accountant: RoundAccountant | None = None,
     approx_cut_value: float | None = None,
-    ma_backend: str | None = None,
 ) -> TreePacking:
     """Theorem 12: pack Θ(log n) spanning trees by greedy load-balancing.
 
-    ``ma_backend`` selects the Minor-Aggregation engine on the CSR path
-    (``None`` inherits ``REPRO_MA_BACKEND``, default compiled); the
-    networkx path always runs the closure reference engine -- there are no
-    flat arrays to lower onto.  Both backends pack bit-identical trees.
+    A batch of one through :func:`pack_trees_many`.  An explicit
+    ``approx_cut_value`` skips the Stoer-Wagner approximation and its
+    ``log2ceil(n)**2`` round charge.
     """
-    if isinstance(graph, CSRGraph):
-        return _pack_trees_csr(
-            graph, seed=seed, num_trees=num_trees, accountant=accountant,
-            approx_cut_value=approx_cut_value, ma_backend=ma_backend,
-        )
-    n = graph.number_of_nodes()
-    if n < 2:
-        raise ValueError("need at least two nodes to pack trees")
-    acct = accountant or RoundAccountant()
-    rng = random.Random(seed)
-    if num_trees is None:
-        num_trees = default_tree_count(n)
+    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
+    packing = pack_trees_many(
+        [csr],
+        [seed],
+        num_trees=num_trees,
+        accountants=[accountant or RoundAccountant()],
+        approx_cut_values=[approx_cut_value],
+    ).packings[0]
+    if csr is not graph:
+        labels = csr.node_labels()
+        packing.trees = [
+            _networkx_tree(graph, labels, eu, ev)
+            for eu, ev in packing.tree_edge_arrays
+        ]
+    return packing
 
+
+def _networkx_tree(graph: nx.Graph, labels: list, eu, ev) -> nx.Graph:
+    """An index-space tree as a weighted ``nx.Graph`` over ``graph``'s
+    labels, edges inserted in packing order (which fixes every BFS and
+    preorder downstream)."""
+    tree = nx.Graph()
+    tree.add_nodes_from(graph.nodes())
+    for a, b in zip(eu.tolist(), ev.tolist()):
+        u, v = labels[a], labels[b]
+        tree.add_edge(u, v, weight=graph[u][v].get("weight", 1))
+    return tree
+
+
+def _packing_graph(
+    graph: CSRGraph,
+    rng: random.Random,
+    acct: RoundAccountant,
+    approx_cut_value: float | None,
+) -> tuple[CSRGraph, float, bool, float | None]:
+    """The approximate min-cut and the regime (B) sample of one graph:
+    ``(packing graph, approx cut value, sampled, sampling probability)``."""
+    n = graph.n
     if approx_cut_value is None:
         from repro.baselines.stoer_wagner import stoer_wagner_min_cut
 
@@ -178,211 +176,19 @@ def pack_trees(
 
     # Regime (B): sample down to a Θ(log n) min-cut when lambda is large.
     target = 24.0 * max(1.0, math.log(n))
-    packing_graph = graph
-    sampled = False
-    probability: float | None = None
-    if approx_cut_value > 2 * target:
-        with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
-            probability = min(1.0, target / approx_cut_value)
-            for _attempt in range(6):
-                candidate = _sample_multiplicities(graph, probability, rng)
-                if (
-                    candidate.number_of_nodes() == n
-                    and nx.is_connected(candidate)
-                ):
-                    packing_graph = candidate
-                    sampled = True
-                    break
-                probability = min(1.0, 2 * probability)
-        acct.charge(1, "packing:sampling")
-
-    # Regime (A): greedy packing with relative loads, MSTs via Boruvka.
-    engine = MinorAggregationEngine(packing_graph, accountant=acct)
-    uses: dict[Edge, int] = {
-        edge_key(u, v): 0 for u, v in packing_graph.edges()
-    }
-
-    def load(edge: Edge) -> float:
-        multiplicity = packing_graph[edge[0]][edge[1]].get("weight", 1)
-        return uses[edge] / max(multiplicity, 1e-12)
-
-    trees: list[nx.Graph] = []
-    seen: set[frozenset] = set()
-    duplicates = 0
-    with obs_trace.span(
-        "pack.boruvka", n=n, iterations=num_trees, acct="packing:boruvka"
-    ):
-        for _iteration in range(num_trees):
-            mst_edges = boruvka_mst(
-                engine, edge_cost=load, label="packing:boruvka"
-            )
-            for edge in mst_edges:
-                uses[edge] += 1
-            signature = frozenset(mst_edges)
-            if signature in seen:
-                duplicates += 1
-                continue
-            seen.add(signature)
-            tree = nx.Graph()
-            tree.add_nodes_from(graph.nodes())
-            # Deterministic insertion order: the adjacency (and hence
-            # every downstream BFS / preorder) must not depend on set
-            # iteration order, so both execution paths root identical
-            # trees.
-            for u, v in sorted(mst_edges, key=_edge_order_key):
-                tree.add_edge(u, v, weight=graph[u][v].get("weight", 1))
-            trees.append(tree)
-    return TreePacking(
-        trees=trees,
-        sampled=sampled,
-        sampling_probability=probability,
-        approx_cut_value=approx_cut_value,
-        ma_rounds=acct.total,
-        duplicates_removed=duplicates,
-    )
-
-
-# ----------------------------------------------------------------------
-# CSR-native path
-# ----------------------------------------------------------------------
-def _pack_trees_csr(
-    graph: CSRGraph,
-    seed: int,
-    num_trees: int | None,
-    accountant: RoundAccountant | None,
-    approx_cut_value: float | None,
-    ma_backend: str | None = None,
-) -> TreePacking:
-    n = graph.n
-    if n < 2:
-        raise ValueError("need at least two nodes to pack trees")
-    acct = accountant or RoundAccountant()
-    rng = random.Random(seed)
-    if num_trees is None:
-        num_trees = default_tree_count(n)
-
-    if approx_cut_value is None:
-        from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
-        with obs_trace.span(
-            "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
-        ):
-            approx_cut_value, _partition = stoer_wagner_min_cut(graph)
-        acct.charge(log2ceil(n) ** 2, "packing:approx-min-cut")
-
-    target = 24.0 * max(1.0, math.log(n))
-    packing_graph = graph
-    sampled = False
-    probability: float | None = None
-    if approx_cut_value > 2 * target:
-        with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
-            probability = min(1.0, target / approx_cut_value)
-            for _attempt in range(6):
-                candidate = _sample_multiplicities_csr(graph, probability, rng)
-                if candidate.is_connected():
-                    packing_graph = candidate
-                    sampled = True
-                    break
-                probability = min(1.0, 2 * probability)
-        acct.charge(1, "packing:sampling")
-
-    eu, ev = packing_graph.edge_u, packing_graph.edge_v
-    multiplicity = np.maximum(packing_graph.edge_w, 1e-12)
-    uses = np.zeros(packing_graph.m, dtype=np.int64)
-    # Label-space canonical keys per edge row: the tie-break and the tree
-    # insertion order both live in edge_key space (endpoints ordered by
-    # string, not by index -- edge_key(4, 10) is (10, 4)), so both engine
-    # backends and the networkx path agree tie for tie.
-    node_labels = graph.node_labels()
-    canonical = [
-        edge_key(node_labels[u], node_labels[v])
-        for u, v in zip(eu.tolist(), ev.tolist())
-    ]
-
-    backend = resolve_ma_backend(ma_backend)
-    if backend == "compiled":
-        engine = CompiledMinorAggregationEngine(packing_graph, accountant=acct)
-    else:
-        engine = MinorAggregationEngine(packing_graph, accountant=acct)
-        row_of = {edge: row for row, edge in enumerate(canonical)}
-
-    trees: list[dict[int, list[int]]] = []
-    tree_edges: list[tuple[np.ndarray, np.ndarray]] = []
-    seen: set[frozenset] = set()
-    duplicates = 0
-    with obs_trace.span(
-        "pack.boruvka", n=n, iterations=num_trees, acct="packing:boruvka"
-    ):
-        for _iteration in range(num_trees):
-            cost = uses / multiplicity
-            if backend == "compiled":
-                mst_ids = engine.original_rows(
-                    compiled_boruvka_rows(
-                        engine,
-                        lower_edge_cost(engine, cost),
-                        label="packing:boruvka",
-                    )
-                )
-            else:
-                mst_keys = boruvka_mst(
-                    engine,
-                    edge_cost=lambda e: cost[row_of[e]],
-                    label="packing:boruvka",
-                )
-                mst_ids = np.fromiter(
-                    sorted(row_of[key] for key in mst_keys),
-                    dtype=np.int64,
-                    count=len(mst_keys),
-                )
-            uses[mst_ids] += 1
-            signature = frozenset(mst_ids.tolist())
-            if signature in seen:
-                duplicates += 1
-                continue
-            seen.add(signature)
-            # Insert tree edges in the label-space edge_key order the
-            # networkx path uses, so the BFS adjacency sequences (and
-            # hence every preorder downstream) correspond 1:1 across
-            # paths.
-            chosen = sorted(
-                mst_ids.tolist(), key=lambda e: _edge_order_key(canonical[e])
-            )
-            adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-            for e in chosen:
-                u, v = int(eu[e]), int(ev[e])
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            trees.append(adjacency)
-            chosen_arr = np.asarray(chosen, dtype=np.int64)
-            tree_edges.append((eu[chosen_arr], ev[chosen_arr]))
-    return TreePacking(
-        trees=trees,
-        sampled=sampled,
-        sampling_probability=probability,
-        approx_cut_value=approx_cut_value,
-        ma_rounds=acct.total,
-        duplicates_removed=duplicates,
-        tree_edge_arrays=tree_edges,
-    )
-
-
-# ----------------------------------------------------------------------
-# Many-graph batched packing (the ``minimum_cut_many`` sweep path)
-# ----------------------------------------------------------------------
-@dataclass
-class ManyPacking:
-    """Per-graph packings plus the flat arrays the sweep pipeline reuses.
-
-    ``tree_edge_arrays[g]`` holds one ``(edge_u, edge_v)`` pair per packed
-    tree of graph ``g``, in the exact insertion order the adjacency
-    mappings were built with -- what
-    :func:`~repro.kernel.forest.stacked_tree_arrays` consumes to build
-    all BFS/Euler kernels in one pass.
-    """
-
-    packings: list[TreePacking]
-    accountants: list[RoundAccountant]
-    tree_edge_arrays: list[list[tuple[np.ndarray, np.ndarray]]]
+    if approx_cut_value <= 2 * target:
+        return graph, approx_cut_value, False, None
+    sampled_graph, sampled = graph, False
+    with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
+        probability = min(1.0, target / approx_cut_value)
+        for _attempt in range(6):
+            candidate = _sample_multiplicities_csr(graph, probability, rng)
+            if candidate.is_connected():
+                sampled_graph, sampled = candidate, True
+                break
+            probability = min(1.0, 2 * probability)
+    acct.charge(1, "packing:sampling")
+    return sampled_graph, approx_cut_value, sampled, probability
 
 
 def pack_trees_many(
@@ -390,89 +196,45 @@ def pack_trees_many(
     seeds: "list[int]",
     num_trees: int | None = None,
     accountants: "list[RoundAccountant] | None" = None,
-    ma_backend: str | None = None,
+    approx_cut_values: "list[float | None] | None" = None,
 ) -> ManyPacking:
     """Pack spanning trees for many CSR graphs in one vectorized sweep.
 
-    Produces, for every graph, the *bit-identical* :class:`TreePacking`
-    (trees, sampling decisions, duplicate bookkeeping, round charges)
-    that ``pack_trees(graph, seed)`` would -- asserted by the test
-    suite -- but runs the greedy Boruvka iterations over one
-    concatenated edge table: per phase one component labelling, one
-    masked ``minimum.at``, one vectorized hook-and-jump union across
-    *all* graphs at once.  Identity holds because every per-graph
-    decision (cost ties via the ``(cost, str)`` edge order, winner
-    selection per component, phase/charge bookkeeping, duplicate-tree
-    dedup) depends only on within-graph comparisons, which the
-    concatenated order preserves; the per-graph random draws (sampling
-    regime) happen in the per-graph preamble with the same ``Random``
-    streams the serial path uses.
+    Every graph's packing depends only on that graph and its seed: the
+    per-graph preamble (approximate min-cut, sampling regime, edge-order
+    ranks) draws from the graph's own ``Random(seed)`` stream, and the
+    greedy Boruvka iterations run over one concatenated edge table where
+    every decision -- cost ties via the ``(cost, str)`` edge order,
+    winner selection per component, phase/charge bookkeeping,
+    duplicate-tree dedup -- compares edges of one graph only.  A sweep
+    therefore packs each graph exactly as ``pack_trees(graph, seed)``.
     """
     if not graphs:
-        return ManyPacking(packings=[], accountants=[], tree_edge_arrays=[])
+        return ManyPacking(packings=[], accountants=[])
     count_of = len(graphs)
     accts = (
         list(accountants)
         if accountants is not None
         else [RoundAccountant() for _ in range(count_of)]
     )
+    approx_values = (
+        list(approx_cut_values)
+        if approx_cut_values is not None
+        else [None] * count_of
+    )
 
-    if resolve_ma_backend(ma_backend) == "closure":
-        # Reference mode: pack each graph serially on the closure engine
-        # (the fused path below *is* the array backend).
-        packings = [
-            _pack_trees_csr(
-                graph, seed=seed, num_trees=num_trees, accountant=acct,
-                approx_cut_value=None, ma_backend="closure",
-            )
-            for graph, seed, acct in zip(graphs, seeds, accts)
-        ]
-        return ManyPacking(
-            packings=packings,
-            accountants=accts,
-            tree_edge_arrays=[p.tree_edge_arrays for p in packings],
-        )
-
-    # Per-graph preamble: approx min-cut, sampling regime, edge-order
-    # ranks -- identical, call for call, to ``_pack_trees_csr``.
     states: list[dict] = []
-    for graph, seed, acct in zip(graphs, seeds, accts):
+    for graph, seed, acct, approx in zip(graphs, seeds, accts, approx_values):
         n = graph.n
         if n < 2:
             raise ValueError("need at least two nodes to pack trees")
-        rng = random.Random(seed)
-        count = num_trees if num_trees is not None else default_tree_count(n)
-
-        from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
-        with obs_trace.span(
-            "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
-        ):
-            approx_cut_value, _partition = stoer_wagner_min_cut(graph)
-        acct.charge(log2ceil(n) ** 2, "packing:approx-min-cut")
-
-        target = 24.0 * max(1.0, math.log(n))
-        packing_graph = graph
-        sampled = False
-        probability: float | None = None
-        if approx_cut_value > 2 * target:
-            with obs_trace.span(
-                "pack.sampling", n=n, acct="packing:sampling"
-            ):
-                probability = min(1.0, target / approx_cut_value)
-                for _attempt in range(6):
-                    candidate = _sample_multiplicities_csr(
-                        graph, probability, rng
-                    )
-                    if candidate.is_connected():
-                        packing_graph = candidate
-                        sampled = True
-                        break
-                    probability = min(1.0, 2 * probability)
-            acct.charge(1, "packing:sampling")
-
+        packing_graph, approx, sampled, probability = _packing_graph(
+            graph, random.Random(seed), acct, approx
+        )
         eu, ev = packing_graph.edge_u, packing_graph.edge_v
-        multiplicity = np.maximum(packing_graph.edge_w, 1e-12)
+        # Label-space canonical keys per edge row: the tie-break and the
+        # tree insertion order both live in edge_key space (endpoints
+        # ordered by string, not by index -- edge_key(4, 10) is (10, 4)).
         node_labels = graph.node_labels()
         canonical = [
             edge_key(node_labels[u], node_labels[v])
@@ -481,21 +243,20 @@ def pack_trees_many(
         labels = np.array([str(pair) for pair in canonical], dtype=np.str_)
         str_rank = np.empty(len(labels), dtype=np.int64)
         str_rank[np.argsort(labels)] = np.arange(len(labels), dtype=np.int64)
-        # Full-edge canonical order; restricting it to any tree's edge set
-        # reproduces the serial per-tree ``sorted(..., key=edge_order_key)``
-        # (the keys are distinct, so sorting a subset preserves the order).
-        canon_order = np.array(
-            sorted(range(len(canonical)), key=lambda e: _edge_order_key(canonical[e])),
-            dtype=np.int64,
-        )
+        # Rank of every row in the canonical edge-key order: a tree's
+        # insertion order.
+        canon_rank = np.empty(len(canonical), dtype=np.int64)
+        canon_rank[
+            sorted(range(len(canonical)), key=lambda e: _edge_order_key(canonical[e]))
+        ] = np.arange(len(canonical), dtype=np.int64)
         states.append(
             dict(
-                n=n, count=count, eu=eu, ev=ev, mult=multiplicity,
-                eu_list=eu.tolist(), ev_list=ev.tolist(),
-                str_rank=str_rank, canon_order=canon_order,
-                approx=approx_cut_value, sampled=sampled,
-                probability=probability, trees=[], tree_edges=[],
-                seen=set(), duplicates=0, phases=log2ceil(n) + 1,
+                n=n,
+                count=num_trees if num_trees is not None else default_tree_count(n),
+                eu=eu, ev=ev, mult=np.maximum(packing_graph.edge_w, 1e-12),
+                str_rank=str_rank, canon_rank=canon_rank,
+                approx=approx, sampled=sampled, probability=probability,
+                tree_edges=[], seen=set(), duplicates=0,
             )
         )
 
@@ -514,13 +275,16 @@ def pack_trees_many(
     )
     all_mult = np.concatenate([st["mult"] for st in states])
     all_rank = np.concatenate([st["str_rank"] for st in states])
+    # Graph-major canonical order over the whole table.
+    all_canon = np.concatenate(
+        [st["canon_rank"] + edge_off[i] for i, st in enumerate(states)]
+    )
     gid = np.repeat(np.arange(count_of), np.diff(edge_off))
     uses = np.zeros(len(all_eu), dtype=np.int64)
-    n_total = int(node_off[-1])
-    m_total = len(all_eu)
-    sentinel = m_total
     counts = np.array([st["count"] for st in states], dtype=np.int64)
-    phases_arr = np.array([st["phases"] for st in states], dtype=np.int64)
+    phase_caps = np.array(
+        [log2ceil(st["n"]) + 1 for st in states], dtype=np.int64
+    )
 
     for iteration in range(int(counts.max(initial=0))):
         with obs_trace.span(
@@ -529,85 +293,47 @@ def pack_trees_many(
             graphs=count_of,
             acct="packing:boruvka",
         ):
-            iter_active = counts > iteration
-            cost = uses / all_mult
-            # Graph-major positions: within each graph the (cost, str) order
-            # is exactly the serial per-graph lexsort, and per-component
-            # minima never compare positions across graphs.
-            order = np.lexsort((all_rank, cost, gid))
-            position = np.empty(m_total, dtype=np.int64)
-            position[order] = np.arange(m_total, dtype=np.int64)
-
-            comp = np.arange(n_total, dtype=np.int64)
-            in_tree = np.zeros(m_total, dtype=bool)
-            running = iter_active.copy()
-            boruvka_phases = np.zeros(count_of, dtype=np.int64)
-            for phase in range(int(phases_arr[iter_active].max(initial=0))):
-                running &= phase < phases_arr
-                if not running.any():
-                    break
-                boruvka_phases += running  # serial charges before its breaks
-                cu = comp[all_eu]
-                cv = comp[all_ev]
-                outgoing = (cu != cv) & running[gid]
-                og_counts = np.bincount(gid[outgoing], minlength=count_of)
-                running &= og_counts > 0  # per-graph "no outgoing" break
-                if not outgoing.any():
-                    continue
-                best = np.full(n_total, sentinel, dtype=np.int64)
-                np.minimum.at(best, cu[outgoing], position[outgoing])
-                np.minimum.at(best, cv[outgoing], position[outgoing])
-                # Serial dedups winners via np.unique and re-checks for fresh
-                # edges, but an outgoing edge can never already be in a tree
-                # (its endpoints would share a component), so the duplicate
-                # winners are harmless here (idempotent scatter, commutative
-                # merge) and the serial "no fresh edges" break is dead code.
-                fresh = order[best[best < sentinel]]
-                in_tree[fresh] = True
-                comp = merge_components(comp, all_eu[fresh], all_ev[fresh])
-            # Inactive graphs selected no edges this iteration, so one global
-            # add updates exactly the serial per-graph ``uses[mst_ids] += 1``.
-            uses += in_tree
-            for g in np.nonzero(iter_active)[0]:
-                accts[g].charge(int(boruvka_phases[g]), "packing:boruvka")
+            active = counts > iteration
+            rows, phases = compiled_boruvka_rows(
+                all_eu, all_ev, uses / all_mult, all_rank, gid,
+                np.where(active, phase_caps, 0), int(node_off[-1]),
+            )
+            uses[rows] += 1
+            bounds = np.searchsorted(rows, edge_off).tolist()
+            # Each graph's tree rows in insertion order; that order is
+            # canonical, so equal bytes <=> equal edge sets.
+            rows = rows[np.argsort(all_canon[rows])]
+            phases = phases.tolist()
+            for g in np.flatnonzero(active).tolist():
+                accts[g].charge(phases[g], "packing:boruvka")
                 st = states[g]
-                local_mask = in_tree[int(edge_off[g]):int(edge_off[g + 1])]
-                # The boolean mask is a faithful stand-in for the serial
-                # frozenset-of-edge-ids signature: equal masks <=> equal sets.
-                signature = local_mask.tobytes()
+                tree = rows[bounds[g]:bounds[g + 1]]
+                signature = tree.tobytes()
                 if signature in st["seen"]:
                     st["duplicates"] += 1
                     continue
                 st["seen"].add(signature)
-                chosen_local = st["canon_order"][local_mask[st["canon_order"]]]
-                eu_l, ev_l = st["eu_list"], st["ev_list"]
-                adjacency: dict[int, list[int]] = {v: [] for v in range(st["n"])}
-                for e in chosen_local.tolist():
-                    u, v = eu_l[e], ev_l[e]
-                    adjacency[u].append(v)
-                    adjacency[v].append(u)
-                st["trees"].append(adjacency)
-                st["tree_edges"].append((st["eu"][chosen_local], st["ev"][chosen_local]))
+                local = tree - edge_off[g]
+                st["tree_edges"].append((st["eu"][local], st["ev"][local]))
 
     packings = [
         TreePacking(
-            trees=st["trees"],
+            trees=[_adjacency(st["n"], eu, ev) for eu, ev in st["tree_edges"]],
             sampled=st["sampled"],
             sampling_probability=st["probability"],
             approx_cut_value=st["approx"],
             ma_rounds=accts[g].total,
             duplicates_removed=st["duplicates"],
+            tree_edge_arrays=st["tree_edges"],
         )
         for g, st in enumerate(states)
     ]
-    return ManyPacking(
-        packings=packings,
-        accountants=accts,
-        tree_edge_arrays=[st["tree_edges"] for st in states],
-    )
+    return ManyPacking(packings=packings, accountants=accts)
 
 
-# ``_boruvka_csr``/``_merge_components`` used to live here; the compiled
-# Minor-Aggregation engine (repro.ma.compiled.compiled_boruvka_rows) now
-# runs the same decision-identical sequence as charged engine rounds, and
-# the vectorized union moved to repro.graphs.csr.merge_components.
+def _adjacency(n: int, eu: np.ndarray, ev: np.ndarray) -> dict[int, list[int]]:
+    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency

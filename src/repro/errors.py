@@ -13,6 +13,7 @@ Hierarchy::
     ReproError
     ├── GraphValidationError (ValueError)   bad graph input
     ├── SolverError          (ValueError)   unknown/broken solver dispatch
+    │   └── NumericalRangeError             float error broke a cut witness
     ├── FaultPlanError       (ValueError)   malformed fault-injection plan
     ├── PackingError         (RuntimeError) tree-packing stage failure
     ├── BudgetExceeded       (RuntimeError) scratch budget cannot fit a solve
@@ -37,6 +38,7 @@ __all__ = [
     "ReproError",
     "GraphValidationError",
     "SolverError",
+    "NumericalRangeError",
     "FaultPlanError",
     "PackingError",
     "BudgetExceeded",
@@ -62,6 +64,24 @@ class GraphValidationError(ReproError, ValueError):
 
 class SolverError(ReproError, ValueError):
     """Solver dispatch failed (unknown registry name)."""
+
+
+class NumericalRangeError(SolverError):
+    """Float accumulation over the graph's weight range lost the cut: the
+    best candidate's value and the weight of the partition it induces
+    disagree beyond the finalize tolerance (cancellation in the prefix-sum
+    grid, e.g. integer weights near 1e18 mixed with small ones).  Both
+    numbers are kept on the exception and in its message."""
+
+    def __init__(
+        self,
+        message: str,
+        candidate_value: float = 0.0,
+        partition_value: float = 0.0,
+    ):
+        super().__init__(message)
+        self.candidate_value = candidate_value
+        self.partition_value = partition_value
 
 
 class FaultPlanError(ReproError, ValueError):

@@ -8,18 +8,17 @@ prefix-sum pass).  This module stacks the per-tree kernel arrays
 tensor, cumulative sums along both Euler axes, one gather cascade for the
 pair matrices, and one row-major argmin per tree.
 
-Two entry points share the low-level pass:
-
-* :func:`batched_two_respecting_oracle` -- all packed trees of **one**
-  graph (the per-call fast path ``minimum_cut`` uses);
-* :func:`batched_two_respecting_oracle_many` -- trees of **many** graphs
-  at once (the ``minimum_cut_many`` sweep path).  Jobs whose trees have
-  the same node count share stacked tensors, so a 50-graph sweep costs a
-  handful of numpy passes instead of 50; per-tree edge deposits arrive as
-  flattened COO triples, which makes mixed edge counts across graphs
-  exact no-ops for parity (``np.add.at`` walks the flattened triples in
-  the same tree-major, edge-order sequence the rectangular broadcast
-  used).
+One solver runs the low-level pass:
+:func:`batched_two_respecting_oracle_many` solves the trees of **many**
+graphs at once (the ``minimum_cut_many`` sweep path).  Jobs whose trees
+have the same node count share stacked tensors, so a 50-graph sweep costs
+a handful of numpy passes instead of 50; per-tree edge deposits arrive as
+flattened COO triples, which makes mixed edge counts across graphs exact
+no-ops for parity (``np.add.at`` walks the flattened triples in the same
+tree-major, edge-order sequence per tree slice).
+:func:`batched_two_respecting_oracle` is its one-graph delegate (the
+single-graph ``minimum_cut`` path); both take the trees as a stacked
+BFS/Euler forest (:mod:`repro.kernel.forest`).
 
 Bit-for-bit parity with the per-tree
 :func:`~repro.kernel.cut_kernel.pair_cover_matrix_kernel` path is a design
@@ -49,7 +48,6 @@ from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.cut_values import CutCandidate
-    from repro.trees.rooted import RootedTree
 
 _DEFAULT_BUDGET = 256 * 1024 * 1024
 #: bytes of scratch per tree per n² (prefix tensor + rows + matrix + cuts
@@ -152,28 +150,6 @@ def _solve_stacked(
     return values, flat
 
 
-def _tree_edge(tree: "RootedTree", i: int):
-    """The ``i``-th tree edge in BFS order -- O(1), no full edge list."""
-    from repro.trees.rooted import edge_key
-
-    node = tree.order[i + 1]
-    return edge_key(node, tree.parent[node])
-
-
-def candidate_from_flat(
-    value: float, flat: int, n: int, edge_at, CutCandidate
-) -> "CutCandidate":
-    """Decode a stacked-solve argmin into a :class:`CutCandidate`.
-
-    ``edge_at(i)`` must return the ``i``-th tree edge in BFS order (the
-    order :meth:`RootedTree.edges` yields).
-    """
-    i, j = divmod(int(flat), n - 1)
-    if i == j:
-        return CutCandidate(value=float(value), edges=(edge_at(i),))
-    return CutCandidate(value=float(value), edges=(edge_at(i), edge_at(j)))
-
-
 def _filtered_edges(
     arrays: GraphArrays,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,60 +161,54 @@ def _filtered_edges(
     return u_pos, v_pos, weights
 
 
-def batched_two_respecting_oracle(
-    arrays: GraphArrays,
-    trees: "Sequence[RootedTree]",
-    batch_bytes: int | None = None,
+def stack_candidates(
+    values: np.ndarray, flats: np.ndarray, stack, nodes=None
 ) -> "list[CutCandidate]":
-    """Best 1-/2-respecting cut per tree, all trees solved in one pass.
+    """Decode one graph's stacked-solve argmins into :class:`CutCandidate`\\ s.
 
-    Returns one :class:`CutCandidate` per tree, equal (value, edges, and
-    tie-break) to ``two_respecting_oracle(graph, tree, arrays=arrays)``.
+    ``flats[t]`` is the row-major argmin of tree ``t``'s cut matrix
+    (``i == j``: a 1-respecting cut); edge ``i`` is the tree's ``i``-th
+    edge in BFS order, ``stack.edge_at(t, i)`` in node-index space,
+    relabelled through ``nodes`` when given.
     """
     from repro.core.cut_values import CutCandidate
+    from repro.trees.rooted import edge_key
 
-    if not trees:
-        return []
-    n = trees[0].kernel.n
-    if n <= 1:
-        raise ValueError("tree has no edges")
-
-    u_pos, v_pos, weights = _filtered_edges(arrays)
-
-    candidates: "list[CutCandidate]" = []
-    chunk = _chunk_size(n, batch_bytes)
-    for lo_t in range(0, len(trees), chunk):
-        batch = trees[lo_t:lo_t + chunk]
-        kernels = [tree.kernel for tree in batch]
-        c = len(kernels)
-        m = len(weights)
-        scratch = _BYTES_PER_CELL * c * (n + 1) * (n + 1)
-        obs_metrics.histogram("oracle.chunk_trees").observe(c)
-        obs_metrics.histogram("oracle.chunk_bytes").observe(scratch)
-        with obs_trace.span("oracle.chunk", trees=c, n=n, bytes=scratch):
-            # (c, n) stacked kernel arrays; the remap row of tree t sends
-            # the graph's node positions onto t's dense indices.
-            remap = np.stack([arrays.tree_remap(k) for k in kernels])
-            tin = np.stack([k.tin for k in kernels])
-            tout = np.stack([k.tout for k in kernels])
-
-            # (c, m) per-tree Euler times of every edge endpoint,
-            # flattened into tree-major COO deposits.
-            ut = np.take_along_axis(tin, remap[:, u_pos], axis=1)
-            vt = np.take_along_axis(tin, remap[:, v_pos], axis=1)
-            dep_t = np.repeat(np.arange(c, dtype=np.int64), m)
-            values, flat = _solve_stacked(
-                tin, tout, dep_t, ut.ravel(), vt.ravel(), np.tile(weights, c)
-            )
-        for t, tree in enumerate(batch):
-            candidates.append(
-                candidate_from_flat(
-                    values[t], flat[t], n,
-                    lambda i, tree=tree: _tree_edge(tree, i),
-                    CutCandidate,
-                )
-            )
+    n = stack.tin.shape[1]
+    candidates = []
+    for t, (value, flat) in enumerate(zip(values.tolist(), flats.tolist())):
+        i, j = divmod(flat, n - 1)
+        edges = [stack.edge_at(t, e) for e in ((i,) if i == j else (i, j))]
+        if nodes is not None:
+            edges = [edge_key(nodes[u], nodes[v]) for u, v in edges]
+        candidates.append(CutCandidate(value=value, edges=tuple(edges)))
     return candidates
+
+
+def batched_two_respecting_oracle(
+    arrays: GraphArrays,
+    stack,
+    batch_bytes: int | None = None,
+) -> "list[CutCandidate]":
+    """Best 1-/2-respecting cut per tree of one graph's stacked forest.
+
+    A one-graph delegate to :func:`batched_two_respecting_oracle_many`.
+    ``stack`` is the graph's :class:`~repro.kernel.forest.TreeStack` (or a
+    row window onto a fused one) over the node positions of ``arrays``.
+    Returns one :class:`CutCandidate` per tree, equal (value, edges, and
+    tie-break) to ``two_respecting_oracle(graph, tree, arrays=arrays)``
+    on the same tree with the same root; edges name the nodes of
+    ``arrays`` (labels for networkx-extracted arrays, indices for CSR).
+    """
+    if not len(stack.tin):
+        return []
+    job = OracleJob.from_arrays(arrays, stack.tin, stack.tout, stack.pos)
+    values, flats = batched_two_respecting_oracle_many(
+        [job], batch_bytes=batch_bytes
+    )[0]
+    return stack_candidates(
+        values, flats, stack, None if arrays.identity_nodes else arrays.nodes
+    )
 
 
 class OracleJob:
@@ -292,7 +262,7 @@ def batched_two_respecting_oracle_many(
     Returns, for each job in input order, ``(values, flat)`` arrays with
     one entry per tree -- the same numbers
     :func:`batched_two_respecting_oracle` would produce per graph
-    (decode with :func:`candidate_from_flat`).  Trees from different
+    (decode with :func:`stack_candidates`).  Trees from different
     graphs never interact: all per-tree arithmetic is slice-local, so
     fusing a 50-graph sweep into a handful of tensor passes is a pure
     amortization of numpy call overhead.

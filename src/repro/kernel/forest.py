@@ -25,8 +25,9 @@ edge lists are given in the exact insertion order the serial path feeds
 ``RootedTree`` (canonical edge-key order), so adjacency enumeration --
 and hence every downstream order -- coincides.
 
-Only index-space trees (nodes ``0..n-1``) are supported; that is the
-only representation the CSR sweep path produces.
+Only index-space trees (nodes ``0..n-1``) are supported; that is what
+every packing's ``tree_edge_arrays`` holds, for CSR and networkx input
+alike.
 """
 
 from __future__ import annotations

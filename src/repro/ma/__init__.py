@@ -7,7 +7,7 @@
 * :mod:`repro.ma.compiled` — whole schedules lowered to array passes over
   CSR edge tables (``reduceat`` consensus, scatter-reduce aggregation,
   vectorized contraction); the closure engine stays the bit-identical
-  reference, selected via ``REPRO_MA_BACKEND``/``SolverConfig(ma_backend)``.
+  reference (``pytest -m ma``).
 * :mod:`repro.ma.virtual` — the virtual-node extension (Section 4.1).
 * :mod:`repro.ma.boruvka` — Boruvka's MST, the paper's instructive example.
 * :mod:`repro.ma.simulation` — Theorem 17 compile-down cost model to CONGEST.
@@ -21,8 +21,6 @@ from repro.ma.engine import (
 from repro.ma.compiled import (
     CompiledMinorAggregationEngine,
     compiled_boruvka_rows,
-    make_engine,
-    resolve_ma_backend,
 )
 from repro.ma.operators import (
     AND,
@@ -48,8 +46,6 @@ __all__ = [
     "MinorAggregationEngine",
     "CompiledMinorAggregationEngine",
     "MARoundResult",
-    "make_engine",
-    "resolve_ma_backend",
     "compiled_boruvka_rows",
     "node_order_key",
     "Operator",

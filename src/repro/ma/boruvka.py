@@ -9,15 +9,18 @@ a minimum-cost spanning tree per packing iteration.
 
 On a :class:`~repro.ma.compiled.CompiledMinorAggregationEngine` with
 numeric costs the whole contraction sequence is lowered to array passes
-(:func:`~repro.ma.compiled.compiled_boruvka_rows`): decision-identical
-(same (cost, str) tie-break), charge-identical (one round per phase), just
-without the per-edge closure calls.  Non-numeric costs run the generic
-closure rounds on either engine.
+(:func:`~repro.ma.compiled.compiled_boruvka_rows`, the kernel tree packing
+runs too): decision-identical (same (cost, str) tie-break),
+charge-identical (one round per phase, booked through the engine's round
+scope), just without the per-edge closure calls.  Non-numeric costs run
+the generic closure rounds on either engine.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable
+
+import numpy as np
 
 from repro.ma.compiled import (
     CompiledMinorAggregationEngine,
@@ -51,7 +54,12 @@ def boruvka_mst(
     if isinstance(engine, CompiledMinorAggregationEngine):
         lowered = lower_edge_cost(engine, edge_cost)
         if lowered is not None:
-            rows = compiled_boruvka_rows(engine, lowered, label=label)
+            rows, phases = compiled_boruvka_rows(
+                engine._eu, engine._ev, lowered, engine.edge_str_rank(),
+                np.zeros(len(lowered), dtype=np.int64),
+                np.array([log2ceil(engine.n) + 1]), engine.n,
+            )
+            engine.charge_compiled_rounds(int(phases[0]), label)
             edge_list = engine.edge_list
             return {edge_list[r][0] for r in rows.tolist()}
 

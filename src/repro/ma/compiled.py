@@ -20,8 +20,7 @@ Misra-Gries sketches), closure edge messages, object-dtype inputs,
 bit-audited engines -- fall back to the inherited closure body, so every
 algorithm written against ``round()`` runs unchanged.  The closure engine
 remains the bit-identical correctness reference (the same pattern the tree
-kernel uses with legacy mode), selected via ``SolverConfig(ma_backend=...)``
-or ``REPRO_MA_BACKEND``; the parity suite (``pytest -m ma``) asserts
+kernel uses with legacy mode); the parity suite (``pytest -m ma``) asserts
 identical :class:`~repro.ma.engine.MARoundResult` contents and identical
 :class:`~repro.accounting.RoundAccountant` ledgers across both engines.
 
@@ -30,22 +29,24 @@ closure engine folds in, so float results are bit-identical except that the
 closure seeds every fold with ``combine(identity(), first)`` -- for sums
 that maps ``-0.0`` to ``+0.0``, which compares equal anyway.
 
-The Boruvka contraction sequence used by tree packing (Theorem 12) is
-lowered as a whole by :func:`compiled_boruvka_rows`: per phase one
-outgoing-edge mask, one scatter-min over (cost, str)-order positions, one
-vectorized union -- each phase charged/traced through the engine's standard
-round scope, so ledgers and ``ma.round`` spans stay accurate.
+The Boruvka contraction sequence is lowered as a whole by
+:func:`compiled_boruvka_rows`, for one graph or a concatenated table of
+many: per phase one outgoing-edge mask, one scatter-min over (cost,
+str)-order positions, one vectorized union.  Tree packing (Theorem 12)
+runs every greedy iteration of every graph through it;
+:func:`~repro.ma.boruvka.boruvka_mst` charges the phases it reports
+through the engine's standard round scope, so ledgers and ``ma.round``
+spans stay accurate.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.accounting import RoundAccountant, log2ceil
+from repro.accounting import RoundAccountant
 from repro.errors import SolverError
 from repro.graphs.csr import CSRGraph, merge_components
 from repro.ma.engine import (
@@ -59,49 +60,6 @@ from repro.obs import metrics as obs_metrics
 
 Edge = tuple
 _MISSING = object()
-
-_BACKENDS = ("compiled", "closure")
-
-
-def resolve_ma_backend(setting: str | None = None) -> str:
-    """Resolve the MA engine backend: explicit setting > env > default.
-
-    ``None`` (or an empty ``REPRO_MA_BACKEND``) selects ``"compiled"`` --
-    the array path is the production default; ``"closure"`` pins the
-    reference engine.
-    """
-    if setting is None:
-        setting = os.environ.get("REPRO_MA_BACKEND") or None
-    if setting is None:
-        return "compiled"
-    resolved = str(setting).strip().lower()
-    if resolved not in _BACKENDS:
-        raise SolverError(
-            f"unknown MA backend {setting!r}; choose from {_BACKENDS}"
-        )
-    return resolved
-
-
-def make_engine(
-    graph,
-    accountant: RoundAccountant | None = None,
-    measure_bits: bool = False,
-    backend: str | None = None,
-) -> MinorAggregationEngine:
-    """Engine factory honouring the backend switch.
-
-    CSR graphs get the compiled engine unless ``closure`` is pinned;
-    networkx graphs always run the closure reference (there are no flat
-    arrays to lower onto).
-    """
-    if isinstance(graph, CSRGraph) and resolve_ma_backend(backend) == "compiled":
-        return CompiledMinorAggregationEngine(
-            graph, accountant=accountant, measure_bits=measure_bits
-        )
-    return MinorAggregationEngine(
-        graph, accountant=accountant, measure_bits=measure_bits
-    )
-
 
 class CompiledMinorAggregationEngine(MinorAggregationEngine):
     """Array-op Minor-Aggregation engine over a :class:`CSRGraph`.
@@ -160,9 +118,13 @@ class CompiledMinorAggregationEngine(MinorAggregationEngine):
             )
         return self._str_rank
 
-    def original_rows(self, engine_rows: np.ndarray) -> np.ndarray:
-        """Map engine edge positions back to CSR edge-table rows."""
-        return self._rows[engine_rows]
+    def charge_compiled_rounds(self, rounds: int, label: str) -> None:
+        """Book ``rounds`` rounds that ran as array passes outside
+        :meth:`round` (one charge, ``ma.round`` span and counter each)."""
+        for _ in range(rounds):
+            with self._round_scope(label):
+                self.compiled_rounds += 1
+                obs_metrics.counter("ma.rounds.compiled").inc()
 
     # ------------------------------------------------------------------
     # Contraction lowering
@@ -481,52 +443,62 @@ def lower_edge_cost(
 
 
 def compiled_boruvka_rows(
-    engine: CompiledMinorAggregationEngine,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
     cost: np.ndarray,
-    label: str = "boruvka",
-) -> np.ndarray:
-    """Boruvka's contraction sequence as compiled min-edge rounds.
+    tie_rank: np.ndarray,
+    graph_of: np.ndarray,
+    phase_caps: np.ndarray,
+    n_nodes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boruvka's contraction sequence for many graphs as array passes.
 
-    Each phase is one Minor-Aggregation round -- every minor edge offers
-    its (cost, str-rank) lexicographic position to both endpoint
-    supernodes, each supernode scatter-min-folds the offers -- charged and
-    traced through the engine's standard round scope, so the ledger and
-    ``ma.round`` spans match the closure phases charge for charge.
-    Decision-identical to the closure :func:`~repro.ma.boruvka.boruvka_mst`
-    (same (cost, str(edge_key)) tie-break, same break conditions).
+    The edge table concatenates the graphs over disjoint node blocks
+    (``n_nodes`` in total), so no component ever spans two graphs;
+    ``graph_of`` names each row's graph and ``tie_rank`` its rank of
+    ``str(edge_key)`` within that graph.  Each phase is one
+    Minor-Aggregation round per running graph: every minor edge offers
+    its (cost, tie rank) position to both endpoint supernodes, each
+    supernode keeps the minimum offer, and the winners are contracted.
+    A graph runs at most ``phase_caps[g]`` phases (0 sits the call out)
+    and stops after the first phase that finds no outgoing edge -- the
+    same phases, decisions and tie-breaks as the closure
+    :func:`~repro.ma.boruvka.boruvka_mst`, which charges that last phase
+    too.
 
-    Returns the chosen *engine* edge positions (``edge_list`` order); map
-    through :meth:`CompiledMinorAggregationEngine.original_rows` for CSR
-    edge-table rows.
+    Returns the chosen rows (sorted) and the phase count per graph.
     """
-    eu, ev = engine._eu, engine._ev
-    m = len(eu)
-    cost = np.asarray(cost, dtype=np.float64)
+    graph_of = np.asarray(graph_of, dtype=np.int64)
+    phase_caps = np.asarray(phase_caps, dtype=np.int64)
+    m = len(edge_u)
     if len(cost) != m:
         raise SolverError(f"cost array has {len(cost)} entries for {m} edges")
-    order = np.lexsort((engine.edge_str_rank(), cost))
+    order = np.lexsort((tie_rank, cost, graph_of))
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m, dtype=np.int64)
 
-    comp = np.arange(engine.n, dtype=np.int64)
+    comp = np.arange(n_nodes, dtype=np.int64)
     in_tree = np.zeros(m, dtype=bool)
-    sentinel = m
-    phases = log2ceil(engine.n) + 1
-    for _phase in range(phases):
-        with engine._round_scope(label):
-            engine.compiled_rounds += 1
-            obs_metrics.counter("ma.rounds.compiled").inc()
-            cu = comp[eu]
-            cv = comp[ev]
-            outgoing = cu != cv
-            if not outgoing.any():
-                break
-            best = np.full(engine.n, sentinel, dtype=np.int64)
-            np.minimum.at(best, cu[outgoing], position[outgoing])
-            np.minimum.at(best, cv[outgoing], position[outgoing])
-            # An edge can win for both endpoint supernodes; the repeated
-            # row is harmless (idempotent mark, commutative union).
-            fresh = order[best[best < sentinel]]
-            in_tree[fresh] = True
-            comp = merge_components(comp, eu[fresh], ev[fresh])
-    return np.flatnonzero(in_tree)
+    running = phase_caps > 0
+    phases = np.zeros(len(phase_caps), dtype=np.int64)
+    for phase in range(int(phase_caps.max(initial=0))):
+        running &= phase < phase_caps
+        if not running.any():
+            break
+        phases += running
+        cu = comp[edge_u]
+        cv = comp[edge_v]
+        outgoing = (cu != cv) & running[graph_of]
+        running &= np.bincount(graph_of[outgoing], minlength=len(running)) > 0
+        if not outgoing.any():
+            break
+        offers = position[outgoing]
+        ends = np.concatenate((cu[outgoing], cv[outgoing]))
+        best = np.full(n_nodes, m, dtype=np.int64)
+        np.minimum.at(best, ends, np.concatenate((offers, offers)))
+        # An edge can win for both endpoint supernodes; the repeated row
+        # is harmless (idempotent mark, commutative union).
+        fresh = order[best[best < m]]
+        in_tree[fresh] = True
+        comp = merge_components(comp, edge_u[fresh], edge_v[fresh])
+    return np.flatnonzero(in_tree), phases

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.errors import (
     BudgetExceeded,
     CertificationError,
     GraphValidationError,
+    NumericalRangeError,
     PackingError,
     ReproError,
     SolverError,
@@ -82,6 +84,56 @@ class TestErrorTaxonomy:
         with pytest.raises(BudgetExceeded) as excinfo:
             _chunk_size(100, batch_bytes=1000)
         assert excinfo.value.required_bytes > excinfo.value.budget_bytes == 1000
+
+
+def _huge_weight_graph(seed: int) -> CSRGraph:
+    """A connected gnm graph (n 4-10) with weights mixing 1..3 and ~1e18:
+    beyond float64's exact-integer range, so prefix-sum cancellation can
+    move a candidate's value far from its partition's weight."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 10)
+    base = csr_random_connected_gnm(
+        n, rng.randint(n, min(n * (n - 1) // 2, 3 * n)), seed=seed
+    )
+    choices = [1, 2, 3, 3 * 10**17, 10**18, 10**18 + 1]
+    weights = [rng.choice(choices) for _ in range(base.m)]
+    return CSRGraph(base.n, base.edge_u, base.edge_v, weights)
+
+
+class TestNumericalRange:
+    """Float cancellation surfaces as a typed error, not an assertion.
+    (Making these cuts exact is separate work; this pins the failure mode.)"""
+
+    def test_hierarchy_and_export(self):
+        assert issubclass(NumericalRangeError, SolverError)
+        assert issubclass(NumericalRangeError, ReproError)
+        assert repro.NumericalRangeError is NumericalRangeError
+
+    @pytest.mark.parametrize("solver", ["oracle", "minor-aggregation"])
+    def test_inconsistent_witness_raises_typed_error(self, solver):
+        with pytest.raises(NumericalRangeError) as excinfo:
+            repro.minimum_cut(_huge_weight_graph(2), seed=2, solver=solver)
+        error = excinfo.value
+        assert error.candidate_value != error.partition_value
+        message = str(error)
+        assert "cut witness inconsistent" in message
+        assert str(error.candidate_value) in message
+        assert str(error.partition_value) in message
+
+    @pytest.mark.parametrize("solver", ["oracle", "minor-aggregation"])
+    def test_sweep_isolates_the_failure(self, solver):
+        graphs = [_huge_weight_graph(2), csr_random_connected_gnm(12, 24, seed=1)]
+        results = repro.minimum_cut_many(
+            graphs, seeds=[2, 1], solver=solver, strict=False,
+            compute_congest=False,
+        )
+        failure, ok = results
+        assert isinstance(failure, repro.SweepFailure)
+        assert failure.error == "NumericalRangeError"
+        assert failure.stage == "solve"
+        assert isinstance(ok, repro.MinCutResult)
+        with pytest.raises(NumericalRangeError):
+            repro.minimum_cut_many(graphs, seeds=[2, 1], solver=solver, strict=True)
 
 
 # ----------------------------------------------------------------------

@@ -84,3 +84,33 @@ class TestCommands:
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
             main(["mincut", "--family", "hypercube-of-doom"])
+
+    @pytest.mark.parametrize("command", ["mincut", "profile", "generate"])
+    @pytest.mark.parametrize("name", ["nope.txt", "nope.npz"])
+    def test_missing_edges_file_is_one_line_error(self, tmp_path, command, name):
+        missing = str(tmp_path / name)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--edges", missing])
+        message = str(excinfo.value.code)
+        assert excinfo.value.code != 0
+        assert missing in message
+        assert "\n" not in message
+
+    def test_missing_edges_file_from_the_shell(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "mincut", "--edges",
+             str(tmp_path / "nope.txt")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1

@@ -34,6 +34,7 @@ from repro.graphs import (
 )
 from repro.kernel.batched import batched_two_respecting_oracle
 from repro.kernel.cut_kernel import GraphArrays
+from repro.kernel.forest import stacked_tree_arrays
 from repro.trees.rooted import RootedTree
 
 #: networkx twins of the CLI family builders (same args as CSR_FAMILY_BUILDERS).
@@ -381,6 +382,68 @@ class TestPackingEquivalence:
             nx_edges = sorted(tuple(sorted(e)) for e in tree.edges())
             assert csr_edges == nx_edges
 
+    @pytest.mark.parametrize("case", [
+        "edges-shuffled-0", "edges-shuffled-1", "nodes-shuffled-2",
+        "nodes-shuffled-3", "nodes-shuffled-4", "string-labels-5",
+    ])
+    def test_sampled_regime_nx_matches_csr_conversion(self, case):
+        # Heavy weights push the packing into the sampling regime, where
+        # the binomial draws follow the edge order: a networkx graph whose
+        # insertion order is not canonical must still pack (and solve)
+        # exactly like its CSR conversion.
+        kind, seed = case.rsplit("-", 1)
+        seed = int(seed)
+        graph = _heavy_nx_graph(kind, seed)
+        csr = CSRGraph.from_networkx(graph)
+        a_nx, a_csr = repro.RoundAccountant(), repro.RoundAccountant()
+        pn = pack_trees(graph, seed=seed, accountant=a_nx)
+        pc = pack_trees(csr, seed=seed, accountant=a_csr)
+        assert pn.sampled and pc.sampled
+        assert pn.sampling_probability == pc.sampling_probability
+        assert pn.approx_cut_value == pc.approx_cut_value
+        assert pn.duplicates_removed == pc.duplicates_removed
+        assert a_nx.snapshot() == a_csr.snapshot()
+        labels = csr.node_labels()
+        assert len(pn.trees) == len(pc.trees)
+        for tree, (eu, ev), (eu_n, ev_n) in zip(
+            pn.trees, pc.tree_edge_arrays, pn.tree_edge_arrays
+        ):
+            assert eu.tolist() == eu_n.tolist() and ev.tolist() == ev_n.tolist()
+            assert {frozenset(e) for e in tree.edges()} == {
+                frozenset((labels[u], labels[v]))
+                for u, v in zip(eu.tolist(), ev.tolist())
+            }
+        for solver in ("oracle", "minor-aggregation"):
+            rn = repro.minimum_cut(graph, seed=seed, solver=solver)
+            rc = repro.minimum_cut(csr, seed=seed, solver=solver)
+            assert rn.value == rc.value
+            assert rn.partition == rc.partition
+            assert rn.best_tree_index == rc.best_tree_index
+            assert rn.candidate.edges == rc.candidate.edges
+            assert set(rn.cut_edges) == set(rc.cut_edges)
+            assert rn.stats["accountant"] == rc.stats["accountant"]
+            assert rn.ma_rounds == rc.ma_rounds
+
+
+def _heavy_nx_graph(kind: str, seed: int) -> nx.Graph:
+    """A connected n=16 gnm graph with weights 50-400, rebuilt with a
+    non-canonical networkx insertion order (or string labels)."""
+    rng = random.Random(seed)
+    base = random_connected_gnm(16, 40, seed=seed)
+    edges = [(u, v, rng.randint(50, 400)) for u, v in base.edges()]
+    nodes = list(base.nodes())
+    rng.shuffle(edges)
+    if kind == "nodes-shuffled":
+        rng.shuffle(nodes)
+    elif kind == "string-labels":
+        rng.shuffle(nodes)
+        nodes = [f"v{x}" for x in nodes]
+        edges = [(f"v{u}", f"v{v}", w) for u, v, w in edges]
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_weighted_edges_from(edges)
+    return graph
+
 
 class TestMinimumCutEquivalence:
     """The acceptance bar: bit-identical results on every CLI family."""
@@ -441,6 +504,29 @@ class TestMinimumCutEquivalence:
         assert result.congest.excluded_minor == ref.congest.excluded_minor
 
 
+def _stacked_forest(graph, trees, root=0):
+    """Stack networkx spanning trees of ``graph`` in their edge insertion
+    order; returns the stack and the matching per-tree RootedTrees."""
+    n = graph.number_of_nodes()
+    position = {v: i for i, v in enumerate(graph.nodes())}
+    rooted, edge_u, edge_v = [], [], []
+    for tree in trees:
+        edges = list(tree.edges())
+        ordered = nx.Graph()
+        ordered.add_nodes_from(graph.nodes())
+        ordered.add_edges_from(edges)  # adjacency follows insertion order
+        rooted.append(RootedTree(ordered, root))
+        edge_u.append([position[u] for u, _v in edges])
+        edge_v.append([position[v] for _u, v in edges])
+    stack = stacked_tree_arrays(
+        np.array(edge_u, dtype=np.int64).reshape(len(trees), n - 1),
+        np.array(edge_v, dtype=np.int64).reshape(len(trees), n - 1),
+        np.full(len(trees), position[root], dtype=np.int64),
+        n,
+    )
+    return stack, rooted
+
+
 class TestBatchedSolver:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_tree_oracle(self, seed):
@@ -448,11 +534,11 @@ class TestBatchedSolver:
         n = rng.randint(8, 40)
         graph = random_connected_gnm(n, rng.randint(n, 3 * n), seed=seed + 77)
         arrays = GraphArrays.from_graph(graph)
-        trees = [
-            RootedTree(random_spanning_tree(graph, seed=seed * 10 + k), 0)
-            for k in range(5)
-        ]
-        batched = batched_two_respecting_oracle(arrays, trees)
+        stack, trees = _stacked_forest(
+            graph,
+            [random_spanning_tree(graph, seed=seed * 10 + k) for k in range(5)],
+        )
+        batched = batched_two_respecting_oracle(arrays, stack)
         for tree, candidate in zip(trees, batched):
             reference = two_respecting_oracle(graph, tree, arrays=arrays)
             assert candidate.value == reference.value
@@ -461,18 +547,19 @@ class TestBatchedSolver:
     def test_chunking_preserves_results(self, monkeypatch):
         graph = random_connected_gnm(18, 40, seed=13)
         arrays = GraphArrays.from_graph(graph)
-        trees = [
-            RootedTree(random_spanning_tree(graph, seed=k), 0) for k in range(6)
-        ]
-        full = batched_two_respecting_oracle(arrays, trees)
+        stack, _trees = _stacked_forest(
+            graph, [random_spanning_tree(graph, seed=k) for k in range(6)]
+        )
+        full = batched_two_respecting_oracle(arrays, stack)
         monkeypatch.setenv("REPRO_BATCH_BYTES", "1")  # forces chunk size 1
-        chunked = batched_two_respecting_oracle(arrays, trees)
+        chunked = batched_two_respecting_oracle(arrays, stack)
         assert [c.value for c in full] == [c.value for c in chunked]
         assert [c.edges for c in full] == [c.edges for c in chunked]
 
     def test_empty_tree_list(self):
         graph = random_connected_gnm(6, 9, seed=1)
-        assert batched_two_respecting_oracle(GraphArrays.from_graph(graph), []) == []
+        stack, _trees = _stacked_forest(graph, [])
+        assert batched_two_respecting_oracle(GraphArrays.from_graph(graph), stack) == []
 
 
 class TestEnginesOnCSR:

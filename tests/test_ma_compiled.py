@@ -11,7 +11,6 @@ inherits the closure round body.
 Run alone with ``pytest -m ma``.
 """
 
-import os
 import random
 
 import numpy as np
@@ -23,7 +22,12 @@ from repro.accounting import RoundAccountant
 from repro.errors import SolverError
 from repro.graphs import csr_random_connected_gnm, random_connected_gnm
 from repro.graphs.generators import CSR_FAMILY_BUILDERS
-from repro.core.tree_packing import pack_trees, pack_trees_many
+from repro.core.tree_packing import (
+    default_tree_count,
+    pack_trees,
+    pack_trees_many,
+)
+from repro.trees.rooted import edge_key
 from repro.ma import (
     AND,
     DICT_SUM,
@@ -36,8 +40,6 @@ from repro.ma import (
     CompiledMinorAggregationEngine,
     MinorAggregationEngine,
     boruvka_mst,
-    make_engine,
-    resolve_ma_backend,
 )
 
 pytestmark = pytest.mark.ma
@@ -241,69 +243,73 @@ class TestBoruvkaParity:
         assert a_ref.by_label() == a_cmp.by_label()
 
 
+def closure_greedy_packing(graph, num_trees, accountant):
+    """Regime (A) greedy packing driven by the closure engine's
+    ``boruvka_mst`` -- the reference the array packing kernel must match
+    tree for tree and charge for charge."""
+    engine = MinorAggregationEngine(graph, accountant=accountant)
+    multiplicity = {
+        edge: max(engine.edge_weight(edge), 1e-12)
+        for edge, _u, _v in engine.edge_list
+    }
+    uses = dict.fromkeys(multiplicity, 0)
+    trees, seen = [], set()
+    for _ in range(num_trees):
+        mst = boruvka_mst(
+            engine,
+            edge_cost=lambda e: uses[e] / multiplicity[e],
+            label="packing:boruvka",
+        )
+        for edge in mst:
+            uses[edge] += 1
+        if frozenset(mst) not in seen:
+            seen.add(frozenset(mst))
+            trees.append(mst)
+    return trees, num_trees - len(trees)
+
+
+def assert_matches_closure(graph, packing, accountant):
+    a_ref = RoundAccountant()
+    trees, duplicates = closure_greedy_packing(
+        graph, default_tree_count(graph.n), a_ref
+    )
+    labels = graph.node_labels()
+    assert [
+        {edge_key(labels[u], labels[v]) for u, v in zip(eu.tolist(), ev.tolist())}
+        for eu, ev in packing.tree_edge_arrays
+    ] == trees
+    assert packing.duplicates_removed == duplicates
+    assert accountant.by_label() == a_ref.by_label()
+
+
 class TestPackingParity:
+    """The array packing kernel against the closure engine's Boruvka.
+
+    ``approx_cut_value=1.0`` pins regime (A) (no Stoer-Wagner charge, no
+    sampling), so both sides pack the same weighted graph."""
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_pack_trees_backends_identical(self, family):
         graph = CSR_FAMILY_BUILDERS[family](36, 2)
-        a_ref, a_cmp = RoundAccountant(), RoundAccountant()
-        p1 = pack_trees(graph, seed=5, accountant=a_ref, ma_backend="closure")
-        p2 = pack_trees(graph, seed=5, accountant=a_cmp, ma_backend="compiled")
-        assert p1.trees == p2.trees
-        assert p1.sampled == p2.sampled
-        assert p1.approx_cut_value == p2.approx_cut_value
-        assert p1.ma_rounds == p2.ma_rounds
-        assert p1.duplicates_removed == p2.duplicates_removed
-        assert a_ref.by_label() == a_cmp.by_label()
+        acct = RoundAccountant()
+        packing = pack_trees(
+            graph, seed=5, accountant=acct, approx_cut_value=1.0
+        )
+        assert not packing.sampled
+        assert_matches_closure(graph, packing, acct)
 
     def test_pack_trees_many_closure_matches_fused(self):
         graphs = [csr_random_connected_gnm(20, 45, seed=s) for s in (1, 2)]
-        m1 = pack_trees_many(graphs, [11, 12], ma_backend="closure")
-        m2 = pack_trees_many(graphs, [11, 12], ma_backend="compiled")
-        assert len(m1.packings) == len(m2.packings)
-        for p1, p2 in zip(m1.packings, m2.packings):
-            assert p1.trees == p2.trees
-            assert p1.ma_rounds == p2.ma_rounds
+        many = pack_trees_many(graphs, [11, 12], approx_cut_values=[1.0, 1.0])
+        for graph, packing, acct in zip(graphs, many.packings, many.accountants):
+            assert_matches_closure(graph, packing, acct)
 
 
 class TestBackendSelection:
-    def test_resolve_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MA_BACKEND", raising=False)
-        assert resolve_ma_backend() == "compiled"
-
-    def test_resolve_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MA_BACKEND", "closure")
-        assert resolve_ma_backend() == "closure"
-
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MA_BACKEND", "closure")
-        assert resolve_ma_backend("compiled") == "compiled"
-
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(SolverError):
-            resolve_ma_backend("vectorised")
-
-    def test_make_engine_nx_graph_is_closure(self):
-        graph = random_connected_gnm(10, 20, seed=1)
-        engine = make_engine(graph, backend="compiled")
-        assert type(engine) is MinorAggregationEngine
-
     def test_compiled_engine_rejects_nx(self):
         graph = random_connected_gnm(10, 20, seed=1)
         with pytest.raises(SolverError):
             CompiledMinorAggregationEngine(graph)
-
-    def test_solver_config_plumbs_backend(self):
-        from repro.core.session import SolverConfig
-
-        assert SolverConfig(ma_backend="closure").ma_backend == "closure"
-        with pytest.raises(ValueError):
-            SolverConfig(ma_backend="nope")
-        env = {"REPRO_MA_BACKEND": "closure"}
-        assert SolverConfig.from_env(env).ma_backend == "closure"
-        assert SolverConfig.from_env(env, ma_backend="compiled").ma_backend == (
-            "compiled"
-        )
-        assert SolverConfig.from_env({}).ma_backend is None
 
 
 class TestArrayMessage:
