@@ -835,7 +835,8 @@ def run_profile_bench() -> dict:
 
 def run_trace_overhead_bench(repeats: int) -> dict:
     """Disabled-mode instrumentation overhead (the PR 7 acceptance row,
-    now measured on both the E10 and the serving-tier workloads)."""
+    measured on every gate workload: E10, the serving tier and the
+    minor-aggregation solver)."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
     from check_trace_overhead import WORKLOADS, measure_trace_overhead
 

@@ -3,12 +3,15 @@
 
 The observability layer (:mod:`repro.obs`) promises that with tracing
 disabled every instrumentation point collapses to one function call and
-one flag read.  This script *measures* that promise on two workloads -- the E10
+one flag read.  This script *measures* that promise on three workloads -- the E10
 deterministic-primitives workload (the Minor-Aggregation engine is the
 hottest instrumented call site -- one span plus two counter
-increments per executed round) and, with ``--workload serve``, the
+increments per executed round), with ``--workload serve``, the
 service tier's batched request path (spans per batch/warm solve plus
-cache/queue/latency instruments per request):
+cache/queue/latency instruments per request), and with ``--workload ma``
+the paper's solver, whose Theorem 40 recursion opens a span per
+subtree instance, star, interest computation and path-to-path solve
+(``--workload both`` runs all three):
 
 1. run the workload once with tracing **enabled** and count every
    instrumentation event it emits (recorded spans + dropped spans,
@@ -79,10 +82,24 @@ def _serve_workload() -> None:
     asyncio.run(drive())
 
 
+def _ma_workload() -> None:
+    """The paper's solver on small planar graphs: the Theorem 40
+    recursion's per-layer spans (subtree instance, star, interest,
+    path-to-path) fire once per sub-instance."""
+    from repro import MinCutSolver, SolverConfig
+    from repro.graphs import CSR_FAMILY_BUILDERS
+
+    solver = MinCutSolver(SolverConfig(solver="minor-aggregation"))
+    for family in ("grid", "delaunay"):
+        for n in (12, 15, 18):
+            solver.solve(CSR_FAMILY_BUILDERS[family](n, n), seed=n)
+
+
 #: workload name -> zero-arg callable exercising instrumented code.
 WORKLOADS = {
     "e10": ("e10_primitives.run(quick=True)", _e10_workload),
     "serve": ("MinCutService cold+warm pass (8 graphs x 2)", _serve_workload),
+    "ma": ("minor-aggregation solves, grid/delaunay n 12-18", _ma_workload),
 }
 
 
@@ -170,7 +187,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--workload", default="e10", choices=[*WORKLOADS, "both"],
-        help="instrumented workload to gate (default e10)",
+        help="instrumented workload to gate (default e10; both = every workload)",
     )
     args = parser.parse_args(argv)
 

@@ -105,6 +105,14 @@ class _ParallelScope:
     branch_totals: list = field(default_factory=list)
     current: float = 0.0
 
+    @contextmanager
+    def branch(self):
+        """One node-disjoint branch: its charges are totalled separately."""
+        self.current = 0.0
+        yield
+        self.branch_totals.append(self.current)
+        self.current = 0.0
+
 
 class RoundAccountant:
     """Labelled ledger of Minor-Aggregation rounds.
@@ -194,17 +202,8 @@ class RoundAccountant:
         """Corollary 11: node-disjoint branches cost the max, not the sum."""
         scope = _ParallelScope()
         self._parallel_stack.append(scope)
-
-        class _Par:
-            @contextmanager
-            def branch(par_self):
-                scope.current = 0.0
-                yield
-                scope.branch_totals.append(scope.current)
-                scope.current = 0.0
-
         try:
-            yield _Par()
+            yield scope
         finally:
             self._parallel_stack.pop()
             contribution = max(scope.branch_totals, default=0.0)

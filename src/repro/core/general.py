@@ -18,24 +18,25 @@ recursion follows the paper exactly:
 The centroid guarantees O(log n) recursion depth, so each call carries at
 most O(log n) virtual nodes -- which the implementation tracks and the test
 suite asserts (the paper's |Virt| <= O(log n) invariant).
+
+Every instance graph, here and in the layers below, is an ordered edge
+table (:mod:`repro.core.edge_table`); only the centroid split still walks
+a networkx view of the tree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import networkx as nx
 
 from repro.accounting import RoundAccountant
-from repro.core.cut_values import (
-    CutCandidate,
-    best_candidate,
-    pair_cover_matrix,
-)
+from repro.core.cut_values import CutCandidate, best_candidate
+from repro.core.edge_table import EdgeTable, assemble, edge_table
 from repro.core.one_respecting import one_respecting_cuts_fast
-from repro.kernel.cut_kernel import GraphArrays
+from repro.kernel.cut_kernel import GraphArrays, pair_cover_matrix_kernel
 from repro.core.subtree_instance import (
     SubtreeInstance,
     SubtreeSolveStats,
@@ -43,6 +44,9 @@ from repro.core.subtree_instance import (
 )
 from repro.trees.centroid import find_centroid_centralized
 from repro.trees.rooted import Edge, Node, RootedTree, edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.graphs.csr import CSRGraph
 
 #: Trees with at most this many edges are solved by direct enumeration.
 BASE_CASE_EDGES = 8
@@ -75,15 +79,6 @@ class TwoRespectingResult:
     accountant: RoundAccountant
 
 
-def _add_weight(graph: nx.Graph, u: Node, v: Node, weight: float) -> None:
-    if u == v:
-        return
-    if graph.has_edge(u, v):
-        graph[u][v]["weight"] += weight
-    else:
-        graph.add_edge(u, v, weight=weight)
-
-
 class GeneralTwoRespectingSolver:
     def __init__(self, accountant: RoundAccountant | None = None):
         self.acct = accountant or RoundAccountant()
@@ -92,7 +87,7 @@ class GeneralTwoRespectingSolver:
     # ------------------------------------------------------------------
     def _base_case(
         self,
-        graph: nx.Graph,
+        graph: EdgeTable,
         tree: RootedTree,
         cov: Mapping[Edge, float],
         orig_of: Mapping[Edge, Edge],
@@ -103,7 +98,8 @@ class GeneralTwoRespectingSolver:
         self.acct.charge(
             self.acct.cost.subtree_sum(len(tree)) + 2, "general:base-case"
         )
-        edges, matrix = pair_cover_matrix(graph, tree)
+        arrays = GraphArrays.from_edges(tree.kernel.nodes, graph)
+        edges, matrix = pair_cover_matrix_kernel(graph, tree, arrays=arrays)
         labelled = [
             (index, orig_of[edge])
             for index, edge in enumerate(edges)
@@ -138,7 +134,7 @@ class GeneralTwoRespectingSolver:
 
     def _build_between_instance(
         self,
-        graph: nx.Graph,
+        graph: EdgeTable,
         tree: RootedTree,
         cov: Mapping[Edge, float],
         orig_of: Mapping[Edge, Edge],
@@ -172,17 +168,18 @@ class GeneralTwoRespectingSolver:
                     new_orig[edge] = orig_of[edge]
         new_tree = RootedTree.from_edges(tree_edges, root=star_root)
 
-        new_graph = nx.Graph()
-        new_graph.add_nodes_from(new_tree.order)
-        for u, v in new_tree.edges():
-            new_graph.add_edge(u, v, weight=0)
-        for u, v, data in graph.edges(data=True):
-            weight = data.get("weight", 1)
-            if weight == 0:
-                continue
-            nu = star_root if u == centroid else u
-            nv = star_root if v == centroid else v
-            _add_weight(new_graph, nu, nv, weight)
+        new_graph = assemble(
+            new_tree.order,
+            new_tree.edges(),
+            (
+                (
+                    star_root if u == centroid else u,
+                    star_root if v == centroid else v,
+                    w,
+                )
+                for u, v, w in graph
+            ),
+        )
 
         virtuals = (virtual_nodes & set(new_tree.order)) | {star_root} | set(
             mids.values()
@@ -197,7 +194,7 @@ class GeneralTwoRespectingSolver:
 
     def _build_component_instance(
         self,
-        graph: nx.Graph,
+        graph: EdgeTable,
         tree: RootedTree,
         cov: Mapping[Edge, float],
         orig_of: Mapping[Edge, Edge],
@@ -208,9 +205,6 @@ class GeneralTwoRespectingSolver:
     ):
         """Lemma 43: the private cut-equivalent graph H_i and its tree T'_i."""
         mid = _fresh("split_centroid")
-        new_graph = nx.Graph()
-        new_graph.add_nodes_from(members)
-        new_graph.add_node(mid)
         tree_edges = [(mid, anchor)]
         new_orig: dict[Edge, Edge] = {
             edge_key(mid, anchor): orig_of[edge_key(centroid, anchor)]
@@ -221,19 +215,16 @@ class GeneralTwoRespectingSolver:
                 edge = edge_key(node, parent)
                 tree_edges.append((node, parent))
                 new_orig[edge] = orig_of[edge]
-        for u, v in tree_edges:
-            new_graph.add_edge(u, v, weight=0)
-        for u, v, data in graph.edges(data=True):
-            weight = data.get("weight", 1)
-            if weight == 0:
-                continue
+        contributions = []
+        for u, v, w in graph:
             u_in, v_in = u in members, v in members
             if u_in and v_in:
-                _add_weight(new_graph, u, v, weight)
+                contributions.append((u, v, w))
             elif u_in:
-                _add_weight(new_graph, u, mid, weight)
+                contributions.append((u, mid, w))
             elif v_in:
-                _add_weight(new_graph, v, mid, weight)
+                contributions.append((v, mid, w))
+        new_graph = assemble([*members, mid], tree_edges, contributions)
         new_tree = RootedTree.from_edges(tree_edges, root=mid)
         virtuals = (virtual_nodes & members) | {mid}
         return new_graph, new_tree, new_orig, frozenset(virtuals)
@@ -241,7 +232,7 @@ class GeneralTwoRespectingSolver:
     # ------------------------------------------------------------------
     def _solve(
         self,
-        graph: nx.Graph,
+        graph: EdgeTable,
         tree: RootedTree,
         cov: Mapping[Edge, float],
         orig_of: Mapping[Edge, Edge],
@@ -289,17 +280,20 @@ class GeneralTwoRespectingSolver:
     # ------------------------------------------------------------------
     def solve(
         self,
-        graph: nx.Graph,
+        graph: "nx.Graph | CSRGraph",
         tree: RootedTree,
         arrays: "GraphArrays | None" = None,
+        table: EdgeTable | None = None,
     ) -> TwoRespectingResult:
         cov = one_respecting_cuts_fast(graph, tree, self.acct, arrays=arrays)
         one_best = best_candidate(
             CutCandidate(value=value, edges=(edge,)) for edge, value in cov.items()
         )
         identity = {edge: edge for edge in tree.edges()}
+        if table is None:
+            table = edge_table(graph)
         two_best = self._solve(
-            graph, tree, cov, identity, frozenset(), depth=0
+            table, tree, cov, identity, frozenset(), depth=0
         )
         overall = best_candidate([one_best, two_best])
         return TwoRespectingResult(
@@ -313,11 +307,12 @@ class GeneralTwoRespectingSolver:
 
 
 def two_respecting_min_cut(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     tree: nx.Graph | RootedTree,
     root: Node | None = None,
     accountant: RoundAccountant | None = None,
     arrays: "GraphArrays | None" = None,
+    table: EdgeTable | None = None,
 ) -> TwoRespectingResult:
     """Theorem 40 entry point.
 
@@ -325,8 +320,10 @@ def two_respecting_min_cut(
     already-rooted :class:`RootedTree`.  Returns the best 1-/2-respecting
     cut with original tree-edge labels, the accumulated Minor-Aggregation
     round charges, and the recursion statistics the paper's invariants are
-    asserted against.  ``arrays`` (optional) is the pre-extracted edge
-    list of ``graph`` for callers solving many spanning trees.
+    asserted against.  Callers solving many spanning trees of one graph
+    can pre-extract its edges once: ``arrays`` for the 1-respecting pass,
+    ``table`` (:func:`~repro.core.edge_table.edge_table`) for the
+    recursion.
     """
     if isinstance(tree, RootedTree):
         rooted = tree
@@ -335,4 +332,4 @@ def two_respecting_min_cut(
             root = min(tree.nodes(), key=lambda v: (type(v).__name__, str(v)))
         rooted = RootedTree(tree, root)
     solver = GeneralTwoRespectingSolver(accountant)
-    return solver.solve(graph, rooted, arrays=arrays)
+    return solver.solve(graph, rooted, arrays=arrays, table=table)

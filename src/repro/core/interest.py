@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.accounting import RoundAccountant
+from repro.core.edge_table import EdgeTable, edge_table
 from repro.ma.operators import MisraGries
+from repro.obs import trace as obs_trace
 
 #: Sketch capacity: with c = 10, the slack is <= W/11 per merge chain, so a
 #: detected key has true weight > W(1/2 - 2/11) > W/5 -- i.e. weak interest.
@@ -32,48 +32,55 @@ SKETCH_CAPACITY = 10
 class InterestResult:
     #: interest list (set of path indices) per path index
     lists: list[set[int]]
-    #: mutual-interest graph over path indices
-    graph: nx.Graph
+    #: mutual-interest graph over path indices, as ``(i, j)`` pairs, i < j
+    pairs: list[tuple[int, int]]
 
     @property
     def max_degree(self) -> int:
-        if self.graph.number_of_edges() == 0:
-            return 0
-        return max(d for _n, d in self.graph.degree())
+        degree: dict[int, int] = {}
+        for i, j in self.pairs:
+            degree[i] = degree.get(i, 0) + 1
+            degree[j] = degree.get(j, 0) + 1
+        return max(degree.values(), default=0)
 
 
-def compute_interest_lists(
-    paths: list[list],
-    graph: nx.Graph,
-    accountant: RoundAccountant | None = None,
-) -> list[set[int]]:
-    """Interest list of every path (Lemma 32).
-
-    ``paths`` are node lists (top to bottom); ``graph`` supplies the
-    cross edges.  Charged as one batched subtree sum with the heavy-hitter
-    aggregation (all paths share the rounds, Corollary 11).
-    """
-    if accountant is not None:
-        size = sum(len(p) for p in paths) + 1
-        accountant.charge(
-            accountant.cost.subtree_sum(size) + 2, "star:interest-lists"
-        )
+def _node_sketches(paths: list[list], graph) -> dict:
+    """Misra-Gries sketch of the cross edges at every path node, keyed by
+    the other endpoint's path (folded in edge-table order)."""
     path_of: dict = {}
     for index, path in enumerate(paths):
         for node in path:
             path_of[node] = index
 
     sketches: dict = {}
-    for u, v, data in graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if weight == 0:
-            continue
+    for u, v, weight in edge_table(graph):
         pu, pv = path_of.get(u), path_of.get(v)
         if pu is None or pv is None or pu == pv:
             continue
         for node, label in ((u, pv), (v, pu)):
             current = sketches.get(node, MisraGries.empty(SKETCH_CAPACITY))
             sketches[node] = current.add(label, weight)
+    return sketches
+
+
+def compute_interest_lists(
+    paths: list[list],
+    graph: EdgeTable,
+    accountant: RoundAccountant | None = None,
+) -> list[set[int]]:
+    """Interest list of every path (Lemma 32).
+
+    ``paths`` are node lists (top to bottom); ``graph`` (an ordered edge
+    table, or a networkx graph read once) supplies the cross edges.
+    Charged as one batched subtree sum with the heavy-hitter aggregation
+    (all paths share the rounds, Corollary 11).
+    """
+    if accountant is not None:
+        size = sum(len(p) for p in paths) + 1
+        accountant.charge(
+            accountant.cost.subtree_sum(size) + 2, "star:interest-lists"
+        )
+    sketches = _node_sketches(paths, graph)
 
     lists: list[set[int]] = []
     for index, path in enumerate(paths):
@@ -100,14 +107,15 @@ def compute_interest_lists(
 
 def compute_interest_lists_engine(
     paths: list[list],
-    graph: nx.Graph,
+    graph,
 ) -> tuple[list[set[int]], int]:
     """Lemma 32, engine-genuine: the suffix merge runs as Minor-Aggregation
     path suffix sums with the Misra-Gries sketch as the aggregation operator
     (Example 8's "subtree sum + heavy-hitter aggregator" combination).
 
-    Returns (interest lists, executed engine rounds).  Produces the same
-    lists as :func:`compute_interest_lists`, which the tests assert; the
+    ``graph`` is a networkx graph (the engine's topology).  Returns
+    (interest lists, executed engine rounds).  Produces the same lists as
+    :func:`compute_interest_lists`, which the tests assert; the
     charged-cost solvers use the direct version, this one is the validation
     artifact for the model claim.
     """
@@ -115,23 +123,7 @@ def compute_interest_lists_engine(
     from repro.ma.operators import misra_gries_operator
     from repro.trees.sums import path_suffix_sums
 
-    path_of: dict = {}
-    for index, path in enumerate(paths):
-        for node in path:
-            path_of[node] = index
-
-    sketches: dict = {}
-    for u, v, data in graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if weight == 0:
-            continue
-        pu, pv = path_of.get(u), path_of.get(v)
-        if pu is None or pv is None or pu == pv:
-            continue
-        for node, label in ((u, pv), (v, pu)):
-            current = sketches.get(node, MisraGries.empty(SKETCH_CAPACITY))
-            sketches[node] = current.add(label, weight)
-
+    sketches = _node_sketches(paths, graph)
     op = misra_gries_operator(SKETCH_CAPACITY)
     engine = MinorAggregationEngine(graph)
     values = {
@@ -159,20 +151,17 @@ def compute_interest_lists_engine(
     return lists, engine.rounds_executed
 
 
-def build_interest_graph(lists: list[set[int]]) -> nx.Graph:
-    """Definition 33: edges between mutually-interested path pairs."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(lists)))
-    for i, interested in enumerate(lists):
-        for j in interested:
-            if i < j and i in lists[j]:
-                graph.add_edge(i, j)
-            elif j < i and i in lists[j]:
-                graph.add_edge(j, i)
-    return graph
+def build_interest_graph(lists: list[set[int]]) -> list[tuple[int, int]]:
+    """Definition 33: the mutually-interested path pairs ``(i, j)``, i < j."""
+    return [
+        (i, j)
+        for i, interested in enumerate(lists)
+        for j in sorted(interested)
+        if i < j and i in lists[j]
+    ]
 
 
-def greedy_edge_coloring(graph: nx.Graph) -> dict[tuple, int]:
+def greedy_edge_coloring(pairs: list[tuple]) -> dict[tuple, int]:
     """Proper edge coloring with at most ``2*Delta - 1`` colors.
 
     Stands in for the Panconesi-Rizzi CONGEST algorithm (Lemma 35), which is
@@ -180,23 +169,26 @@ def greedy_edge_coloring(graph: nx.Graph) -> dict[tuple, int]:
     properness and the Õ(1) color count matter downstream.
     """
     coloring: dict[tuple, int] = {}
-    used_at: dict = {node: set() for node in graph.nodes()}
-    for u, v in sorted(graph.edges(), key=lambda e: (str(e[0]), str(e[1]))):
-        forbidden = used_at[u] | used_at[v]
+    used_at: dict = {}
+    for u, v in sorted(pairs, key=lambda e: (str(e[0]), str(e[1]))):
+        at_u = used_at.setdefault(u, set())
+        at_v = used_at.setdefault(v, set())
+        forbidden = at_u | at_v
         color = 0
         while color in forbidden:
             color += 1
         coloring[(u, v)] = color
-        used_at[u].add(color)
-        used_at[v].add(color)
+        at_u.add(color)
+        at_v.add(color)
     return coloring
 
 
 def interest_structure(
     paths: list[list],
-    graph: nx.Graph,
+    graph: EdgeTable,
     accountant: RoundAccountant | None = None,
 ) -> InterestResult:
-    """Interest lists + mutual-interest graph in one call."""
-    lists = compute_interest_lists(paths, graph, accountant)
-    return InterestResult(lists=lists, graph=build_interest_graph(lists))
+    """Interest lists + mutual-interest pairs in one call."""
+    with obs_trace.span("ma.interest", acct_prefix="star:interest"):
+        lists = compute_interest_lists(paths, graph, accountant)
+        return InterestResult(lists=lists, pairs=build_interest_graph(lists))

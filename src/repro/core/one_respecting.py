@@ -21,6 +21,7 @@ import networkx as nx
 
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
+from repro.graphs.csr import CSRGraph
 from repro.kernel.config import kernel_enabled
 from repro.kernel.cut_kernel import GraphArrays, cover_values_kernel
 from repro.ma.engine import MinorAggregationEngine
@@ -102,7 +103,7 @@ def one_respecting_cuts(
 
 
 def one_respecting_cuts_fast(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     tree: RootedTree,
     accountant: RoundAccountant | None = None,
     arrays: "GraphArrays | None" = None,
@@ -112,16 +113,17 @@ def one_respecting_cuts_fast(
 
     Kernel path: one vectorized LCA-differencing pass plus an Euler
     prefix-sum subtree sum (``Cov(e) = Cut(e)``, Fact 5); the pure-Python
-    accumulation below is the legacy reference.  ``arrays`` skips the
-    per-call edge-list extraction when the caller shares one graph across
-    many trees.
+    accumulation below is the legacy reference (networkx input with the
+    kernel flag off; CSR input always takes the kernel).  ``arrays``
+    skips the per-call edge-list extraction when the caller shares one
+    graph across many trees.
     """
     if accountant is not None:
         accountant.charge(
             accountant.cost.one_respecting(graph.number_of_nodes()),
             "one-respecting",
         )
-    if kernel_enabled():
+    if isinstance(graph, CSRGraph) or kernel_enabled():
         return cover_values_kernel(graph, tree, arrays=arrays)
     vector = {v: 0.0 for v in tree.order}
     for u, v, data in graph.edges(data=True):

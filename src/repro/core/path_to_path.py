@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import networkx as nx
-
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
+from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
+from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, Node
 
 #: Instances whose shorter path has at most this many edges are solved by
@@ -46,10 +46,11 @@ class PathInstance:
 
     ``p_orig[i - 1]`` is the *original* tree edge labelled by path edge
     ``e_i`` (``e_1`` is the attachment ``(root, p_nodes[0])``); candidates
-    are reported in terms of original edges.
+    are reported in terms of original edges.  ``graph`` is the instance's
+    ordered edge table (a networkx graph is converted once).
     """
 
-    graph: nx.Graph
+    graph: EdgeTable
     root: Node
     p_nodes: list[Node]
     q_nodes: list[Node]
@@ -59,6 +60,7 @@ class PathInstance:
     virtual_nodes: frozenset = frozenset()
 
     def __post_init__(self):
+        self.graph = edge_table(self.graph)
         if len(self.p_nodes) != len(self.p_orig):
             raise ValueError("p_orig must label every P edge")
         if len(self.q_nodes) != len(self.q_orig):
@@ -69,10 +71,7 @@ class PathInstance:
         pos_p = {node: i for i, node in enumerate(self.p_nodes)}
         pos_q = {node: i for i, node in enumerate(self.q_nodes)}
         crosses = []
-        for u, v, data in self.graph.edges(data=True):
-            weight = data.get("weight", 1)
-            if weight == 0:
-                continue
+        for u, v, weight in self.graph:
             if u in pos_p and v in pos_q:
                 crosses.append((pos_p[u], pos_q[v], weight))
             elif v in pos_p and u in pos_q:
@@ -116,24 +115,6 @@ def _pair_covers_for_edge(
     return suffix[1 : other_len + 1]
 
 
-def _add_weight(graph: nx.Graph, u: Node, v: Node, weight: float) -> None:
-    if u == v:
-        return
-    if graph.has_edge(u, v):
-        graph[u][v]["weight"] += weight
-    else:
-        graph.add_edge(u, v, weight=weight)
-
-
-def _chain(graph: nx.Graph, root: Node, nodes: list[Node]) -> None:
-    """Add zero-weight structural chain edges so the instance is a graph."""
-    previous = root
-    for node in nodes:
-        if not graph.has_edge(previous, node):
-            graph.add_edge(previous, node, weight=0)
-        previous = node
-
-
 class PathToPathSolver:
     """Solves a :class:`PathInstance`; see the module docstring."""
 
@@ -143,7 +124,8 @@ class PathToPathSolver:
 
     # ------------------------------------------------------------------
     def solve(self, instance: PathInstance) -> CutCandidate | None:
-        return self._solve(instance, depth=0)
+        with obs_trace.span("ma.path_to_path", acct_prefix="path-to-path:"):
+            return self._solve(instance, depth=0)
 
     def _cut_value(
         self, instance: PathInstance, i: int, j: int, pair_cov: float
@@ -265,16 +247,14 @@ class PathToPathSolver:
             return None
         p_up = instance.p_nodes[: a - 1]
         q_up = instance.q_nodes[: b - 1]
-        graph = nx.Graph()
-        graph.add_node(instance.root)
-        graph.add_nodes_from(p_up)
-        graph.add_nodes_from(q_up)
-        _chain(graph, instance.root, p_up)
-        _chain(graph, instance.root, q_up)
-        for pu, qv, weight in crosses:
-            nu = p_up[min(pu, a - 2)]
-            nv = q_up[min(qv, b - 2)]
-            _add_weight(graph, nu, nv, weight)
+        graph = assemble(
+            [instance.root, *p_up, *q_up],
+            chains(instance.root, (p_up, q_up)),
+            (
+                (p_up[min(pu, a - 2)], q_up[min(qv, b - 2)], weight)
+                for pu, qv, weight in crosses
+            ),
+        )
         kept = set(p_up) | set(q_up) | {instance.root}
         virtuals = (instance.virtual_nodes & kept) | {p_up[-1], q_up[-1]}
         return PathInstance(
@@ -305,15 +285,15 @@ class PathToPathSolver:
         p_down = instance.p_nodes[a:]
         q_down = instance.q_nodes[b:]
         root = ("__path_root__", id(instance), a, b)
-        graph = nx.Graph()
-        graph.add_node(root)
-        graph.add_nodes_from(p_down)
-        graph.add_nodes_from(q_down)
-        _chain(graph, root, p_down)
-        _chain(graph, root, q_down)
-        for pu, qv, weight in crosses:
-            if pu >= a and qv >= b:
-                _add_weight(graph, p_down[pu - a], q_down[qv - b], weight)
+        graph = assemble(
+            [root, *p_down, *q_down],
+            chains(root, (p_down, q_down)),
+            (
+                (p_down[pu - a], q_down[qv - b], weight)
+                for pu, qv, weight in crosses
+                if pu >= a and qv >= b
+            ),
+        )
         kept = set(p_down) | set(q_down)
         virtuals = (instance.virtual_nodes & kept) | {root}
         return PathInstance(

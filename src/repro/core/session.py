@@ -725,15 +725,15 @@ def _finalize_candidates_inner(
     description="the paper's 2-respecting recursion with full round accounting",
 )
 def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
+    from repro.core.edge_table import edge_table
     from repro.core.general import two_respecting_min_cut
 
-    # The Minor-Aggregation solver simulates the paper's distributed
-    # recursion, which lives on a networkx topology; identity-labelled
-    # CSR inputs cross that boundary once, in index space (labelled CSR
-    # graphs were delegated wholesale by GraphPacking.solve).
-    base_graph = (
-        packed.csr.to_networkx() if packed.csr is not None else packed.graph
-    )
+    # The recursion runs on ordered edge tables; the graph's table is read
+    # once per solve (identity-labelled CSR inputs straight from their
+    # edge arrays, in index space -- labelled CSR graphs were delegated
+    # wholesale by GraphPacking.solve) and shared by every packed tree.
+    base_graph = packed.csr if packed.csr is not None else packed.graph
+    table = edge_table(base_graph)
     arrays = packed.arrays
     acct = ctx.accountant
     candidates: list[CutCandidate] = []
@@ -748,7 +748,8 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             ),
         ):
             result = two_respecting_min_cut(
-                base_graph, rooted, accountant=acct, arrays=arrays
+                base_graph, rooted, accountant=acct, arrays=arrays,
+                table=table,
             )
         candidates.append(result.best)
         solve_stats = result.stats

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import networkx as nx
-
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
+from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
 from repro.core.interest import greedy_edge_coloring, interest_structure
 from repro.core.path_to_path import PathInstance, PathToPathSolver
+from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, Node
 
 _star_counter = 0
@@ -51,11 +51,17 @@ class StarPath:
 
 @dataclass
 class StarInstance:
-    graph: nx.Graph
+    """Root + descending paths; ``graph`` is the ordered edge table over
+    the root and the path nodes (a networkx graph is converted once)."""
+
+    graph: EdgeTable
     root: Node
     paths: list[StarPath]
     cov: Mapping[Edge, float]
     virtual_nodes: frozenset = frozenset()
+
+    def __post_init__(self):
+        self.graph = edge_table(self.graph)
 
 
 @dataclass
@@ -72,30 +78,18 @@ def _build_pair_instance(
     """Matched pair (P_i, P_j) with a private virtual root (Theorem 27)."""
     path_i, path_j = instance.paths[i], instance.paths[j]
     root = _fresh_id("pair_root")
-    graph = nx.Graph()
-    graph.add_node(root)
     members_i = set(path_i.nodes)
     members_j = set(path_j.nodes)
-    graph.add_nodes_from(members_i | members_j)
-    previous = root
-    for node in path_i.nodes:
-        graph.add_edge(previous, node, weight=0)
-        previous = node
-    previous = root
-    for node in path_j.nodes:
-        graph.add_edge(previous, node, weight=0)
-        previous = node
-    for u, v, data in instance.graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if weight == 0:
-            continue
-        if (u in members_i and v in members_j) or (
-            u in members_j and v in members_i
-        ):
-            if graph.has_edge(u, v):
-                graph[u][v]["weight"] += weight
-            else:
-                graph.add_edge(u, v, weight=weight)
+    graph = assemble(
+        [root, *(members_i | members_j)],
+        chains(root, (path_i.nodes, path_j.nodes)),
+        (
+            (u, v, w)
+            for u, v, w in instance.graph
+            if (u in members_i and v in members_j)
+            or (u in members_j and v in members_i)
+        ),
+    )
     return PathInstance(
         graph=graph,
         root=root,
@@ -119,34 +113,35 @@ def solve_star(
     if len(instance.paths) < 2:
         return None
 
-    with acct.virtual_overhead(len(instance.virtual_nodes)):
-        structure = interest_structure(
-            [p.nodes for p in instance.paths], instance.graph, acct
-        )
-        stats.interest_list_sizes.extend(len(s) for s in structure.lists)
-        stats.interest_max_degree = max(
-            stats.interest_max_degree, structure.max_degree
-        )
-        if structure.graph.number_of_edges() == 0:
-            return None
-        coloring = greedy_edge_coloring(structure.graph)
-        colors = sorted(set(coloring.values()))
-        stats.colors_used = max(stats.colors_used, len(colors))
-        acct.charge(
-            acct.cost.edge_coloring(
-                structure.max_degree, instance.graph.number_of_nodes()
-            ),
-            "star:edge-coloring",
-        )
+    with obs_trace.span("ma.star", acct_prefix="star:"):
+        with acct.virtual_overhead(len(instance.virtual_nodes)):
+            structure = interest_structure(
+                [p.nodes for p in instance.paths], instance.graph, acct
+            )
+            stats.interest_list_sizes.extend(len(s) for s in structure.lists)
+            stats.interest_max_degree = max(
+                stats.interest_max_degree, structure.max_degree
+            )
+            if not structure.pairs:
+                return None
+            coloring = greedy_edge_coloring(structure.pairs)
+            colors = sorted(set(coloring.values()))
+            stats.colors_used = max(stats.colors_used, len(colors))
+            # The star's nodes: its root plus every path node.
+            n = 1 + sum(len(p.nodes) for p in instance.paths)
+            acct.charge(
+                acct.cost.edge_coloring(structure.max_degree, n),
+                "star:edge-coloring",
+            )
 
-    results: list[CutCandidate | None] = []
-    for color in colors:
-        matched = [pair for pair, c in coloring.items() if c == color]
-        with acct.parallel() as par:
-            for i, j in matched:
-                with par.branch():
-                    stats.pair_instances += 1
-                    pair_instance = _build_pair_instance(instance, i, j)
-                    solver = PathToPathSolver(acct)
-                    results.append(solver.solve(pair_instance))
-    return best_candidate(results)
+        results: list[CutCandidate | None] = []
+        for color in colors:
+            matched = [pair for pair, c in coloring.items() if c == color]
+            with acct.parallel() as par:
+                for i, j in matched:
+                    with par.branch():
+                        stats.pair_instances += 1
+                        pair_instance = _build_pair_instance(instance, i, j)
+                        solver = PathToPathSolver(acct)
+                        results.append(solver.solve(pair_instance))
+        return best_candidate(results)

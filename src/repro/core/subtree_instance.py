@@ -26,13 +26,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import networkx as nx
-
 from repro.accounting import RoundAccountant, log2ceil
 from repro.core.cut_values import CutCandidate, best_candidate
+from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
 from repro.core.star import StarInstance, StarPath, StarSolveStats, solve_star
+from repro.obs import trace as obs_trace
 from repro.trees.hld import HeavyLightDecomposition
-from repro.trees.rooted import Edge, Node, RootedTree, edge_key
+from repro.trees.rooted import Edge, Node, RootedTree
 
 _star_root_counter = itertools.count()
 
@@ -42,14 +42,19 @@ class SubtreeInstance:
     """Root + subtrees, with instance-tree edges labelled by original edges.
 
     ``orig_of`` maps instance tree edges to original tree edges; edges
-    without a label (the virtual root edges) are never paired.
+    without a label (the virtual root edges) are never paired.  ``graph``
+    is the instance's ordered edge table; a networkx graph given here is
+    converted once.
     """
 
-    graph: nx.Graph
+    graph: EdgeTable
     tree: RootedTree
     orig_of: Mapping[Edge, Edge]
     cov: Mapping[Edge, float]
     virtual_nodes: frozenset = frozenset()
+
+    def __post_init__(self):
+        self.graph = edge_table(self.graph)
 
 
 @dataclass
@@ -57,6 +62,16 @@ class SubtreeSolveStats:
     colorings: int = 0
     star_instances: int = 0
     star: StarSolveStats = field(default_factory=StarSolveStats)
+
+
+@dataclass
+class _Subtree:
+    """One subtree hanging off the instance root, prepared once per
+    instance: its labelled HL-paths grouped by HL-depth (HL-path order
+    kept) and every HL-depth its edges take, plus 0."""
+
+    paths_at: dict[int, list[StarPath]]
+    depths: set[int]
 
 
 def pairwise_coloring(k: int) -> list[list[bool]]:
@@ -73,11 +88,11 @@ def pairwise_coloring(k: int) -> list[list[bool]]:
     ]
 
 
-def _subtree_rooted_trees(
-    instance: SubtreeInstance,
-) -> list[tuple[RootedTree, HeavyLightDecomposition]]:
-    """Per-subtree rooted trees (rooted at the root's children) + HLDs."""
+def _subtrees(instance: SubtreeInstance) -> list[_Subtree]:
+    """HLD of every subtree (rooted at the root's children), reduced to
+    the star paths each HL-depth guess can keep."""
     tree = instance.tree
+    orig_of = instance.orig_of
     result = []
     for top in tree.children[tree.root]:
         nodes = tree.subtree_nodes(top)
@@ -87,13 +102,26 @@ def _subtree_rooted_trees(
             if node != top
         ]
         sub = RootedTree.from_edges(edges, root=top)
-        result.append((sub, HeavyLightDecomposition(sub)))
+        hld = HeavyLightDecomposition(sub)
+        paths_at: dict[int, list[StarPath]] = {}
+        for hl_path in hld.hl_paths():
+            path_edges = hl_path.edges
+            if any(e not in orig_of for e in path_edges):
+                continue  # paths touching unlabeled (virtual-root) edges
+            paths_at.setdefault(hl_path.depth, []).append(
+                StarPath(
+                    nodes=list(hl_path.nodes),
+                    orig=[orig_of[e] for e in path_edges],
+                )
+            )
+        depths = {hld.hl_depth[node] for node in sub.order[1:]} | {0}
+        result.append(_Subtree(paths_at=paths_at, depths=depths))
     return result
 
 
 def _build_star(
     instance: SubtreeInstance,
-    subtrees: list[tuple[RootedTree, HeavyLightDecomposition]],
+    subtrees: list[_Subtree],
     reds: list[bool],
     d_red: int,
     d_blue: int,
@@ -102,63 +130,32 @@ def _build_star(
     tree = instance.tree
     star_root = ("__star_root__", next(_star_root_counter))
 
-    # Which instance tree edges survive the contraction.
-    kept_edges: set[Edge] = set()
     paths: list[StarPath] = []
     red_paths = blue_paths = 0
-    for index, (sub, hld) in enumerate(subtrees):
-        wanted = d_red if reds[index] else d_blue
-        for hl_path in hld.hl_paths():
-            if hl_path.depth != wanted:
-                continue
-            edges = hl_path.edges
-            if any(e not in instance.orig_of for e in edges):
-                continue  # paths touching unlabeled (virtual-root) edges
-            kept_edges.update(edges)
-            paths.append(
-                StarPath(
-                    nodes=list(hl_path.nodes),
-                    orig=[instance.orig_of[e] for e in edges],
-                )
-            )
-            if reds[index]:
-                red_paths += 1
-            else:
-                blue_paths += 1
+    for index, subtree in enumerate(subtrees):
+        kept = subtree.paths_at.get(d_red if reds[index] else d_blue, ())
+        paths.extend(kept)
+        if reds[index]:
+            red_paths += len(kept)
+        else:
+            blue_paths += len(kept)
     if red_paths == 0 or blue_paths == 0 or len(paths) < 2:
         return None
 
-    # Contraction map: a node survives iff its parent edge is kept.
-    rep: dict[Node, Node] = {tree.root: star_root}
-    for node in tree.order[1:]:
-        parent = tree.parent[node]
-        if edge_key(node, parent) in kept_edges:
-            rep[node] = node
-        else:
-            rep[node] = rep[parent]
-
-    graph = nx.Graph()
-    graph.add_node(star_root)
-    for path in paths:
-        graph.add_nodes_from(path.nodes)
-        previous = star_root
-        for node in path.nodes:
-            if not graph.has_edge(previous, node):
-                graph.add_edge(previous, node, weight=0)
-            previous = node
-    for u, v, data in instance.graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if weight == 0:
-            continue
-        ru, rv = rep[u], rep[v]
-        if ru == rv:
-            continue
-        if graph.has_edge(ru, rv):
-            graph[ru][rv]["weight"] += weight
-        else:
-            graph.add_edge(ru, rv, weight=weight)
-
+    # Contraction map: a node survives iff it lies on a kept path (its
+    # parent edge is a path edge); the rest merge into their parent.
     survivors = {node for path in paths for node in path.nodes}
+    rep: dict[Node, Node] = {tree.root: star_root}
+    parent = tree.parent
+    for node in tree.order[1:]:
+        rep[node] = node if node in survivors else rep[parent[node]]
+
+    graph = assemble(
+        [star_root, *(node for path in paths for node in path.nodes)],
+        chains(star_root, (path.nodes for path in paths)),
+        ((rep[u], rep[v], w) for u, v, w in instance.graph),
+    )
+
     virtuals = (instance.virtual_nodes & survivors) | {star_root}
     return StarInstance(
         graph=graph,
@@ -182,39 +179,30 @@ def solve_subtree_instance(
     if k < 2:
         return None
 
-    subtrees = _subtree_rooted_trees(instance)
-    acct.charge(acct.cost.hld(len(tree)), "subtree:hld")
-    assignments = pairwise_coloring(k)
-    stats.colorings = len(assignments)
+    with obs_trace.span("ma.subtree_instance", acct_prefix="subtree:"):
+        subtrees = _subtrees(instance)
+        acct.charge(acct.cost.hld(len(tree)), "subtree:hld")
+        assignments = pairwise_coloring(k)
+        stats.colorings = len(assignments)
 
-    results: list[CutCandidate | None] = []
-    for reds in assignments:
-        if not any(reds) or all(reds):
-            continue
-        depths_red = sorted(
-            {
-                hld.edge_hl_depth(edge)
-                for index, (sub, hld) in enumerate(subtrees)
-                if reds[index]
-                for edge in sub.edges()
-            }
-            | {0 for index in range(k) if reds[index]}
-        )
-        depths_blue = sorted(
-            {
-                hld.edge_hl_depth(edge)
-                for index, (sub, hld) in enumerate(subtrees)
-                if not reds[index]
-                for edge in sub.edges()
-            }
-            | {0 for index in range(k) if not reds[index]}
-        )
-        for d_red in depths_red:
-            for d_blue in depths_blue:
-                acct.charge(2, "subtree:contract")
-                star = _build_star(instance, subtrees, reds, d_red, d_blue)
-                if star is None:
-                    continue
-                stats.star_instances += 1
-                results.append(solve_star(star, acct, stats.star))
-    return best_candidate(results)
+        results: list[CutCandidate | None] = []
+        for reds in assignments:
+            if not any(reds) or all(reds):
+                continue
+            depths_red = sorted(
+                set().union(*(s.depths for s, red in zip(subtrees, reds) if red))
+            )
+            depths_blue = sorted(
+                set().union(
+                    *(s.depths for s, red in zip(subtrees, reds) if not red)
+                )
+            )
+            for d_red in depths_red:
+                for d_blue in depths_blue:
+                    acct.charge(2, "subtree:contract")
+                    star = _build_star(instance, subtrees, reds, d_red, d_blue)
+                    if star is None:
+                        continue
+                    stats.star_instances += 1
+                    results.append(solve_star(star, acct, stats.star))
+        return best_candidate(results)

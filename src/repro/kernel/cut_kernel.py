@@ -97,17 +97,28 @@ class GraphArrays:
     def from_graph(cls, graph: "nx.Graph | CSRGraph") -> "GraphArrays":
         if isinstance(graph, CSRGraph):
             return cls.from_csr(graph)
-        nodes = list(graph.nodes())
+        return cls.from_edges(
+            list(graph.nodes()),
+            (
+                (u, v, w)
+                for u, v, w in graph.edges(data="weight", default=1)
+                if u != v
+            ),
+        )
+
+    @classmethod
+    def from_edges(cls, nodes: list[Node], edges) -> "GraphArrays":
+        """From ``(u, v, w)`` triples over ``nodes``, kept in their order
+        (an ordered edge table of :mod:`repro.core.edge_table`, or the
+        non-loop edges of a networkx graph)."""
         position = {node: i for i, node in enumerate(nodes)}
         us: list[int] = []
         vs: list[int] = []
         ws: list[float] = []
-        for u, v, data in graph.edges(data=True):
-            if u == v:
-                continue
+        for u, v, w in edges:
             us.append(position[u])
             vs.append(position[v])
-            ws.append(data.get("weight", 1))
+            ws.append(w)
         return cls(
             nodes=nodes,
             u_pos=np.array(us, dtype=np.int64),

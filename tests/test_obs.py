@@ -333,6 +333,43 @@ class TestPipelineIntegration:
         assert profile["unattributed_rounds"] == {}
         assert profile["total_seconds"] > 0
 
+    def test_ma_profile_names_recursion_layers(self):
+        """The Theorem 40 layers appear as spans nested under
+        ``ma.two_respecting`` and claim their own ledger rounds."""
+        result = repro.MinCutSolver(
+            SolverConfig(solver="minor-aggregation", trace=True)
+        ).solve(CSR_FAMILY_BUILDERS["grid"](16, 1), seed=1)
+        profile = result.stats["profile"]
+
+        def walk(nodes):
+            for node in nodes:
+                yield node
+                yield from walk(node["children"])
+
+        two_respecting = [
+            node for node in walk(profile["tree"])
+            if node["name"] == "ma.two_respecting"
+        ]
+        assert two_respecting
+        nested = {
+            node["name"]: node
+            for top in two_respecting
+            for node in walk(top["children"])
+        }
+        layers = {
+            "ma.subtree_instance", "ma.star", "ma.interest", "ma.path_to_path"
+        }
+        assert layers <= set(nested)
+        assert nested["ma.star"]["path"].endswith(
+            "ma.subtree_instance/ma.star"
+        )
+        assert nested["ma.interest"]["path"].endswith("ma.star/ma.interest")
+        assert nested["ma.path_to_path"]["path"].endswith(
+            "ma.star/ma.path_to_path"
+        )
+        assert all(nested[name]["rounds"] > 0 for name in layers)
+        assert profile["unattributed_rounds"] == {}
+
     def test_sweep_profile_and_thread_safety(self):
         graphs = [graph_case(seed=s) for s in range(6)]
         seeds = list(range(6))
