@@ -47,6 +47,12 @@ the full packing round schedule on a 10^5-node network through the
 array Boruvka kernel and tabulates the charged MA rounds against the
 Theorem 17 Õ(D + sqrt(n)) CONGEST conversions.
 
+The ``approx_cut`` section times the packing's exact min-cut value
+(Padberg-Rinaldi contraction + Stoer-Wagner on the kernel) against
+Stoer-Wagner on the whole graph, every family at n=256: any value
+mismatch fails the run, and ``--check`` requires a >= 5x median speedup.
+It also times one n=10^5 gnm graph (feasibility only, not gated).
+
 ``--compare BASELINE.json`` is the regression gate: it exits non-zero when
 any tracked metric (the ``kernel_micro`` timings, plus the ``csr`` and
 ``many`` timings when the baseline has them) is more than 10% slower than
@@ -108,6 +114,12 @@ MA_SPEEDUP_FLOOR = 10.0
 #: the PR 9 scale row: the full packing round schedule at CONGEST scale.
 MA_SCALE_N = 100_000
 MA_SCALE_M = 300_000
+#: the packing's exact min-cut value (contraction + kernel Stoer-Wagner)
+#: against Stoer-Wagner on the whole graph, every family at this size.
+APPROX_CUT_N = 256
+APPROX_CUT_SEED = 1
+#: the acceptance bar: median per-family speedup over full Stoer-Wagner.
+APPROX_CUT_SPEEDUP_FLOOR = 5.0
 #: the PR 8 acceptance bar: warm-cache served qps vs unbatched solves.
 SERVE_WARM_FLOOR = 3.0
 #: the PR 10 overload row: distinct cold requests fired at ~3x capacity
@@ -452,6 +464,59 @@ def run_ma_scale_bench() -> dict:
         f"general CONGEST ~{estimates.general:.2e} rounds"
     )
     return row
+
+
+def run_approx_cut_bench(repeats: int) -> dict:
+    """The packing's exact min-cut value vs Stoer-Wagner on the whole graph.
+
+    Every family at n=256 (best-of timings, values compared exactly),
+    plus one timed n=10^5 gnm graph for feasibility only (no full
+    Stoer-Wagner at that size).
+    """
+    from repro.baselines.stoer_wagner import stoer_wagner_min_cut
+    from repro.core.tree_packing import _min_cut_value
+    from repro.graphs import CSR_FAMILY_BUILDERS, csr_random_connected_gnm
+
+    rows: dict = {}
+    for family, build in CSR_FAMILY_BUILDERS.items():
+        graph = build(APPROX_CUT_N, APPROX_CUT_SEED)
+        fast_samples, value = _timed(lambda: _min_cut_value(graph), repeats)
+        full_samples, (reference, _partition) = _timed(
+            lambda: stoer_wagner_min_cut(graph), repeats
+        )
+        speedup = min(full_samples) / min(fast_samples)
+        rows[family] = {
+            "n": APPROX_CUT_N, "m": graph.m, "seed": APPROX_CUT_SEED,
+            "contraction_best_seconds": round(min(fast_samples), 6),
+            "stoer_wagner_best_seconds": round(min(full_samples), 6),
+            "speedup": round(speedup, 2),
+            "value": value,
+            "identical": value == reference,
+        }
+        print(
+            f"  {family:<28} contraction {min(fast_samples) * 1e3:8.2f} ms"
+            f"  stoer-wagner {min(full_samples) * 1e3:8.2f} ms"
+            f"  speedup {speedup:6.1f}x  identical={value == reference}"
+        )
+    identical = all(row["identical"] for row in rows.values())
+    rows["median_speedup"] = round(
+        statistics.median(row["speedup"] for row in rows.values()), 2
+    )
+    rows["identical"] = identical
+
+    large = csr_random_connected_gnm(MA_SCALE_N, MA_SCALE_M, seed=1)
+    start = time.perf_counter()
+    value = _min_cut_value(large)
+    seconds = time.perf_counter() - start
+    rows[f"gnm_{MA_SCALE_N}n"] = {
+        "n": MA_SCALE_N, "m": MA_SCALE_M, "seed": 1,
+        "contraction_seconds": round(seconds, 3), "value": value,
+    }
+    print(
+        f"  median speedup {rows['median_speedup']:.1f}x;"
+        f"  gnm n={MA_SCALE_N}: {seconds:.2f} s (value {value:g})"
+    )
+    return rows
 
 
 def run_many_bench(repeats: int) -> dict:
@@ -968,6 +1033,8 @@ def main() -> int:
     many = run_many_bench(args.repeats)
     print("minor-aggregation backends (closure vs compiled):")
     ma = run_ma_bench(args.repeats)
+    print("packing min-cut value (contraction vs Stoer-Wagner):")
+    approx_cut = run_approx_cut_bench(args.repeats)
     print("minor-aggregation scale row:")
     ma_scale = run_ma_scale_bench()
     print("serve tier (cold/warm/unbatched):")
@@ -995,6 +1062,7 @@ def main() -> int:
         "many": many,
         "ma": ma,
         "ma_scale": ma_scale,
+        "approx_cut": approx_cut,
         "serve": serve,
         "serve_overload": serve_overload,
         "profile": profile,
@@ -1009,6 +1077,7 @@ def main() -> int:
     ok = ok and all(row["bit_identical"] for row in many.values())
     ok = ok and serve[f"sweep{MANY_COUNT}"]["bit_identical"]
     ok = ok and all(row["bit_identical"] for row in ma.values())
+    ok = ok and approx_cut["identical"]
     fast_enough = all(row["speedup"] >= SPEEDUP_FLOOR for row in micro.values())
     many_fast_enough = all(
         row["speedup"] >= MANY_SPEEDUP_FLOOR for row in many.values()
@@ -1036,6 +1105,13 @@ def main() -> int:
     if args.check and not ma_fast_enough:
         print(
             f"FAIL: compiled MA round speedup below {MA_SPEEDUP_FLOOR}x",
+            file=sys.stderr,
+        )
+        return 1
+    if args.check and approx_cut["median_speedup"] < APPROX_CUT_SPEEDUP_FLOOR:
+        print(
+            f"FAIL: packing min-cut value speedup below "
+            f"{APPROX_CUT_SPEEDUP_FLOOR}x ({approx_cut['median_speedup']}x)",
             file=sys.stderr,
         )
         return 1

@@ -2,8 +2,9 @@
 
 The classic maximum-adjacency-ordering algorithm: n-1 phases, each ending
 with a "cut of the phase" (the last node's connectivity to the rest); the
-minimum over phases is the global min-cut.  O(n^2 log n) with a lazy heap,
-ample for the graph sizes the simulator handles.
+minimum over phases is the global min-cut.  O(n m log n) with a lazy heap
+(n-1 phases, each pushing once per edge relaxation), ample for the graph
+sizes the simulator handles.
 
 Implemented from scratch (not delegated to networkx) so the test suite can
 cross-check two independent implementations against each other.

@@ -14,8 +14,17 @@ paper's proof sketch:
 
 Substitution note (DESIGN.md): the sampling threshold needs a constant
 approximation of the min-cut value; the paper uses the Õ(1)-round
-(1+eps)-approximation of [GH16], we use our own Stoer-Wagner's exact value
--- only the sampling probability depends on it.
+(1+eps)-approximation of [GH16], we use the exact value
+(:func:`_min_cut_value`, still charged ``log2ceil(n)**2`` rounds) -- only
+the value is used, to pick the regime and the sampling probability.  It
+is computed centrally by Padberg-Rinaldi contraction (heavy edges and
+heavy-neighbour tests, a few array passes) and Stoer-Wagner on the
+kernel that is left, which is usually a single supernode.  Every
+contraction preserves the minimum of the running upper bound and the
+kernel's min-cut, so the value is exact; on integer weights every float
+sum is exact below 2**53 and the value equals full Stoer-Wagner's bit for
+bit, while on non-integral weights the two may differ by rounding only
+(Stoer-Wagner's own float value depends on its merge order).
 
 One implementation: :func:`pack_trees_many` packs any number of CSR graphs
 over one concatenated edge table, and :func:`pack_trees` is a batch of one
@@ -41,7 +50,7 @@ import networkx as nx
 import numpy as np
 
 from repro.accounting import RoundAccountant, log2ceil
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, merge_components
 from repro.ma.compiled import compiled_boruvka_rows
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, _node_sort_key, edge_key
@@ -155,6 +164,61 @@ def _networkx_tree(graph: nx.Graph, labels: list, eu, ev) -> nx.Graph:
     return tree
 
 
+def _min_cut_value(graph: CSRGraph, span=obs_trace.NULL_SPAN) -> float:
+    """Exact min-cut value of a connected graph by Padberg-Rinaldi
+    contraction, with Stoer-Wagner only on the kernel that is left.
+
+    Each pass lowers the upper bound ``best`` to the least weighted
+    degree (a trivial cut is a real cut), then contracts every edge of
+    weight >= ``best`` (a cut separating its ends weighs at least
+    ``best``, whatever else is contracted) and every supernode ``x`` into its heaviest neighbour ``t``
+    when ``2 w(x, t) >= d(x)`` (moving ``x`` to ``t``'s side never makes a
+    cut heavier, and the trivial cut ``{x}`` is already in ``best``).  All
+    of one pass contracts at once: one pointer per supernode forms a
+    forest (plus tie cycles, whose closing edge is redundant), and
+    contracting it root-down applies each test while its ``x`` is still
+    unmerged, with ``w(x, t's supernode) >= w(x, t)``.  The passes stop at
+    one or two supernodes or when nothing contracts; Stoer-Wagner then
+    solves the kernel.  ``span`` gets ``kernel_n`` (the supernodes handed
+    to Stoer-Wagner, or 1) and ``passes``.
+    """
+    from repro.baselines.stoer_wagner import stoer_wagner_min_cut
+
+    if graph.n < 2:
+        raise ValueError("minimum cut needs at least two nodes")
+    if merge_components(np.arange(graph.n), graph.edge_u, graph.edge_v).any():
+        raise ValueError("graph must be connected")
+    kernel = graph.drop_self_loops()
+    best = math.inf
+    passes, kernel_n = 0, 1
+    while kernel.n > 1:
+        passes += 1
+        k, eu, ev, ew = kernel.n, kernel.edge_u, kernel.edge_v, kernel.edge_w
+        degree = np.bincount(eu, ew, minlength=k)
+        degree += np.bincount(ev, ew, minlength=k)
+        best = min(best, float(degree.min()))
+        if k == 2:
+            break
+        heavy = ew >= best
+        # Each supernode's heaviest neighbour: the first entry of its
+        # adjacency segment once the segment is sorted by weight, descending.
+        src = np.repeat(np.arange(k), np.diff(kernel.indptr))
+        first = np.lexsort((-kernel.adj_weight, src))[kernel.indptr[:-1]]
+        witness = 2 * kernel.adj_weight[first] >= degree
+        labels = merge_components(
+            np.arange(k),
+            np.concatenate([eu[heavy], np.flatnonzero(witness)]),
+            np.concatenate([ev[heavy], kernel.indices[first][witness]]),
+        )
+        if (labels == np.arange(k)).all():
+            kernel_n = k
+            best = min(best, stoer_wagner_min_cut(kernel)[0])
+            break
+        kernel, _dense = kernel.contract(labels)
+    span.set(kernel_n=kernel_n, passes=passes)
+    return float(best)
+
+
 def _packing_graph(
     graph: CSRGraph,
     rng: random.Random,
@@ -165,12 +229,10 @@ def _packing_graph(
     ``(packing graph, approx cut value, sampled, sampling probability)``."""
     n = graph.n
     if approx_cut_value is None:
-        from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
         with obs_trace.span(
             "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
-        ):
-            approx_cut_value, _partition = stoer_wagner_min_cut(graph)
+        ) as sp:
+            approx_cut_value = _min_cut_value(graph, sp)
         # The distributed stand-in: Õ(1) Minor-Aggregation rounds [GH16].
         acct.charge(log2ceil(n) ** 2, "packing:approx-min-cut")
 

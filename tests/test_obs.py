@@ -324,6 +324,12 @@ class TestPipelineIntegration:
         assert {child["name"] for child in pack["children"]} >= {
             "pack.approx_min_cut", "pack.sampling", "pack.boruvka"
         }
+        (approx,) = [
+            record for record in trace.records()
+            if record.name == "pack.approx_min_cut"
+        ]
+        assert approx.attrs["kernel_n"] >= 1
+        assert approx.attrs["passes"] >= 1
         solve_children = {
             child["name"]: child
             for child in roots["session.solve"]["children"]
