@@ -21,17 +21,7 @@ from repro.baselines.stoer_wagner import stoer_wagner_min_cut
 from repro.core.tree_packing import _min_cut_value
 from repro.graphs import CSR_FAMILY_BUILDERS
 from repro.graphs.csr import CSRGraph
-
-
-class _Attrs:
-    """Stands in for a trace span; keeps what ``set`` was given."""
-
-    def __init__(self):
-        self.attrs: dict = {}
-
-    def set(self, **attrs):
-        self.attrs.update(attrs)
-        return self
+from repro.obs.trace import Span
 
 
 def _networkx_value(graph: CSRGraph) -> float:
@@ -133,14 +123,14 @@ def test_family_sweep_matches_stoer_wagner_exactly(family, n):
 def test_sweep_covers_kernel_and_full_contraction(family, n, seed, large_kernel):
     """One sweep graph stalls with more than n/2 supernodes, so the
     kernel Stoer-Wagner runs; another contracts to one supernode."""
-    attrs = _Attrs()
+    span = Span("pack.approx_min_cut", {})
     graph = CSR_FAMILY_BUILDERS[family](n, seed)
-    assert _min_cut_value(graph, attrs) == stoer_wagner_min_cut(graph)[0]
-    assert attrs.attrs["passes"] >= 1
+    assert _min_cut_value(graph, span) == stoer_wagner_min_cut(graph)[0]
+    assert span.attrs["passes"] >= 1
     if large_kernel:
-        assert attrs.attrs["kernel_n"] > n / 2
+        assert span.attrs["kernel_n"] > n / 2
     else:
-        assert attrs.attrs["kernel_n"] == 1
+        assert span.attrs["kernel_n"] == 1
 
 
 def test_zero_weight_bridge_gives_zero():
