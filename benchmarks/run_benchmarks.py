@@ -10,7 +10,7 @@ perf PRs have a committed baseline to diff against.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py              # BENCH_PR10.json
+    PYTHONPATH=src python benchmarks/run_benchmarks.py              # BENCH_PR15.json
     PYTHONPATH=src python benchmarks/run_benchmarks.py --out X.json --repeats 5
     PYTHONPATH=src python benchmarks/run_benchmarks.py --compare BENCH_PR2.json
 
@@ -52,6 +52,11 @@ The ``approx_cut`` section times the packing's exact min-cut value
 Stoer-Wagner on the whole graph, every family at n=256: any value
 mismatch fails the run, and ``--check`` requires a >= 5x median speedup.
 It also times one n=10^5 gnm graph (feasibility only, not gated).
+
+The ``oracle_stack`` section times the stacked 2-respecting oracle
+(``batched_two_respecting_oracle``) on the seeded packed trees of every
+family at n=256, in ms per tree, next to the per-tree
+``two_respecting_oracle``: any value or edge mismatch fails the run.
 
 ``--compare BASELINE.json`` is the regression gate: it exits non-zero when
 any tracked metric (the ``kernel_micro`` timings, plus the ``csr`` and
@@ -120,6 +125,9 @@ APPROX_CUT_N = 256
 APPROX_CUT_SEED = 1
 #: the acceptance bar: median per-family speedup over full Stoer-Wagner.
 APPROX_CUT_SPEEDUP_FLOOR = 5.0
+#: the stacked oracle row: every family's packed trees at this size.
+ORACLE_STACK_N = 256
+ORACLE_STACK_SEED = 1
 #: the PR 8 acceptance bar: warm-cache served qps vs unbatched solves.
 SERVE_WARM_FLOOR = 3.0
 #: the PR 10 overload row: distinct cold requests fired at ~3x capacity
@@ -516,6 +524,57 @@ def run_approx_cut_bench(repeats: int) -> dict:
         f"  median speedup {rows['median_speedup']:.1f}x;"
         f"  gnm n={MA_SCALE_N}: {seconds:.2f} s (value {value:g})"
     )
+    return rows
+
+
+def run_oracle_stack_bench(repeats: int) -> dict:
+    """The stacked 2-respecting oracle vs the per-tree oracle, per tree.
+
+    Every family at n=256: the packed trees of one seeded packing go
+    through ``batched_two_respecting_oracle`` (best-of timings, ms per
+    tree) and, tree by tree, through ``two_respecting_oracle``; values
+    and witness edges must match exactly.
+    """
+    from repro.core.cut_values import two_respecting_oracle
+    from repro.core.session import MinCutSolver, SolverConfig
+    from repro.graphs import CSR_FAMILY_BUILDERS
+    from repro.kernel.batched import batched_two_respecting_oracle
+
+    solver = MinCutSolver(SolverConfig(solver="oracle"))
+    rows: dict = {}
+    for family, build in CSR_FAMILY_BUILDERS.items():
+        graph = build(ORACLE_STACK_N, ORACLE_STACK_SEED)
+        packed = solver.pack(graph, seed=ORACLE_STACK_SEED)
+        arrays, stack, rooted = packed.arrays, packed.stack, packed.rooted_trees
+        trees = len(rooted)
+        stacked_samples, stacked = _timed(
+            lambda: batched_two_respecting_oracle(arrays, stack), repeats
+        )
+        per_tree_samples, per_tree = _timed(
+            lambda: [
+                two_respecting_oracle(packed.graph, tree, arrays=arrays)
+                for tree in rooted
+            ],
+            repeats,
+        )
+        identical = [(c.value, c.edges) for c in stacked] == [
+            (c.value, c.edges) for c in per_tree
+        ]
+        stacked_ms = min(stacked_samples) / trees * 1e3
+        per_tree_ms = min(per_tree_samples) / trees * 1e3
+        rows[family] = {
+            "n": ORACLE_STACK_N, "m": graph.m, "seed": ORACLE_STACK_SEED,
+            "trees": trees,
+            "stacked_ms_per_tree": round(stacked_ms, 4),
+            "per_tree_ms_per_tree": round(per_tree_ms, 4),
+            "identical": identical,
+        }
+        print(
+            f"  {family:<28} stacked {stacked_ms:7.3f} ms/tree"
+            f"  per-tree {per_tree_ms:7.3f} ms/tree  ({trees} trees)"
+            f"  identical={identical}"
+        )
+    rows["identical"] = all(row["identical"] for row in rows.values())
     return rows
 
 
@@ -1005,7 +1064,7 @@ def compare_against(baseline_path: str, payload: dict) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_PR10.json")
+    parser.add_argument("--out", default="BENCH_PR15.json")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--check",
@@ -1035,6 +1094,8 @@ def main() -> int:
     ma = run_ma_bench(args.repeats)
     print("packing min-cut value (contraction vs Stoer-Wagner):")
     approx_cut = run_approx_cut_bench(args.repeats)
+    print("stacked 2-respecting oracle (stacked vs per-tree):")
+    oracle_stack = run_oracle_stack_bench(args.repeats)
     print("minor-aggregation scale row:")
     ma_scale = run_ma_scale_bench()
     print("serve tier (cold/warm/unbatched):")
@@ -1063,6 +1124,7 @@ def main() -> int:
         "ma": ma,
         "ma_scale": ma_scale,
         "approx_cut": approx_cut,
+        "oracle_stack": oracle_stack,
         "serve": serve,
         "serve_overload": serve_overload,
         "profile": profile,
@@ -1078,6 +1140,7 @@ def main() -> int:
     ok = ok and serve[f"sweep{MANY_COUNT}"]["bit_identical"]
     ok = ok and all(row["bit_identical"] for row in ma.values())
     ok = ok and approx_cut["identical"]
+    ok = ok and oracle_stack["identical"]
     fast_enough = all(row["speedup"] >= SPEEDUP_FLOOR for row in micro.values())
     many_fast_enough = all(
         row["speedup"] >= MANY_SPEEDUP_FLOOR for row in many.values()

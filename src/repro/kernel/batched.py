@@ -4,8 +4,9 @@ The Θ(log n) packed trees in a min-cut run are independent, and with the
 array kernel each per-tree oracle is pure numpy (one O(n² + m) Euler
 prefix-sum pass).  This module stacks the per-tree kernel arrays
 (``tin``/``tout``/endpoint remaps) into ``(trees, ...)`` tensors and runs
-*all* trees through one vectorized pass: one scatter-add into a 3D prefix
-tensor, cumulative sums along both Euler axes, one gather cascade for the
+a chunk of trees through one vectorized pass: one ``np.bincount``
+deposit into a 3D prefix tensor, cumulative sums along both Euler axes,
+whole-row gathers for the subtree rows, per-tree column gathers for the
 pair matrices, and one row-major argmin per tree.
 
 One solver runs the low-level pass:
@@ -14,8 +15,10 @@ graphs at once (the ``minimum_cut_many`` sweep path).  Jobs whose trees
 have the same node count share stacked tensors, so a 50-graph sweep costs
 a handful of numpy passes instead of 50; per-tree edge deposits arrive as
 flattened COO triples, which makes mixed edge counts across graphs exact
-no-ops for parity (``np.add.at`` walks the flattened triples in the same
-tree-major, edge-order sequence per tree slice).
+no-ops for parity (``np.bincount`` adds the flattened cell ids in order:
+every ``(a, b)`` deposit in tree-major, edge-order sequence, then every
+``(b, a)`` one -- per cell, the order of the 2D kernel's two
+``np.add.at`` calls).
 :func:`batched_two_respecting_oracle` is its one-graph delegate (the
 single-graph ``minimum_cut`` path); both take the trees as a stacked
 BFS/Euler forest (:mod:`repro.kernel.forest`).
@@ -23,15 +26,18 @@ BFS/Euler forest (:mod:`repro.kernel.forest`).
 Bit-for-bit parity with the per-tree
 :func:`~repro.kernel.cut_kernel.pair_cover_matrix_kernel` path is a design
 requirement (the equivalence suite asserts it): every float operation runs
-in the same order per tree slice as the 2D implementation -- integer-weight
-inputs therefore produce identical candidates, values, and tie-breaks.
+in the same order per tree slice as the 2D implementation -- integer- and
+float-weight inputs therefore produce identical candidates, values, and
+tie-breaks.
 
 Memory is bounded by chunking the tree axis: a chunk of ``c`` trees needs
-roughly ``34 * c * n²`` bytes of scratch; the chunk size is derived from
-``REPRO_BATCH_BYTES`` (default 256 MiB) -- or the explicit ``batch_bytes``
-argument, which is how :class:`~repro.core.session.SolverConfig` pins the
-budget per session -- so large instances degrade to the per-tree
-behaviour instead of blowing up.
+at most ``32 * c * n²`` bytes of scratch.  Chunks aim at an L2-resident
+working set (``_CACHE_TARGET``, 1 MiB: one tree from n = 128 up, 13 at
+n = 48); the hard cap is ``REPRO_BATCH_BYTES`` (default 256 MiB) -- or
+the explicit ``batch_bytes`` argument, which is how
+:class:`~repro.core.session.SolverConfig` pins the budget per session --
+so large instances degrade to the per-tree behaviour instead of blowing
+up.
 """
 
 from __future__ import annotations
@@ -50,14 +56,18 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.cut_values import CutCandidate
 
 _DEFAULT_BUDGET = 256 * 1024 * 1024
-#: bytes of scratch per tree per n² (prefix tensor + rows + matrix + cuts
-#: + boolean masks + gather temporaries)
-_BYTES_PER_CELL = 34
-#: preferred per-chunk working set: beyond ~the L3 cache the stacked pass
-#: becomes memory-bound and large chunks run *slower* than cache-resident
-#: ones (measured ~1.5x on a 1300-tree sweep), so chunks aim at this size
-#: and the budget only acts as the hard upper bound.
-_CACHE_TARGET = 8 * 1024 * 1024
+#: bytes of scratch per tree per n²: the largest live set is ``rows`` +
+#: ``matrix`` + one tree's two column gathers (8 + 8 + 16, the gathers
+#: are per tree so a 1-tree chunk is the worst case); the prefix stage
+#: peaks at 24 (prefix + rows + one row gather), the mask and cut stages
+#: stay below 18 (matrix + boolean masks, then matrix + cuts).
+_BYTES_PER_CELL = 32
+#: preferred per-chunk working set: chunks that stay in the per-core L2
+#: run the pass fastest.  On a 2 MiB-L2 Xeon, 512 KiB-2 MiB targets were
+#: within noise of each other on 1221 single-graph chunks (n 64-256),
+#: 4 MiB ran ~1.35x slower, and many-graph sweeps (n 24-48) did not move;
+#: the budget only acts as the hard upper bound.
+_CACHE_TARGET = 1024 * 1024
 
 
 def env_batch_bytes() -> int:
@@ -107,25 +117,46 @@ def _solve_stacked(
     diagonal means a 1-respecting cut).
     """
     c, n = tin.shape
+    side = n + 1
 
     # 3D deposit + prefix integration: P[t, a, b] = weight over the
-    # preorder box [0, a) x [0, b) of tree t.
-    prefix = np.zeros((c, n + 1, n + 1), dtype=np.float64)
-    np.add.at(prefix, (dep_t, dep_a + 1, dep_b + 1), dep_w)
-    np.add.at(prefix, (dep_t, dep_b + 1, dep_a + 1), dep_w)
+    # preorder box [0, a) x [0, b) of tree t.  One bincount over the flat
+    # cell ids, the (a, b) orientation first and then (b, a): per cell
+    # the same summation sequence as the 2D kernel's two np.add.at calls.
+    cells = np.concatenate((
+        (dep_t * side + dep_a + 1) * side + dep_b + 1,
+        (dep_t * side + dep_b + 1) * side + dep_a + 1,
+    ))
+    prefix = np.bincount(
+        cells,
+        weights=np.concatenate((dep_w, dep_w)),
+        minlength=c * side * side,
+    ).reshape(c, side, side)
     prefix.cumsum(axis=1, out=prefix)
     prefix.cumsum(axis=2, out=prefix)
 
-    # Tree edge i of tree t <-> bottom node index i + 1 (BFS order).
+    # Tree edge i of tree t <-> bottom node index i + 1 (BFS order).  Rows
+    # are whole-row gathers from the (c * side, side) view of the prefix.
     lo = tin[:, 1:]
     hi = tout[:, 1:]
-    rows = (
-        np.take_along_axis(prefix, hi[:, :, None], axis=1)
-        - np.take_along_axis(prefix, lo[:, :, None], axis=1)
-    )
+    base = np.arange(0, c * side, side, dtype=np.int64)[:, None]
+    prefix = prefix.reshape(c * side, side)
+    rows = prefix.take((base + hi).ravel(), axis=0)
+    rows -= prefix.take((base + lo).ravel(), axis=0)
+    # Each stage frees its input before the next one allocates, so the
+    # chunk's live set stays at _BYTES_PER_CELL and in cache (keeping
+    # them alive measured ~1.4x slower on a solve pass).
+    del prefix
+    rows = rows.reshape(c, n - 1, side)
     totals = rows[:, :, n].copy()
-    matrix = np.take_along_axis(rows, hi[:, None, :], axis=2)
-    matrix -= np.take_along_axis(rows, lo[:, None, :], axis=2)
+    matrix = np.empty((c, n - 1, n - 1), dtype=np.float64)
+    for t in range(c):
+        np.subtract(
+            rows[t].take(hi[t], axis=1),
+            rows[t].take(lo[t], axis=1),
+            out=matrix[t],
+        )
+    del rows
 
     # Ancestor-related pairs: Cov = T(descendant) - S, exactly as in the
     # 2D kernel (the diagonal degenerates to Cov(e_i) via either mask).
@@ -137,11 +168,15 @@ def _solve_stacked(
     descendant[:, diag, diag] = False
     np.subtract(totals[:, None, :], matrix, out=matrix, where=ancestor)
     np.subtract(totals[:, :, None], matrix, out=matrix, where=descendant)
+    del ancestor, descendant
 
     # Cut(e_i, e_j) = Cov(e_i) + Cov(e_j) - 2 Cov(e_i, e_j); diagonal =
-    # the 1-respecting values.
+    # the 1-respecting values.  Doubling in place is exact, so the
+    # subtraction sees the same operands as ``cut_matrix``'s.
     covers = matrix[:, diag, diag].copy()
-    cuts = covers[:, :, None] + covers[:, None, :] - 2 * matrix
+    matrix *= 2
+    cuts = covers[:, :, None] + covers[:, None, :]
+    cuts -= matrix
     cuts[:, diag, diag] = covers
 
     flat_view = cuts.reshape(c, -1)

@@ -32,7 +32,12 @@ from repro.graphs import (
     tree_plus_chords,
     validate_weights,
 )
-from repro.kernel.batched import batched_two_respecting_oracle
+from repro.kernel import batched
+from repro.kernel.batched import (
+    OracleJob,
+    batched_two_respecting_oracle,
+    batched_two_respecting_oracle_many,
+)
 from repro.kernel.cut_kernel import GraphArrays
 from repro.kernel.forest import stacked_tree_arrays
 from repro.trees.rooted import RootedTree
@@ -560,6 +565,93 @@ class TestBatchedSolver:
         graph = random_connected_gnm(6, 9, seed=1)
         stack, _trees = _stacked_forest(graph, [])
         assert batched_two_respecting_oracle(GraphArrays.from_graph(graph), stack) == []
+
+
+def _float_arrays(graph, rng):
+    """Edge arrays of ``graph`` with weights spread over 1e-9..1e9, ~10%
+    zero weights, and parallel edges (arrays keep them; a networkx graph
+    cannot): up to three extra copies per edge in random orientation, so
+    prefix cells sum several deposits of both orientations, where the
+    summation order shows in the low bits."""
+
+    def weight():
+        return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-9, 9)
+
+    edges = []
+    for u, v in graph.edges():
+        edges.append((u, v, weight()))
+        for _copy in range(rng.choice((0, 0, 1, 2, 3))):
+            a, b = (u, v) if rng.random() < 0.5 else (v, u)
+            edges.append((a, b, weight()))
+    return GraphArrays.from_edges(list(graph.nodes()), edges)
+
+
+class TestBatchedFloatParity:
+    """The stacked oracle matches the per-tree oracle to the last bit on
+    float weights, not only on the integer weights of the families."""
+
+    @pytest.mark.parametrize("chunk", ["default", "1"])
+    @pytest.mark.parametrize("n,seed", [(8, 0), (33, 1), (64, 2), (128, 3)])
+    def test_float_weights_match_per_tree_oracle(
+        self, monkeypatch, chunk, n, seed
+    ):
+        if chunk == "default":
+            monkeypatch.delenv("REPRO_BATCH_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BATCH_BYTES", "1")  # 1-tree chunks
+        rng = random.Random(seed)
+        graph = random_connected_gnm(n, 3 * n, seed=seed + 500)
+        arrays = _float_arrays(graph, rng)
+        stack, trees = _stacked_forest(
+            graph,
+            [random_spanning_tree(graph, seed=seed * 10 + k) for k in range(5)],
+        )
+        batched_candidates = batched_two_respecting_oracle(arrays, stack)
+        assert len(batched_candidates) == len(trees)
+        for tree, candidate in zip(trees, batched_candidates):
+            reference = two_respecting_oracle(graph, tree, arrays=arrays)
+            assert candidate.value.hex() == reference.value.hex()
+            assert candidate.edges == reference.edges
+
+
+class TestOracleMany:
+    """``batched_two_respecting_oracle_many`` fuses jobs without letting
+    trees of different jobs (or chunk boundaries) change any result."""
+
+    @staticmethod
+    def _job(n, trees, seed):
+        graph = random_connected_gnm(n, 2 * n, seed=seed)
+        stack, _trees = _stacked_forest(
+            graph,
+            [random_spanning_tree(graph, seed=seed * 10 + k) for k in range(trees)],
+        )
+        arrays = _float_arrays(graph, random.Random(seed))
+        return OracleJob.from_arrays(arrays, stack.tin, stack.tout, stack.pos)
+
+    def test_fused_jobs_match_solo_solves(self, monkeypatch):
+        jobs = [self._job(20, 5, 1), self._job(30, 3, 2), self._job(20, 1, 3)]
+        solo = [batched_two_respecting_oracle_many([job])[0] for job in jobs]
+
+        chunks = []
+        solve = batched._solve_stacked
+
+        def spy(tin, *rest):
+            chunks.append(tin.shape)
+            return solve(tin, *rest)
+
+        monkeypatch.setattr(batched, "_solve_stacked", spy)
+        budget = 3 * batched._BYTES_PER_CELL * 21 * 21  # three n=20 trees
+        fused = batched_two_respecting_oracle_many(jobs, batch_bytes=budget)
+        # n=20: job 0's trees 0-2, then its trees 3-4 with job 2's one
+        # tree; n=30 fits one tree per chunk.
+        assert chunks == [(3, 20), (3, 20), (1, 30), (1, 30), (1, 30)]
+        assert len(fused) == len(jobs)
+        for job, (values, flat), (solo_values, solo_flat) in zip(
+            jobs, fused, solo
+        ):
+            assert len(values) == len(flat) == job.trees
+            assert values.tobytes() == solo_values.tobytes()
+            assert flat.tolist() == solo_flat.tolist()
 
 
 class TestEnginesOnCSR:
