@@ -83,13 +83,7 @@ from repro.core import (
     two_respecting_oracle,
     unregister_solver,
 )
-from repro.kernel import (
-    TreeKernel,
-    kernel_enabled,
-    set_kernel_enabled,
-    use_kernel,
-    use_legacy,
-)
+from repro.kernel import TreeKernel
 from repro.ma import MinorAggregationEngine, congest_estimates
 
 __version__ = "1.3.0"
@@ -111,10 +105,6 @@ __all__ = [
     "TransportTimeout",
     "SweepFailure",
     "TreeKernel",
-    "kernel_enabled",
-    "set_kernel_enabled",
-    "use_kernel",
-    "use_legacy",
     "CostModel",
     "RoundAccountant",
     "CutCandidate",

@@ -27,7 +27,7 @@ Graphs are built on the CSR fast path by default.  With ``--solver
 oracle`` the whole pipeline stays on flat arrays (no networkx object is
 constructed); the default ``minor-aggregation`` solver simulates the
 paper's distributed recursion, which crosses the networkx boundary once
-per run.  ``--backend networkx`` forces the legacy reference path; both
+per run.  ``--backend networkx`` builds networkx graphs instead; both
 backends return bit-identical results.
 
 There is exactly **one** family table: the CSR-first builders in
@@ -62,7 +62,7 @@ def _networkx_family(builder):
 #: CSR-direct builders -- the single source of truth for CLI families.
 CSR_FAMILIES = CSR_FAMILY_BUILDERS
 
-#: networkx-returning view of the same families (legacy backend and
+#: networkx-returning view of the same families (``--backend networkx`` and
 #: external callers): identical weighted graphs, edge for edge.
 FAMILIES = {
     name: _networkx_family(builder)
@@ -145,8 +145,8 @@ def _build_graph(args):
 
 
 def cmd_mincut(args) -> int:
-    config = repro.SolverConfig.from_args(args)
     try:
+        config = repro.SolverConfig.from_args(args)
         graph = _build_graph(args)
         result = repro.MinCutSolver(config).solve(graph, seed=args.seed)
     except (OSError, ValueError, ReproError) as error:
@@ -192,13 +192,13 @@ def cmd_mincut(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Run a family sweep through the batched many-graph entrypoint."""
-    config = repro.SolverConfig.from_args(args)
-    builder = _family_builder(args.family, config.backend)
     seeds = list(range(args.seed, args.seed + args.count))
-    graphs = [builder(args.n, seed) for seed in seeds]
     certify = getattr(args, "certify", False)
-    start = time.perf_counter()
     try:
+        config = repro.SolverConfig.from_args(args)
+        builder = _family_builder(args.family, config.backend)
+        graphs = [builder(args.n, seed) for seed in seeds]
+        start = time.perf_counter()
         results = repro.minimum_cut_many(
             graphs, config, seeds=seeds, certify=certify
         )
@@ -250,8 +250,8 @@ def cmd_profile(args) -> int:
     """Run one traced solve and print the per-phase profile table."""
     from repro.obs import export_chrome, export_ndjson, render_profile, trace
 
-    config = repro.SolverConfig.from_args(args).replace(trace=True)
     try:
+        config = repro.SolverConfig.from_args(args).replace(trace=True)
         graph = _build_graph(args)
         trace.clear()
         result = repro.MinCutSolver(config).solve(graph, seed=args.seed)
@@ -302,30 +302,33 @@ def cmd_serve(args) -> int:
 
     from repro.serve import MinCutServer, ResilienceConfig, ServeConfig
 
-    config = repro.SolverConfig.from_args(args)
-    serve = ServeConfig.from_env(
-        **{
-            key: value
-            for key, value in (
-                ("batch_ms", args.batch_ms),
-                ("max_batch", args.max_batch),
-                ("cache_bytes", args.cache_bytes),
-                ("result_cache_size", args.result_cache),
-            )
-            if value is not None
-        }
-    )
-    resilience = ResilienceConfig.from_env(
-        **{
-            key: value
-            for key, value in (
-                ("deadline_ms", args.deadline_ms),
-                ("max_queue", args.max_queue),
-                ("watchdog_ms", args.watchdog_ms),
-            )
-            if value is not None
-        }
-    )
+    try:
+        config = repro.SolverConfig.from_args(args)
+        serve = ServeConfig.from_env(
+            **{
+                key: value
+                for key, value in (
+                    ("batch_ms", args.batch_ms),
+                    ("max_batch", args.max_batch),
+                    ("cache_bytes", args.cache_bytes),
+                    ("result_cache_size", args.result_cache),
+                )
+                if value is not None
+            }
+        )
+        resilience = ResilienceConfig.from_env(
+            **{
+                key: value
+                for key, value in (
+                    ("deadline_ms", args.deadline_ms),
+                    ("max_queue", args.max_queue),
+                    ("watchdog_ms", args.watchdog_ms),
+                )
+                if value is not None
+            }
+        )
+    except (ValueError, ReproError) as error:
+        raise SystemExit(str(error))
 
     async def run() -> int:
         async with MinCutServer(

@@ -17,14 +17,13 @@ it is the ground truth every distributed solver in this package is validated
 against, and doubles as the fast centralized baseline of [GMW20]-style
 2-respecting computations.
 
-Every public function dispatches to the array-backed kernel
-(:mod:`repro.kernel`) by default -- vectorized LCA differencing for
-``Cov(e)`` and an O(n^2 + m) Euler prefix-sum formulation for the pair
-matrix -- and to the original pure-Python path accumulation (kept below as
-the ``*_legacy`` reference) when the kernel flag is off.  Callers that
+Every public function runs on the array-backed kernel
+(:mod:`repro.kernel`): vectorized LCA differencing for ``Cov(e)`` and an
+O(n^2 + m) Euler prefix-sum formulation for the pair matrix.  Callers that
 evaluate many trees of one graph can pass a pre-extracted
 :class:`~repro.kernel.cut_kernel.GraphArrays` to skip the per-tree edge
-scan.
+scan.  ``tests/test_kernel.py`` checks each of them against brute-force
+component cuts of the tree.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.kernel.config import kernel_enabled
 from repro.kernel.cut_kernel import (
     GraphArrays,
     cover_values_kernel,
@@ -45,11 +43,6 @@ from repro.kernel.cut_kernel import (
     partition_cut_weight_arrays,
 )
 from repro.trees.rooted import Edge, Node, RootedTree, edge_key
-
-
-def _kernel_active(graph) -> bool:
-    """CSR inputs always run the array kernel; networkx follows the flag."""
-    return isinstance(graph, CSRGraph) or kernel_enabled()
 
 
 @dataclass(frozen=True)
@@ -85,24 +78,10 @@ def cover_values(
 ) -> dict[Edge, float]:
     """``Cov(e)`` for every tree edge.
 
-    Kernel path: vectorized +-w / -2w LCA differencing plus one Euler
-    prefix-sum subtree pass, O((n + m) log n).
+    Vectorized +-w / -2w LCA differencing plus one Euler prefix-sum
+    subtree pass, O((n + m) log n).
     """
-    if _kernel_active(graph):
-        return cover_values_kernel(graph, tree, arrays=arrays)
-    return cover_values_legacy(graph, tree)
-
-
-def cover_values_legacy(graph: nx.Graph, tree: RootedTree) -> dict[Edge, float]:
-    """Reference ``Cov(e)`` by direct path accumulation, O(m * pathlen)."""
-    cov: dict[Edge, float] = {edge: 0.0 for edge in tree.edges()}
-    for u, v, data in graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if weight == 0 or u == v:
-            continue
-        for edge in tree.path_edges(u, v):
-            cov[edge] += weight
-    return cov
+    return cover_values_kernel(graph, tree, arrays=arrays)
 
 
 def pair_cover_matrix(
@@ -114,29 +93,9 @@ def pair_cover_matrix(
 
     Returns the tree-edge list (fixing the index order) and the symmetric
     matrix ``M`` with ``M[i, j] = Cov(e_i, e_j)`` and ``M[i, i] = Cov(e_i)``.
-    Kernel path: O(n^2 + m) via 2D Euler prefix sums.
+    O(n^2 + m) via 2D Euler prefix sums.
     """
-    if _kernel_active(graph):
-        return pair_cover_matrix_kernel(graph, tree, arrays=arrays)
-    return pair_cover_matrix_legacy(graph, tree)
-
-
-def pair_cover_matrix_legacy(
-    graph: nx.Graph, tree: RootedTree
-) -> tuple[list[Edge], np.ndarray]:
-    """Reference pair-cover matrix by path accumulation, O(m * pathlen^2)."""
-    edges = list(tree.edges())
-    index = {edge: i for i, edge in enumerate(edges)}
-    matrix = np.zeros((len(edges), len(edges)), dtype=float)
-    for u, v, data in graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if weight == 0 or u == v:
-            continue
-        path = [index[e] for e in tree.path_edges(u, v)]
-        if path:
-            idx = np.array(path)
-            matrix[np.ix_(idx, idx)] += weight
-    return edges, matrix
+    return pair_cover_matrix_kernel(graph, tree, arrays=arrays)
 
 
 def cut_matrix(
@@ -174,25 +133,10 @@ def cut_partition(tree: RootedTree, edges: tuple[Edge, ...]) -> frozenset[Node]:
     For one edge: the bottom subtree.  For two edges: the middle component
     (between the two edges if nested, the root component otherwise -- in the
     non-nested case the returned side is the complement of the two bottom
-    subtrees, which induces the same bipartition).  Kernel path: preorder
-    interval slices instead of subtree set algebra.
+    subtrees, which induces the same bipartition).  Computed from preorder
+    interval slices.
     """
-    if kernel_enabled():
-        return cut_partition_kernel(tree, edges)
-    if len(edges) == 1:
-        return frozenset(tree.subtree_nodes(tree.bottom(edges[0])))
-    if len(edges) != 2:
-        raise ValueError("a respecting cut has one or two tree edges")
-    e, f = edges
-    be, bf = tree.bottom(e), tree.bottom(f)
-    if tree.is_ancestor(be, bf):
-        middle = set(tree.subtree_nodes(be)) - set(tree.subtree_nodes(bf))
-        return frozenset(middle)
-    if tree.is_ancestor(bf, be):
-        middle = set(tree.subtree_nodes(bf)) - set(tree.subtree_nodes(be))
-        return frozenset(middle)
-    below = set(tree.subtree_nodes(be)) | set(tree.subtree_nodes(bf))
-    return frozenset(set(tree.order) - below)
+    return cut_partition_kernel(tree, edges)
 
 
 def partition_cut_weight(
@@ -202,16 +146,16 @@ def partition_cut_weight(
 ) -> tuple[float, list[tuple[Node, Node]]]:
     """Weight and edge list of the cut induced by a node bipartition.
 
-    With pre-extracted ``arrays`` (and the kernel enabled) the membership
-    test runs as one boolean XOR over the whole edge list (self-loops
-    never cross, so dropping them from the arrays is value-preserving).
-    CSR inputs always take the array path (``side`` in index space).
+    With pre-extracted ``arrays`` the membership test runs as one boolean
+    XOR over the whole edge list (self-loops never cross, so dropping them
+    from the arrays is value-preserving).  CSR inputs always take the
+    array path (``side`` in index space).
     """
     if isinstance(graph, CSRGraph):
         return partition_cut_weight_arrays(
             arrays if arrays is not None else GraphArrays.from_csr(graph), side
         )
-    if arrays is not None and kernel_enabled():
+    if arrays is not None:
         return partition_cut_weight_arrays(arrays, side)
     crossing = []
     total = 0.0

@@ -24,8 +24,8 @@ round ledger) to the pre-session implementation.
 
 Two input types share the function:
 
-* a **networkx** graph runs the historical reference pipeline (kernel
-  paths behind the ``REPRO_TREE_KERNEL`` flag);
+* a **networkx** graph is indexed once into the same array kernel and
+  keeps its node labels throughout;
 * a :class:`~repro.graphs.csr.CSRGraph` runs the CSR-native hot path --
   CSR packing, one shared array extraction, and (for the ``"oracle"``
   solver) the batched stacked-kernel solve of all packed trees in one

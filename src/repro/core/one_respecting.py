@@ -22,7 +22,6 @@ import networkx as nx
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
 from repro.graphs.csr import CSRGraph
-from repro.kernel.config import kernel_enabled
 from repro.kernel.cut_kernel import GraphArrays, cover_values_kernel
 from repro.ma.engine import MinorAggregationEngine
 from repro.ma.operators import DICT_SUM, FIRST, SUM
@@ -111,36 +110,17 @@ def one_respecting_cuts_fast(
     """Direct computation of the same values, charging the documented
     Theorem 18 cost (used inside the 2-respecting solvers).
 
-    Kernel path: one vectorized LCA-differencing pass plus an Euler
-    prefix-sum subtree sum (``Cov(e) = Cut(e)``, Fact 5); the pure-Python
-    accumulation below is the legacy reference (networkx input with the
-    kernel flag off; CSR input always takes the kernel).  ``arrays``
-    skips the per-call edge-list extraction when the caller shares one
-    graph across many trees.
+    One vectorized LCA-differencing pass plus an Euler prefix-sum subtree
+    sum (``Cov(e) = Cut(e)``, Fact 5).  ``arrays`` skips the per-call
+    edge-list extraction when the caller shares one graph across many
+    trees.
     """
     if accountant is not None:
         accountant.charge(
             accountant.cost.one_respecting(graph.number_of_nodes()),
             "one-respecting",
         )
-    if isinstance(graph, CSRGraph) or kernel_enabled():
-        return cover_values_kernel(graph, tree, arrays=arrays)
-    vector = {v: 0.0 for v in tree.order}
-    for u, v, data in graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if u == v:
-            continue
-        meet = tree.lca(u, v)
-        vector[u] += weight
-        vector[v] += weight
-        vector[meet] -= 2 * weight
-    cuts: dict[Edge, float] = {}
-    totals = dict(vector)
-    for node in reversed(tree.order):
-        if node != tree.root:
-            totals[tree.parent[node]] += totals[node]
-            cuts[tree.edge_of(node)] = totals[node]
-    return cuts
+    return cover_values_kernel(graph, tree, arrays=arrays)
 
 
 def one_respecting_min_cut(

@@ -76,12 +76,6 @@ from repro.kernel.batched import (
     batched_two_respecting_oracle_many,
     stack_candidates,
 )
-from repro.kernel.config import (
-    kernel_enabled,
-    parse_kernel_flag,
-    use_kernel,
-    use_legacy,
-)
 from repro.kernel.cut_kernel import GraphArrays, partition_cut_weight_arrays
 from repro.kernel.forest import stacked_tree_arrays
 from repro.ma.simulation import congest_estimates
@@ -112,15 +106,12 @@ class SolverConfig:
         :func:`~repro.core.registry.registered_solvers`.
     backend:
         Graph representation the CLI / builders construct: ``"csr"``
-        (flat-array fast path) or ``"networkx"`` (legacy reference).
-        Both produce bit-identical results; the solve path itself
-        accepts either graph type regardless of this setting.
+        (flat arrays, integer node indices) or ``"networkx"`` (a
+        :class:`networkx.Graph` keyed by the original labels).  Both
+        produce bit-identical results; the solve path itself accepts
+        either graph type regardless of this setting.
     num_trees:
         Override for the Theorem 12 packing size (default Θ(log n)).
-    tree_kernel:
-        Tri-state kernel switch: ``None`` inherits the ambient
-        ``REPRO_TREE_KERNEL`` setting, ``True``/``False`` pin the
-        array-kernel / legacy paths for this session's solves.
     batch_bytes:
         Scratch budget for the stacked-tensor batched oracle;
         ``None`` inherits ``REPRO_BATCH_BYTES`` (default 256 MiB).
@@ -141,7 +132,6 @@ class SolverConfig:
     solver: str = "minor-aggregation"
     backend: str = "csr"
     num_trees: int | None = None
-    tree_kernel: bool | None = None
     batch_bytes: int | None = None
     compute_congest: bool = True
     trace: bool | None = None
@@ -165,22 +155,20 @@ class SolverConfig:
     ) -> "SolverConfig":
         """Capture the ``REPRO_*`` environment knobs into an explicit config.
 
-        ``REPRO_TREE_KERNEL``, ``REPRO_BATCH_BYTES``, and ``REPRO_TRACE``
-        become ``tree_kernel`` / ``batch_bytes`` / ``trace`` (absent or
-        unparsable values stay ``None`` = inherit at run time); keyword
-        overrides win.
+        ``REPRO_BATCH_BYTES`` and ``REPRO_TRACE`` become ``batch_bytes``
+        / ``trace`` (absent, unparsable or non-positive values stay
+        ``None`` = inherit at run time); keyword overrides win.
         """
         env = os.environ if env is None else env
         fields: dict = {}
-        raw = env.get("REPRO_TREE_KERNEL")
-        if raw is not None:
-            fields["tree_kernel"] = parse_kernel_flag(raw)
         raw = env.get("REPRO_BATCH_BYTES")
         if raw is not None:
             try:
-                fields["batch_bytes"] = int(raw)
+                value = int(raw)
             except ValueError:
-                pass
+                value = 0
+            if value > 0:
+                fields["batch_bytes"] = value
         raw = env.get("REPRO_TRACE")
         if raw is not None:
             fields["trace"] = obs_trace.parse_trace_flag(raw)
@@ -215,11 +203,6 @@ class SolverConfig:
     def as_dict(self) -> dict:
         """Plain-dict view (JSON-friendly; the CLI ``sweep`` emits it)."""
         return dataclasses.asdict(self)
-
-    def _kernel_scope(self):
-        if self.tree_kernel is None:
-            return nullcontext()
-        return use_kernel() if self.tree_kernel else use_legacy()
 
     def _trace_scope(self):
         if self.trace is None:
@@ -280,7 +263,7 @@ class GraphPacking:
             acct = self._origin_acct or RoundAccountant()
             self._origin_acct = acct
             before = acct.by_label()
-            with self.config._kernel_scope(), self.config._trace_scope():
+            with self.config._trace_scope():
                 with obs_trace.span(
                     "session.pack", seed=self.seed, acct_prefix="packing:"
                 ):
@@ -399,14 +382,12 @@ class GraphPacking:
                 solver=name,
             )
             if position is None:
-                with self.config._kernel_scope():
-                    return entry.fn(self, ctx)
+                return entry.fn(self, ctx)
             n = self.csr.n if self.csr is not None else None
             with obs_trace.span(
                 "session.solve", solver=name, seed=self.seed, n=n
             ) as root:
-                with self.config._kernel_scope():
-                    result = entry.fn(self, ctx)
+                result = entry.fn(self, ctx)
             # Everything this thread recorded during the solve (the pack
             # subtree is a sibling of the root span, not a child).
             spans = [
@@ -761,10 +742,6 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
     description="centralized 2-respecting brute force, batched over stacked kernels",
 )
 def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
-    if packed.csr is None and not kernel_enabled():
-        # REPRO_TREE_KERNEL=legacy on networkx input: the pure-Python
-        # per-tree reference.
-        return packed.finalize(_per_tree_oracle(packed), ctx)
     degraded = None
     started = time.perf_counter()
     try:
@@ -1103,64 +1080,63 @@ def _solve_many_oracle(
     graphs: "list[CSRGraph]", seeds: "list[int]", cfg: SolverConfig
 ) -> list[MinCutResult]:
     """The fused CSR/oracle sweep: batch every stage across graphs."""
-    with cfg._kernel_scope():
-        for graph in graphs:
-            if not graph.is_connected():
-                components = len(np.unique(graph.connected_components()))
-                raise GraphValidationError(
-                    f"graph must be connected: {graph.n} nodes form "
-                    f"{components} connected components"
-                )
-
-        with obs_trace.span(
-            "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
-        ):
-            many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
-
-        # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
-        # with a common node count share one level-synchronous build.
-        roots = [_root_position(graph.nodes) for graph in graphs]
-        with obs_trace.span("sweep.stacks", graphs=len(graphs)):
-            stacks = _build_stacks(
-                [graph.n for graph in graphs],
-                [packing.tree_edge_arrays for packing in many.packings],
-                roots,
+    for graph in graphs:
+        if not graph.is_connected():
+            components = len(np.unique(graph.connected_components()))
+            raise GraphValidationError(
+                f"graph must be connected: {graph.n} nodes form "
+                f"{components} connected components"
             )
 
-        # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
-        arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
-        jobs = [
-            OracleJob.from_arrays(
-                arrays_list[g], stacks[g].tin, stacks[g].tout, stacks[g].pos
-            )
-            for g in range(len(graphs))
-        ]
-        with obs_trace.span("sweep.oracle", graphs=len(graphs)):
-            solved = batched_two_respecting_oracle_many(
-                jobs, batch_bytes=cfg.batch_bytes
-            )
+    with obs_trace.span(
+        "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
+    ):
+        many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
 
-        # Stage 4: per-graph candidate decode + witness extraction.
-        results = []
-        for g, graph in enumerate(graphs):
-            packing = many.packings[g]
-            results.append(
-                _finalize_candidates(
-                    graph=graph,
-                    csr=graph,
-                    arrays=arrays_list[g],
-                    packing=packing,
-                    # finalize roots only the winning tree
-                    rooted_for=lambda index, trees=packing.trees, root=roots[g]: (
-                        RootedTree(trees[index], root)
-                    ),
-                    candidates=stack_candidates(*solved[g], stacks[g]),
-                    acct=many.accountants[g],
-                    compute_congest=cfg.compute_congest,
-                    solver_name="oracle",
-                )
+    # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
+    # with a common node count share one level-synchronous build.
+    roots = [_root_position(graph.nodes) for graph in graphs]
+    with obs_trace.span("sweep.stacks", graphs=len(graphs)):
+        stacks = _build_stacks(
+            [graph.n for graph in graphs],
+            [packing.tree_edge_arrays for packing in many.packings],
+            roots,
+        )
+
+    # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
+    arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
+    jobs = [
+        OracleJob.from_arrays(
+            arrays_list[g], stacks[g].tin, stacks[g].tout, stacks[g].pos
+        )
+        for g in range(len(graphs))
+    ]
+    with obs_trace.span("sweep.oracle", graphs=len(graphs)):
+        solved = batched_two_respecting_oracle_many(
+            jobs, batch_bytes=cfg.batch_bytes
+        )
+
+    # Stage 4: per-graph candidate decode + witness extraction.
+    results = []
+    for g, graph in enumerate(graphs):
+        packing = many.packings[g]
+        results.append(
+            _finalize_candidates(
+                graph=graph,
+                csr=graph,
+                arrays=arrays_list[g],
+                packing=packing,
+                # finalize roots only the winning tree
+                rooted_for=lambda index, trees=packing.trees, root=roots[g]: (
+                    RootedTree(trees[index], root)
+                ),
+                candidates=stack_candidates(*solved[g], stacks[g]),
+                acct=many.accountants[g],
+                compute_congest=cfg.compute_congest,
+                solver_name="oracle",
             )
-        return results
+        )
+    return results
 
 
 def _root_position(labels: "list | None") -> int:

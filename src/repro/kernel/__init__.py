@@ -6,8 +6,9 @@ tree kernels and solves their 2-respecting oracles in one numpy pass --
 for the packed trees of one graph or, via ``OracleJob`` /
 ``batched_two_respecting_oracle_many``, across a whole sweep of graphs;
 ``forest`` builds BFS/Euler arrays for stacks of same-size trees without
-per-tree Python loops; ``config`` is the switch between the kernel paths
-and the pure-Python reference implementations.
+per-tree Python loops.  These are the only implementations of the tree
+and cut primitives; ``tests/test_kernel.py`` checks them against
+brute-force component cuts.
 """
 
 from repro.kernel.batched import (
@@ -15,13 +16,6 @@ from repro.kernel.batched import (
     batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
     env_batch_bytes,
-)
-from repro.kernel.config import (
-    kernel_enabled,
-    parse_kernel_flag,
-    set_kernel_enabled,
-    use_kernel,
-    use_legacy,
 )
 from repro.kernel.cut_kernel import (
     GraphArrays,
@@ -44,11 +38,6 @@ __all__ = [
     "stacked_tree_arrays",
     "cover_values_kernel",
     "cut_partition_kernel",
-    "kernel_enabled",
-    "parse_kernel_flag",
     "pair_cover_matrix_kernel",
     "partition_cut_weight_arrays",
-    "set_kernel_enabled",
-    "use_kernel",
-    "use_legacy",
 ]

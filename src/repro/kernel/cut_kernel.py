@@ -1,6 +1,6 @@
 """Vectorized cover/cut computations on top of :class:`TreeKernel`.
 
-Two algorithmic upgrades over the legacy path-walking implementations:
+Two algorithmic upgrades over walking each graph edge's tree path:
 
 * :func:`cover_values_kernel` -- the classic differencing trick: every graph
   edge ``{u, v}`` of weight ``w`` deposits ``+w`` at both endpoints and
@@ -27,7 +27,8 @@ Two algorithmic upgrades over the legacy path-walking implementations:
     = ``Cov(e)`` exactly, so one vectorized formula covers everything.
 
 All sums are plain float64 additions of the original weights, so for
-integer weights the results are bit-identical to the legacy reference.
+integer weights the results are exact: ``tests/test_kernel.py`` matches
+them bit for bit against brute-force component cuts.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class GraphArrays:
 
     Self-loops are dropped (they never cross a cut); zero-weight edges
     stay in the arrays so cut witnesses can still report them as crossing
-    (cover computations filter them out via ``weights != 0`` where the
-    legacy reference skips them).
+    (cover computations filter them out via ``weights != 0``).
 
     Weights pass through one dtype-checked conversion that rejects
     NaN/negative values up front -- bad inputs used to surface much later
@@ -214,8 +214,8 @@ def pair_cover_matrix_kernel(
 ) -> "tuple[list[Edge], np.ndarray]":
     """``Cov(e, f)`` for every pair of tree edges in O(n^2 + m).
 
-    Returns the tree-edge list in the legacy order (BFS order of the bottom
-    nodes) and the symmetric matrix with ``M[i, i] = Cov(e_i)``.
+    Returns the tree-edge list in ``tree.edges()`` order (BFS order of the
+    bottom nodes) and the symmetric matrix with ``M[i, i] = Cov(e_i)``.
     """
     kernel = tree.kernel
     arrays = _arrays_for(graph, arrays)
@@ -295,9 +295,10 @@ def partition_cut_weight_arrays(
 ) -> tuple[float, list[tuple[Node, Node]]]:
     """Weight and crossing edges of a node bipartition, vectorized.
 
-    Equivalent to the legacy ``partition_cut_weight`` (same edge order,
-    zero-weight crossing edges included) but does the membership test as
-    one boolean-array XOR instead of a Python loop per edge.
+    Equivalent to the networkx edge loop of ``partition_cut_weight`` (same
+    edge order, zero-weight crossing edges included) but does the
+    membership test as one boolean-array XOR instead of a Python loop per
+    edge.
     """
     from repro.trees.rooted import edge_key
 

@@ -19,9 +19,9 @@ Rounds that are *not* lowerable -- non-numeric operators (FIRST, DICT_SUM,
 Misra-Gries sketches), closure edge messages, object-dtype inputs,
 bit-audited engines -- fall back to the inherited closure body, so every
 algorithm written against ``round()`` runs unchanged.  The closure engine
-remains the bit-identical correctness reference (the same pattern the tree
-kernel uses with legacy mode); the parity suite (``pytest -m ma``) asserts
-identical :class:`~repro.ma.engine.MARoundResult` contents and identical
+remains the bit-identical correctness reference; the parity suite
+(``pytest -m ma``) asserts identical
+:class:`~repro.ma.engine.MARoundResult` contents and identical
 :class:`~repro.accounting.RoundAccountant` ledgers across both engines.
 
 Float caveat: segmented folds reduce in the exact node/edge order the

@@ -15,8 +15,6 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 import networkx as nx
 
-from repro.kernel.config import kernel_enabled
-
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.kernel.tree_kernel import TreeKernel
 
@@ -149,29 +147,13 @@ class RootedTree:
     def is_ancestor(self, ancestor: Node, node: Node) -> bool:
         """``ancestor`` lies on the root-to-``node`` path (inclusive).
 
-        Kernel path: an O(1) Euler-interval containment test.
+        An O(1) Euler-interval containment test on the kernel.
         """
-        if kernel_enabled():
-            return self.kernel.is_ancestor(ancestor, node)
-        if self.depth[ancestor] > self.depth[node]:
-            return False
-        current = node
-        while self.depth[current] > self.depth[ancestor]:
-            current = self.parent[current]
-        return current == ancestor
+        return self.kernel.is_ancestor(ancestor, node)
 
     def lca(self, u: Node, v: Node) -> Node:
-        """Lowest common ancestor (binary lifting on the kernel path)."""
-        if kernel_enabled():
-            return self.kernel.lca(u, v)
-        while self.depth[u] > self.depth[v]:
-            u = self.parent[u]
-        while self.depth[v] > self.depth[u]:
-            v = self.parent[v]
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
-        return u
+        """Lowest common ancestor (binary lifting on the kernel)."""
+        return self.kernel.lca(u, v)
 
     # ------------------------------------------------------------------
     # Subtrees and paths
@@ -179,29 +161,15 @@ class RootedTree:
     def subtree_nodes(self, node: Node) -> list[Node]:
         """All descendants of ``node`` (inclusive), preorder.
 
-        Kernel path: a single slice of the cached preorder sequence (the
-        kernel's Euler tour uses the same stack discipline, so the order
-        is identical to the legacy enumeration).
+        A single slice of the kernel's cached preorder sequence: its Euler
+        tour pops a stack and pushes each node's children in order, so a
+        node's children are visited last-child first.
         """
-        if kernel_enabled():
-            return self.kernel.subtree_nodes(node)
-        result = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            result.append(current)
-            stack.extend(self.children[current])
-        return result
+        return self.kernel.subtree_nodes(node)
 
     def subtree_sizes(self) -> dict[Node, int]:
         """|desc(v)| for every node (Euler interval widths on the kernel)."""
-        if kernel_enabled():
-            return self.kernel.subtree_sizes()
-        sizes = {node: 1 for node in self.order}
-        for node in reversed(self.order):
-            for child in self.children[node]:
-                sizes[node] += sizes[child]
-        return sizes
+        return self.kernel.subtree_sizes()
 
     def path_edges(self, u: Node, v: Node) -> list[Edge]:
         """Tree edges on the unique u-v path (the covering set of {u, v})."""

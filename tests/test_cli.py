@@ -96,6 +96,31 @@ class TestCommands:
         assert missing in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("command", ["mincut", "sweep", "profile", "serve"])
+    def test_bad_solver_argument_is_one_line_error(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--trees", "0"])
+        assert excinfo.value.code == "num_trees must be positive"
+
+    def test_bad_solver_argument_from_the_shell(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "mincut", "--family", "gnm",
+             "--n", "20", "--trees", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == "num_trees must be positive"
+
     def test_missing_edges_file_from_the_shell(self, tmp_path):
         import os
         import subprocess

@@ -78,3 +78,23 @@ class TestFidelity:
             totals.append(result.ma_rounds)
         assert totals[-1] <= 40 * math.log2(800) ** 3
         assert totals[-1] < 16 * totals[0]  # far from linear growth
+
+
+class TestSchedulePinned:
+    """The merge schedule (iterations, part counts, charged rounds) is a
+    reported paper metric; these literals pin it for fixed seeded trees."""
+
+    SCHEDULES = {
+        0: (3, [50, 25, 11, 1], 318.0),
+        1: (5, [50, 24, 11, 3, 2, 1], 522.0),
+        2: (4, [50, 27, 12, 2, 1], 420.0),
+        3: (4, [50, 27, 13, 5, 1], 419.0),
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hld_construction_schedule_pinned(self, seed):
+        result = build_hld_distributed(random_tree(50, seed=seed))
+        iterations, part_counts, ma_rounds = self.SCHEDULES[seed]
+        assert result.iterations == iterations
+        assert result.part_counts == part_counts
+        assert result.ma_rounds == ma_rounds

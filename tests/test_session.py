@@ -30,7 +30,6 @@ class TestSolverConfig:
         assert config.solver == "minor-aggregation"
         assert config.backend == "csr"
         assert config.num_trees is None
-        assert config.tree_kernel is None
         assert config.batch_bytes is None
         assert config.compute_congest is True
 
@@ -51,24 +50,24 @@ class TestSolverConfig:
             repro.SolverConfig(**fields)
 
     def test_from_env_round_trip(self):
-        env = {"REPRO_TREE_KERNEL": "legacy", "REPRO_BATCH_BYTES": "12345"}
+        env = {"REPRO_BATCH_BYTES": "12345", "REPRO_TRACE": "0"}
         config = repro.SolverConfig.from_env(env)
-        assert config.tree_kernel is False
         assert config.batch_bytes == 12345
+        assert config.trace is False
         assert repro.SolverConfig.from_env({}) == repro.SolverConfig()
         # overrides win over the environment
-        assert repro.SolverConfig.from_env(env, tree_kernel=True).tree_kernel
+        overridden = repro.SolverConfig.from_env(env, batch_bytes=777)
+        assert overridden.batch_bytes == 777
 
     def test_from_env_reads_process_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_KERNEL", "on")
         monkeypatch.setenv("REPRO_BATCH_BYTES", "999")
         config = repro.SolverConfig.from_env()
-        assert config.tree_kernel is True
         assert config.batch_bytes == 999
 
     def test_from_env_ignores_garbage_batch_bytes(self):
-        config = repro.SolverConfig.from_env({"REPRO_BATCH_BYTES": "lots"})
-        assert config.batch_bytes is None
+        for raw in ("lots", "0", "-5"):
+            config = repro.SolverConfig.from_env({"REPRO_BATCH_BYTES": raw})
+            assert config.batch_bytes is None
 
     def test_from_args_round_trip(self):
         args = build_parser().parse_args(
@@ -217,17 +216,6 @@ class TestStagedSessions:
         reference = repro.minimum_cut(graph, seed=6, solver="oracle", num_trees=4)
         assert result.value == reference.value
         assert result.partition == reference.partition
-
-    def test_tree_kernel_pin_matches_flag_context(self):
-        graph = build("gnm", 20, 8).to_networkx()
-        pinned = repro.MinCutSolver(
-            repro.SolverConfig(solver="oracle", tree_kernel=False)
-        ).solve(graph, seed=8)
-        with repro.use_legacy():
-            reference = repro.minimum_cut(graph, seed=8, solver="oracle")
-        assert pinned.value == reference.value
-        assert pinned.partition == reference.partition
-        assert pinned.candidate == reference.candidate
 
     def test_batch_bytes_pin_changes_nothing_observable(self):
         graph = build("gnm", 24, 10)
