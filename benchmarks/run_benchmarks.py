@@ -584,7 +584,7 @@ def run_oracle_stack_bench(repeats: int) -> dict:
         )
         per_tree_samples, per_tree = _timed(
             lambda: [
-                two_respecting_oracle(packed.graph, tree, arrays=arrays)
+                two_respecting_oracle(packed.csr, tree, arrays=arrays)
                 for tree in rooted
             ],
             repeats,

@@ -14,7 +14,6 @@ Run:  python examples/tree_packing_demo.py
 import repro
 from repro.baselines import stoer_wagner_min_cut
 from repro.graphs import random_connected_gnm
-from repro.trees.rooted import RootedTree, edge_key
 
 
 def main() -> None:
@@ -30,9 +29,7 @@ def main() -> None:
 
     crossings = []
     for index, tree in enumerate(packing.trees):
-        crossed = sum(
-            1 for u, v in tree.edges() if (u in side) != (v in side)
-        )
+        crossed = sum(1 for u, v in tree if (u in side) != (v in side))
         crossings.append(crossed)
         marker = " <-- 2-respects the min-cut" if crossed <= 2 else ""
         print(f"  tree {index:2d}: min-cut crosses {crossed} edges{marker}")
@@ -42,9 +39,7 @@ def main() -> None:
     print(f"\n2-respecting solver found value {result.value} on tree "
           f"#{result.best_tree_index}")
     print(f"witness tree edges: {result.respecting_edges}")
-    tree = packing.trees[result.best_tree_index]
-    root = min(tree.nodes())
-    rooted = RootedTree(tree, root)
+    rooted = packing.rooted_tree(result.best_tree_index, root=0)
     for edge in result.respecting_edges:
         print(f"  {edge}: subtree below has "
               f"{len(rooted.subtree_nodes(rooted.bottom(edge)))} nodes")

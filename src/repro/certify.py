@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import CertificationError
-from repro.graphs.csr import CSRGraph, DisjointSets
+from repro.graphs.csr import DisjointSets, as_csr
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import edge_key
@@ -83,12 +83,6 @@ class Certificate:
         }
 
 
-def _as_csr(graph) -> CSRGraph:
-    if isinstance(graph, CSRGraph):
-        return graph
-    return CSRGraph.from_networkx(graph)
-
-
 def certify_cut(
     graph,
     partition,
@@ -115,7 +109,7 @@ def _certify_cut(
     value: float,
     cut_edges=None,
 ) -> Certificate:
-    csr = _as_csr(graph)
+    csr = as_csr(graph)
     labels = csr.node_labels()
     index_of = {label: i for i, label in enumerate(labels)}
     checks: dict = {}

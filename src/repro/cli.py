@@ -23,12 +23,11 @@ The ``sweep`` command runs a whole family sweep through the batched
 :func:`repro.minimum_cut_many` entrypoint (one amortized pipeline across
 all instances, bit-identical to per-graph runs) and reports JSON.
 
-Graphs are built on the CSR fast path by default.  With ``--solver
-oracle`` the whole pipeline stays on flat arrays (no networkx object is
-constructed); the default ``minor-aggregation`` solver simulates the
-paper's distributed recursion, which crosses the networkx boundary once
-per run.  ``--backend networkx`` builds networkx graphs instead; both
-backends return bit-identical results.
+Graphs are built as CSR graphs (:class:`~repro.graphs.csr.CSRGraph`) by
+default, and every solver runs on the CSR arrays.  ``--backend
+networkx`` only picks what the CLI builds: a networkx graph, which the
+session converts back once with :meth:`CSRGraph.from_networkx` -- an I/O
+round trip that returns bit-identical results.
 
 There is exactly **one** family table: the CSR-first builders in
 :data:`repro.graphs.CSR_FAMILY_BUILDERS`.  The networkx-returning
@@ -196,7 +195,7 @@ def cmd_sweep(args) -> int:
     certify = getattr(args, "certify", False)
     try:
         config = repro.SolverConfig.from_args(args)
-        builder = _family_builder(args.family, config.backend)
+        builder = _family_builder(args.family, args.backend)
         graphs = [builder(args.n, seed) for seed in seeds]
         start = time.perf_counter()
         results = repro.minimum_cut_many(
@@ -433,7 +432,7 @@ def cmd_info(_args) -> int:
     print("solvers  :")
     for name, description in solver_descriptions().items():
         print(f"  {name:<20} {description}")
-    print("backends : csr (flat-array fast path, default), networkx")
+    print("backends : csr (default), networkx (converted to csr on input)")
     print("see also : python -m repro.experiments  (paper-vs-measured report)")
     return 0
 
@@ -455,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--backend", default="csr", choices=["csr", "networkx"],
-            help="graph representation (csr = flat-array fast path)",
+            help="graph type the CLI builds (networkx is converted to csr "
+                 "on input)",
         )
 
     def add_solver_args(p):

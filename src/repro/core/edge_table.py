@@ -93,22 +93,22 @@ def chains(root: Node, paths: Iterable[Iterable[Node]]) -> list[tuple[Node, Node
     return edges
 
 
-def edge_table(graph) -> EdgeTable:
+def edge_table(graph, labelled: bool = False) -> EdgeTable:
     """A graph's ordered table, read once.
 
     A table passes through unchanged.  A networkx graph (duck-typed) is
     read in ``edges()`` order, unweighted edges counting 1.  A
     :class:`~repro.graphs.csr.CSRGraph` is read straight from its
     canonical edge arrays, in index space (as
-    :meth:`~repro.kernel.cut_kernel.GraphArrays.from_csr`): for an
-    identity-labelled graph that is exactly what
-    ``csr.to_networkx().edges()`` enumerates, integral weights as Python
-    ints.
+    :meth:`~repro.kernel.cut_kernel.GraphArrays.from_csr`), or over its
+    node labels when ``labelled``: either way exactly what
+    ``csr.to_networkx().edges()`` enumerates for the graph's labels,
+    integral weights as Python ints.
     """
     if isinstance(graph, list):
         return graph
     if isinstance(graph, CSRGraph):
-        return _csr_edge_table(graph)
+        return _csr_edge_table(graph, labelled)
     return [
         (u, v, w)
         for u, v, w in graph.edges(data="weight", default=1)
@@ -116,11 +116,15 @@ def edge_table(graph) -> EdgeTable:
     ]
 
 
-def _csr_edge_table(csr: CSRGraph) -> EdgeTable:
+def _csr_edge_table(csr: CSRGraph, labelled: bool) -> EdgeTable:
     keep = (csr.edge_u != csr.edge_v) & (csr.edge_w != 0)
     us = csr.edge_u[keep].tolist()
     vs = csr.edge_v[keep].tolist()
     ws = csr.edge_w[keep].tolist()
     if csr.int_weights:
         ws = [int(w) for w in ws]
+    if labelled and csr.nodes is not None:
+        labels = csr.nodes
+        us = [labels[u] for u in us]
+        vs = [labels[v] for v in vs]
     return list(zip(us, vs, ws))

@@ -22,16 +22,13 @@ is the historical one-shot spelling, kept as a thin wrapper over a
 default session -- bit-identical results (value, witness, partition, and
 round ledger) to the pre-session implementation.
 
-Two input types share the function:
-
-* a **networkx** graph is indexed once into the same array kernel and
-  keeps its node labels throughout;
-* a :class:`~repro.graphs.csr.CSRGraph` runs the CSR-native hot path --
-  CSR packing, one shared array extraction, and (for the ``"oracle"``
-  solver) the batched stacked-kernel solve of all packed trees in one
-  numpy pass -- with **no networkx object constructed anywhere**.  Both
-  paths make identical decisions, so for the same underlying graph they
-  return bit-identical values, witnesses, and partitions.
+A networkx input is converted once, where it enters, with
+:meth:`CSRGraph.from_networkx <repro.graphs.csr.CSRGraph.from_networkx>`;
+from there on every stage -- packing, one shared array extraction, the
+registered solvers and the witness -- runs on the
+:class:`~repro.graphs.csr.CSRGraph`, and results name the input's node
+labels.  A networkx graph and its CSR conversion therefore return
+identical results.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Hashable
 import networkx as nx
 
 from repro.accounting import RoundAccountant
-from repro.core.cut_values import CutCandidate, partition_cut_weight
+from repro.core.cut_values import CutCandidate
 from repro.core.tree_packing import TreePacking
 from repro.graphs.csr import CSRGraph
 from repro.ma.simulation import CongestEstimates
@@ -88,26 +85,8 @@ class MinCutResult:
 
 def _empty_packing(value: float) -> TreePacking:
     return TreePacking(
-        trees=[], sampled=False, sampling_probability=None,
+        tree_edge_arrays=[], sampled=False, sampling_probability=None,
         approx_cut_value=value, ma_rounds=0.0,
-    )
-
-
-def _two_node_cut(graph: nx.Graph) -> MinCutResult:
-    nodes = list(graph.nodes())
-    side = frozenset([nodes[0]])
-    value, crossing = partition_cut_weight(graph, side)
-    candidate = CutCandidate(value=value, edges=tuple(crossing[:1]))
-    return MinCutResult(
-        value=value,
-        partition=(side, frozenset([nodes[1]])),
-        cut_edges=crossing,
-        candidate=candidate,
-        best_tree_index=0,
-        packing=_empty_packing(value),
-        ma_rounds=0.0,
-        congest=None,
-        solver="trivial",
     )
 
 

@@ -1,8 +1,10 @@
 """Solver registry: every min-cut solver reachable through one interface.
 
 A *solver* is a callable ``fn(packed, ctx) -> MinCutResult`` taking a
-:class:`~repro.core.session.GraphPacking` handle (graph + lazily computed
-tree packing + shared arrays) plus the per-solve
+:class:`~repro.core.session.GraphPacking` handle (a
+:class:`~repro.graphs.csr.CSRGraph` -- networkx inputs are converted
+before any solver runs -- plus its lazily computed tree packing and
+shared arrays) plus the per-solve
 :class:`~repro.core.session.SolveContext` (accountant, congest switch,
 resolved solver name) and returning the uniform
 :class:`~repro.core.mincut.MinCutResult` -- typically via the handle's
@@ -14,15 +16,10 @@ own entries with :func:`register_solver` and reach them through
 ``MinCutSolver``, ``minimum_cut``, ``minimum_cut_many``, and the CLI's
 ``--solver`` flag alike.
 
-Entries carry two behavioural flags:
-
-* ``uses_packing`` -- whether the solver consumes the Theorem 12 tree
-  packing.  Solvers that don't (the centralized baselines) never trigger
-  the packing computation on their handle.
-* ``label_space`` -- whether the solver's internal tie-breaks run in
-  node-label space (the Minor-Aggregation recursion does).  For *labelled*
-  CSR graphs such solvers are rerun through the networkx boundary so both
-  backends stay bit-identical; identity-labelled graphs keep the CSR path.
+Entries carry one behavioural flag, ``uses_packing``: whether the
+solver consumes the Theorem 12 tree packing.  Solvers that don't (the
+centralized baselines) never trigger the packing computation on their
+handle.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ class SolverEntry:
     name: str
     fn: SolverFn
     uses_packing: bool = True
-    label_space: bool = False
     description: str = ""
 
 
@@ -58,7 +54,6 @@ def register_solver(
     fn: SolverFn | None = None,
     *,
     uses_packing: bool = True,
-    label_space: bool = False,
     description: str = "",
 ):
     """Register ``fn`` under ``name``; usable as a decorator.
@@ -72,7 +67,6 @@ def register_solver(
             name=name,
             fn=fn,
             uses_packing=uses_packing,
-            label_space=label_space,
             description=description or (fn.__doc__ or "").strip().split("\n")[0],
         )
         return fn

@@ -8,8 +8,8 @@ compares.  This module is the redesigned public surface:
 
 * :class:`SolverConfig` -- one frozen value object for every knob that
   used to be scattered across keyword arguments and ``REPRO_*``
-  environment variables (solver name, graph backend, tree count, kernel
-  on/off, batched-solve scratch budget, CONGEST estimates on/off).
+  environment variables (solver name, tree count, batched-solve scratch
+  budget, CONGEST estimates on/off, tracing).
 * :class:`MinCutSolver` -- a reusable session bound to a config.
   ``solve(graph)`` runs the full pipeline; ``pack(graph)`` returns a
   :class:`GraphPacking` handle whose Theorem 12 packing can be solved
@@ -22,7 +22,7 @@ compares.  This module is the redesigned public surface:
   :func:`~repro.core.registry.register_solver` adds external entries
   that the CLI's ``--solver`` flag picks up automatically.
 * :func:`minimum_cut_many` -- the batched many-graph entrypoint.  For
-  CSR sweeps under the ``oracle`` solver it amortizes the whole
+  sweeps under the ``oracle`` solver it amortizes the whole
   pipeline across graphs: one concatenated-table tree packing
   (:func:`~repro.core.tree_packing.pack_trees_many`), one stacked
   BFS/Euler kernel build (:mod:`repro.kernel.forest`), and one chunked
@@ -34,6 +34,12 @@ compares.  This module is the redesigned public surface:
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
 to its historical behaviour.
+
+Networkx only at the boundary: ``pack``, ``minimum_cut_many`` and its
+certify step convert a networkx input once with
+:meth:`CSRGraph.from_networkx`, so every stage behind them -- the
+packing handle, validation, the registered solvers, finalize -- sees a
+:class:`~repro.graphs.csr.CSRGraph` and nothing else.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,14 +57,12 @@ from repro.accounting import RoundAccountant
 from repro.core.cut_values import (
     CutCandidate,
     cut_partition,
-    partition_cut_weight,
     two_respecting_oracle,
 )
 from repro.core.mincut import (
     MinCutResult,
     _empty_packing,
     _relabel,
-    _two_node_cut,
     _two_node_cut_csr,
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
@@ -69,11 +73,12 @@ from repro.errors import (
     NumericalRangeError,
     PackingError,
 )
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, as_csr
 from repro.kernel.batched import (
     OracleJob,
     batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
+    parse_batch_bytes,
     stack_candidates,
 )
 from repro.kernel.cut_kernel import GraphArrays, partition_cut_weight_arrays
@@ -92,9 +97,6 @@ __all__ = [
     "minimum_cut_many",
 ]
 
-_BACKENDS = ("csr", "networkx")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Frozen bundle of every pipeline knob.
@@ -104,12 +106,6 @@ class SolverConfig:
     solver:
         Registry name of the solver ``solve()`` dispatches to; see
         :func:`~repro.core.registry.registered_solvers`.
-    backend:
-        Graph representation the CLI / builders construct: ``"csr"``
-        (flat arrays, integer node indices) or ``"networkx"`` (a
-        :class:`networkx.Graph` keyed by the original labels).  Both
-        produce bit-identical results; the solve path itself accepts
-        either graph type regardless of this setting.
     num_trees:
         Override for the Theorem 12 packing size (default Θ(log n)).
     batch_bytes:
@@ -130,17 +126,12 @@ class SolverConfig:
     """
 
     solver: str = "minor-aggregation"
-    backend: str = "csr"
     num_trees: int | None = None
     batch_bytes: int | None = None
     compute_congest: bool = True
     trace: bool | None = None
 
     def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {_BACKENDS}"
-            )
         if self.num_trees is not None and self.num_trees < 1:
             raise ValueError("num_trees must be positive")
         if self.batch_bytes is not None and self.batch_bytes < 1:
@@ -161,14 +152,9 @@ class SolverConfig:
         """
         env = os.environ if env is None else env
         fields: dict = {}
-        raw = env.get("REPRO_BATCH_BYTES")
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError:
-                value = 0
-            if value > 0:
-                fields["batch_bytes"] = value
+        batch_bytes = parse_batch_bytes(env.get("REPRO_BATCH_BYTES"))
+        if batch_bytes is not None:
+            fields["batch_bytes"] = batch_bytes
         raw = env.get("REPRO_TRACE")
         if raw is not None:
             fields["trace"] = obs_trace.parse_trace_flag(raw)
@@ -180,15 +166,12 @@ class SolverConfig:
         """Build a config from CLI-style arguments (argparse namespace).
 
         Starts from :meth:`from_env` so environment knobs flow through
-        CLI runs, then applies ``--solver`` / ``--backend`` / ``--trees``
-        (and ``--no-congest`` where the subcommand defines it).
+        CLI runs, then applies ``--solver`` / ``--trees`` (and
+        ``--no-congest`` where the subcommand defines it).  ``--backend``
+        is not a solver setting: it picks the graph the CLI builds.
         """
         overrides: dict = {}
-        for field, attr in (
-            ("solver", "solver"),
-            ("backend", "backend"),
-            ("num_trees", "trees"),
-        ):
+        for field, attr in (("solver", "solver"), ("num_trees", "trees")):
             value = getattr(args, attr, None)
             if value is not None:
                 overrides[field] = value
@@ -211,7 +194,7 @@ class SolverConfig:
 
 
 class GraphPacking:
-    """A graph validated and (lazily) packed under one session config.
+    """A CSR graph validated and (lazily) packed under one session config.
 
     The handle owns everything ``minimum_cut`` used to recompute per
     call: the Theorem 12 tree packing, the shared
@@ -230,15 +213,13 @@ class GraphPacking:
     def __init__(
         self,
         config: SolverConfig,
-        graph,
-        csr: CSRGraph | None,
+        csr: CSRGraph,
         seed: int,
         num_trees: int | None,
         accountant: RoundAccountant | None,
         trivial: MinCutResult | None = None,
     ):
         self.config = config
-        self.graph = graph
         self.csr = csr
         self.seed = seed
         self.num_trees = num_trees
@@ -268,7 +249,7 @@ class GraphPacking:
                     "session.pack", seed=self.seed, acct_prefix="packing:"
                 ):
                     self._packing = pack_trees(
-                        self.graph,
+                        self.csr,
                         seed=self.seed,
                         num_trees=self.num_trees,
                         accountant=acct,
@@ -289,27 +270,14 @@ class GraphPacking:
         if self._arrays is None:
             self.packing  # noqa: B018 -- packing errors surface first
             with obs_trace.span("session.arrays") as sp:
-                if self.csr is not None:
-                    self._arrays = GraphArrays.from_csr(self.csr)
-                else:
-                    self._arrays = GraphArrays.from_graph(self.graph)
+                self._arrays = GraphArrays.from_csr(self.csr)
                 sp.set(bytes=self._arrays.nbytes)
         return self._arrays
 
     @property
     def root_position(self) -> int:
         """Node index every packed tree is rooted at (:func:`_root_position`)."""
-        return _root_position(
-            self.csr.nodes if self.csr is not None else self.arrays.nodes
-        )
-
-    @property
-    def root(self):
-        """The session root in the trees' own node space: the index for
-        CSR input, the label for networkx input."""
-        if self.csr is not None:
-            return self.root_position
-        return self.arrays.nodes[self.root_position]
+        return _root_position(self.csr.nodes)
 
     @property
     def stack(self):
@@ -317,23 +285,28 @@ class GraphPacking:
         indices, rooted at the session root (built on first use)."""
         if self._stack is None:
             self._stack = _build_stacks(
-                [len(self.arrays.nodes)],
+                [self.csr.n],
                 [self.packing.tree_edge_arrays],
                 [self.root_position],
             )[0]
         return self._stack
 
     def rooted_tree(self, index: int) -> RootedTree:
-        """Packed tree ``index`` rooted at the session root (built on
-        first use; the oracle roots only its winning tree)."""
+        """Packed tree ``index`` over node indices, rooted at the session
+        root (built on first use; the oracle roots only its winning tree)."""
         if index not in self._rooted:
-            self._rooted[index] = RootedTree(self.packing.trees[index], self.root)
+            self._rooted[index] = self.packing.rooted_tree(
+                index, self.root_position
+            )
         return self._rooted[index]
 
     @property
     def rooted_trees(self) -> list[RootedTree]:
         """Every packed tree rooted at the session root."""
-        return [self.rooted_tree(i) for i in range(len(self.packing.trees))]
+        return [
+            self.rooted_tree(i)
+            for i in range(len(self.packing.tree_edge_arrays))
+        ]
 
     # ------------------------------------------------------------------
     # Solving
@@ -354,20 +327,6 @@ class GraphPacking:
             return self._trivial
         name = solver if solver is not None else self.config.solver
         entry = get_solver(name)
-        if entry.label_space and self.csr is not None and self.csr.nodes is not None:
-            # Label-space solvers (the Minor-Aggregation recursion) break
-            # ties in node-label space; labelled CSR graphs cross the
-            # networkx boundary wholesale so both backends stay
-            # bit-identical.  Identity-labelled CSR keeps the fast path.
-            config = self.config.replace(solver=name)
-            if compute_congest is not None:
-                config = config.replace(compute_congest=compute_congest)
-            return MinCutSolver(config).solve(
-                self.csr.to_networkx(),
-                seed=self.seed,
-                num_trees=self.num_trees,
-                accountant=accountant,
-            )
         with self.config._trace_scope():
             # Mark before the accountant setup: it triggers the lazy
             # packing, whose spans belong in this solve's profile.
@@ -383,9 +342,8 @@ class GraphPacking:
             )
             if position is None:
                 return entry.fn(self, ctx)
-            n = self.csr.n if self.csr is not None else None
             with obs_trace.span(
-                "session.solve", solver=name, seed=self.seed, n=n
+                "session.solve", solver=name, seed=self.seed, n=self.csr.n
             ) as root:
                 result = entry.fn(self, ctx)
             # Everything this thread recorded during the solve (the pack
@@ -427,7 +385,6 @@ class GraphPacking:
     ) -> MinCutResult:
         """Select the best per-tree candidate and materialise the witness."""
         return _finalize_candidates(
-            graph=self.graph,
             csr=self.csr,
             arrays=self.arrays,
             packing=self.packing,
@@ -454,27 +411,15 @@ class GraphPacking:
         Minor-Aggregation round count down to CONGEST, and a centralized
         baseline executes no Minor-Aggregation rounds to compile.
         """
-        if self.csr is not None:
-            if in_label_space and self.csr.nodes is not None:
-                index_of = {
-                    label: i for i, label in enumerate(self.csr.nodes)
-                }
-                side = frozenset(index_of[label] for label in side)
-            arrays = self._arrays or GraphArrays.from_csr(self.csr)
-            self._arrays = arrays
-            value, crossing = partition_cut_weight_arrays(arrays, side)
-            universe: Iterable = range(self.csr.n)
-        else:
-            arrays = self._arrays or GraphArrays.from_graph(self.graph)
-            self._arrays = arrays
-            value, crossing = partition_cut_weight(
-                self.graph, side, arrays=arrays
-            )
-            universe = self.graph.nodes()
-        other = frozenset(set(universe) - side)
+        labels = self.csr.nodes
+        if in_label_space and labels is not None:
+            side = frozenset(self.csr.index_of(label) for label in side)
+        if self._arrays is None:
+            self._arrays = GraphArrays.from_csr(self.csr)
+        value, crossing = partition_cut_weight_arrays(self._arrays, side)
+        other = frozenset(set(range(self.csr.n)) - side)
         candidate = CutCandidate(value=value, edges=())
-        if self.csr is not None and self.csr.nodes is not None:
-            labels = self.csr.nodes
+        if labels is not None:
             side = frozenset(labels[i] for i in side)
             other = frozenset(labels[i] for i in other)
             crossing = [edge_key(labels[u], labels[v]) for u, v in crossing]
@@ -525,15 +470,14 @@ class MinCutSolver:
         accountant: RoundAccountant | None = None,
     ) -> GraphPacking:
         """Validate ``graph`` and return the (lazily packed) session handle."""
-        csr, trivial = _validate_graph(graph)
+        csr = as_csr(graph)
         return GraphPacking(
             config=self.config,
-            graph=graph,
             csr=csr,
             seed=seed,
             num_trees=num_trees if num_trees is not None else self.config.num_trees,
             accountant=accountant,
-            trivial=trivial,
+            trivial=_validate_graph(csr),
         )
 
     def solve(
@@ -564,43 +508,31 @@ class MinCutSolver:
         return minimum_cut_many(graphs, config=self.config, seeds=seeds)
 
 
-def _validate_graph(graph) -> tuple[CSRGraph | None, MinCutResult | None]:
-    """Shared input validation; returns (csr_or_None, trivial_result).
+def _validate_graph(csr: CSRGraph) -> MinCutResult | None:
+    """Shared input validation; returns the trivial result of a two-node
+    graph (``None`` otherwise).
 
-    One path for both graph types: the CSR and networkx branches used to
-    duplicate these checks with bare ``ValueError``\\ s; now every caller
-    (``pack``, ``minimum_cut_many``, the fused oracle sweep) raises the
-    same :class:`~repro.errors.GraphValidationError` with the numbers a
-    user needs to act on (node count, component count).
+    Every caller (``pack``, ``minimum_cut_many``) raises the same
+    :class:`~repro.errors.GraphValidationError` with the numbers a user
+    needs to act on (node count, component count).
     """
-    csr = graph if isinstance(graph, CSRGraph) else None
-    n = csr.n if csr is not None else graph.number_of_nodes()
+    n = csr.n
     if n < 2:
         raise GraphValidationError(
             f"minimum cut needs at least two nodes, got a graph with {n}"
         )
-    if csr is not None:
+    if not csr.is_connected():
         components = len(np.unique(csr.connected_components()))
-    else:
-        import networkx as nx
-
-        components = nx.number_connected_components(graph)
-    if components != 1:
         raise GraphValidationError(
             f"graph must be connected: {n} nodes form {components} "
             "connected components (every cut of a disconnected graph is "
             "trivially 0; solve each component separately)"
         )
-    if n == 2:
-        return csr, (
-            _two_node_cut_csr(csr) if csr is not None else _two_node_cut(graph)
-        )
-    return csr, None
+    return _two_node_cut_csr(csr) if n == 2 else None
 
 
 def _finalize_candidates(
-    graph,
-    csr: CSRGraph | None,
+    csr: CSRGraph,
     arrays: GraphArrays,
     packing,
     rooted_for,
@@ -614,14 +546,13 @@ def _finalize_candidates(
         "session.finalize", solver=solver_name, trees=len(candidates)
     ):
         return _finalize_candidates_inner(
-            graph, csr, arrays, packing, rooted_for, candidates, acct,
+            csr, arrays, packing, rooted_for, candidates, acct,
             compute_congest, solver_name, solve_stats,
         )
 
 
 def _finalize_candidates_inner(
-    graph,
-    csr: CSRGraph | None,
+    csr: CSRGraph,
     arrays: GraphArrays,
     packing,
     rooted_for,
@@ -640,10 +571,7 @@ def _finalize_candidates_inner(
     assert best is not None
     best_rooted = rooted_for(best_index)
     side = cut_partition(best_rooted, best.edges)
-    if csr is not None:
-        value, crossing = partition_cut_weight_arrays(arrays, side)
-    else:
-        value, crossing = partition_cut_weight(graph, side, arrays=arrays)
+    value, crossing = partition_cut_weight_arrays(arrays, side)
     # Relative tolerance: candidate values come from prefix-sum/matrix
     # accumulation whose float error scales with total graph weight, while
     # the partition weight sums only the crossing edges.
@@ -654,20 +582,16 @@ def _finalize_candidates_inner(
             candidate_value=best.value,
             partition_value=value,
         )
-    if csr is not None:
-        universe: Iterable = range(csr.n)
-    else:
-        universe = graph.nodes()
-    other = frozenset(set(universe) - side)
+    other = frozenset(set(range(csr.n)) - side)
 
     congest = None
     if compute_congest:
-        if csr is not None:
-            congest = congest_estimates(acct.total, n=csr.n, diameter=csr.diameter())
-        else:
-            congest = congest_estimates(acct.total, graph=graph)
+        congest = congest_estimates(acct.total, n=csr.n, diameter=csr.diameter())
 
-    stats: dict = {"accountant": acct.snapshot(), "trees": len(packing.trees)}
+    stats: dict = {
+        "accountant": acct.snapshot(),
+        "trees": len(packing.tree_edge_arrays),
+    }
     if solve_stats is not None:
         stats["general_solver"] = {
             "instances": solve_stats.instances,
@@ -675,7 +599,7 @@ def _finalize_candidates_inner(
             "max_virtual_nodes": solve_stats.max_virtual_nodes,
         }
 
-    if csr is not None and csr.nodes is not None:
+    if csr.nodes is not None:
         # Map the index-space witness back onto the graph's labels.
         labels = csr.nodes
         side = frozenset(labels[i] for i in side)
@@ -702,7 +626,6 @@ def _finalize_candidates_inner(
 # ----------------------------------------------------------------------
 @register_solver(
     "minor-aggregation",
-    label_space=True,
     description="the paper's 2-respecting recursion with full round accounting",
 )
 def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
@@ -710,16 +633,27 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
     from repro.core.general import two_respecting_min_cut
 
     # The recursion runs on ordered edge tables; the graph's table is read
-    # once per solve (identity-labelled CSR inputs straight from their
-    # edge arrays, in index space -- labelled CSR graphs were delegated
-    # wholesale by GraphPacking.solve) and shared by every packed tree.
-    base_graph = packed.csr if packed.csr is not None else packed.graph
-    table = edge_table(base_graph)
-    arrays = packed.arrays
+    # once per solve and shared by every packed tree.  It breaks ties in
+    # node-label space, so a labelled graph runs it on label-space views
+    # of the CSR arrays (edge table, arrays, rooted trees) and its
+    # candidates return to index space for finalize.
+    csr = packed.csr
+    labels = csr.nodes
+    table = edge_table(csr, labelled=True)
+    if labels is None:
+        arrays, trees = packed.arrays, packed.rooted_trees
+    else:
+        packing = packed.packing
+        arrays = GraphArrays.from_csr(csr, labelled=True)
+        root = labels[packed.root_position]
+        trees = [
+            packing.rooted_tree(index, root, labelled=True)
+            for index in range(len(packing.tree_edge_arrays))
+        ]
     acct = ctx.accountant
     candidates: list[CutCandidate] = []
     solve_stats = None
-    for index, rooted in enumerate(packed.rooted_trees):
+    for index, rooted in enumerate(trees):
         with obs_trace.span(
             "ma.two_respecting",
             tree=index,
@@ -729,11 +663,22 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             ),
         ):
             result = two_respecting_min_cut(
-                base_graph, rooted, accountant=acct, arrays=arrays,
-                table=table,
+                csr, rooted, accountant=acct, arrays=arrays, table=table,
             )
         candidates.append(result.best)
         solve_stats = result.stats
+    if labels is not None:
+        index_of = csr.index_of
+        candidates = [
+            CutCandidate(
+                value=candidate.value,
+                edges=tuple(
+                    edge_key(index_of(u), index_of(v))
+                    for u, v in candidate.edges
+                ),
+            )
+            for candidate in candidates
+        ]
     return packed.finalize(candidates, ctx, solve_stats=solve_stats)
 
 
@@ -772,7 +717,7 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
 
 def _per_tree_oracle(packed: GraphPacking) -> list[CutCandidate]:
     return [
-        two_respecting_oracle(packed.graph, rooted, arrays=packed.arrays)
+        two_respecting_oracle(packed.csr, rooted, arrays=packed.arrays)
         for rooted in packed.rooted_trees
     ]
 
@@ -785,11 +730,9 @@ def _per_tree_oracle(packed: GraphPacking) -> list[CutCandidate]:
 def _solve_stoer_wagner(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     from repro.baselines.stoer_wagner import stoer_wagner_min_cut
 
-    _value, (side, _other) = stoer_wagner_min_cut(
-        packed.csr if packed.csr is not None else packed.graph
-    )
     # The CSR variant works in index space even on labelled graphs.
-    return packed.finalize_partition(side, ctx, in_label_space=False)
+    _value, (side, _other) = stoer_wagner_min_cut(packed.csr)
+    return packed.finalize_partition(side, ctx)
 
 
 @register_solver(
@@ -800,11 +743,10 @@ def _solve_stoer_wagner(packed: GraphPacking, ctx: SolveContext) -> MinCutResult
 def _solve_karger(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     from repro.baselines.karger import karger_min_cut
 
-    graph = packed.csr.to_networkx() if packed.csr is not None else packed.graph
-    _value, (side, _other) = karger_min_cut(graph, seed=packed.seed)
-    return packed.finalize_partition(
-        side, ctx, in_label_space=packed.csr is not None
+    _value, (side, _other) = karger_min_cut(
+        packed.csr.to_networkx(), seed=packed.seed
     )
+    return packed.finalize_partition(side, ctx, in_label_space=True)
 
 
 # ----------------------------------------------------------------------
@@ -833,8 +775,9 @@ class SweepFailure:
     #: innermost trace span active when the error surfaced (requires
     #: tracing; falls back to the sweep stage name when disabled).
     phase: "str | None" = None
-    #: :meth:`CSRGraph.canonical_hash` of the originating graph (``None``
-    #: for non-CSR inputs), so batchers can re-associate failures with
+    #: :meth:`CSRGraph.canonical_hash` of the originating graph (of its
+    #: CSR conversion for a networkx input; ``None`` only when that
+    #: conversion failed), so batchers can re-associate failures with
     #: their requests without positional bookkeeping.
     graph_hash: "str | None" = None
 
@@ -883,13 +826,13 @@ def minimum_cut_many(
     """Exact min-cut of every graph, amortizing the pipeline across a sweep.
 
     Bit-identical (value, witness, partition, round ledger) to calling
-    ``minimum_cut(graph, seed, ...)`` per graph, but for CSR graphs under
-    the ``oracle`` solver the whole sweep shares one batched tree
-    packing, one stacked BFS/Euler kernel build, and one chunked
-    stacked-tensor oracle pass -- the per-graph numpy call overhead that
-    dominates small instances is paid once per sweep instead of once per
-    graph.  Other solvers / graph types transparently fall back to the
-    per-graph session path.
+    ``minimum_cut(graph, seed, ...)`` per graph, but under the ``oracle``
+    solver the whole sweep shares one batched tree packing, one stacked
+    BFS/Euler kernel build, and one chunked stacked-tensor oracle pass --
+    the per-graph numpy call overhead that dominates small instances is
+    paid once per sweep instead of once per graph.  Other solvers run the
+    per-graph session path.  Each networkx input is converted once, with
+    :meth:`CSRGraph.from_networkx`, before validation.
 
     ``seeds`` is one packing seed for all graphs or a per-graph sequence.
 
@@ -962,20 +905,20 @@ def _sweep_impl(
     strict: bool,
     certify: bool,
 ) -> "list[MinCutResult | SweepFailure]":
-    # Canonical content hash per graph (CSR inputs only) -- every result
-    # and failure row carries it (``stats["sweep"]`` / ``graph_hash``) so
-    # fan-out layers like the serve batcher re-associate by identity, not
-    # by position.
-    hashes: "list[str | None]" = [
-        graph.canonical_hash() if isinstance(graph, CSRGraph) else None
-        for graph in graphs
-    ]
     results: "list[MinCutResult | SweepFailure | None]" = [None] * len(graphs)
+    csrs: "list[CSRGraph | None]" = [None] * len(graphs)
+    # Canonical content hash per graph (``None`` where the conversion
+    # failed) -- every result and failure row carries it
+    # (``stats["sweep"]`` / ``graph_hash``) so fan-out layers like the
+    # serve batcher re-associate by identity, not by position.
+    hashes: "list[str | None]" = [None] * len(graphs)
     valid: list[int] = []
     with obs_trace.span("sweep.validate", graphs=len(graphs)):
         for index, graph in enumerate(graphs):
             try:
-                _validate_graph(graph)
+                csr = csrs[index] = as_csr(graph)
+                hashes[index] = csr.canonical_hash()
+                _validate_graph(csr)
             except Exception as exc:
                 if strict:
                     raise
@@ -988,11 +931,7 @@ def _sweep_impl(
     batched = [
         index
         for index in valid
-        if (
-            cfg.solver == "oracle"
-            and isinstance(graphs[index], CSRGraph)
-            and graphs[index].n > 2
-        )
+        if cfg.solver == "oracle" and csrs[index].n > 2
     ]
     session = MinCutSolver(cfg)
     batched_set = set(batched)
@@ -1000,7 +939,7 @@ def _sweep_impl(
     def solve_one(index: int, degraded: "dict | None" = None):
         started = time.perf_counter()
         try:
-            result = session.solve(graphs[index], seed=seed_list[index])
+            result = session.solve(csrs[index], seed=seed_list[index])
         except Exception as exc:
             if strict:
                 raise
@@ -1019,7 +958,7 @@ def _sweep_impl(
         started = time.perf_counter()
         try:
             sweep = _solve_many_oracle(
-                [graphs[i] for i in batched],
+                [csrs[i] for i in batched],
                 [seed_list[i] for i in batched],
                 cfg,
             )
@@ -1047,7 +986,7 @@ def _sweep_impl(
             if not isinstance(result, MinCutResult):
                 continue
             started = time.perf_counter()
-            certificate = certify_result(graphs[index], result)
+            certificate = certify_result(csrs[index], result)
             result.stats["certificate"] = certificate.as_dict()
             if not certificate.ok:
                 if strict:
@@ -1079,15 +1018,8 @@ def _sweep_impl(
 def _solve_many_oracle(
     graphs: "list[CSRGraph]", seeds: "list[int]", cfg: SolverConfig
 ) -> list[MinCutResult]:
-    """The fused CSR/oracle sweep: batch every stage across graphs."""
-    for graph in graphs:
-        if not graph.is_connected():
-            components = len(np.unique(graph.connected_components()))
-            raise GraphValidationError(
-                f"graph must be connected: {graph.n} nodes form "
-                f"{components} connected components"
-            )
-
+    """The fused oracle sweep over validated graphs: batch every stage
+    across graphs."""
     with obs_trace.span(
         "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
     ):
@@ -1122,13 +1054,12 @@ def _solve_many_oracle(
         packing = many.packings[g]
         results.append(
             _finalize_candidates(
-                graph=graph,
                 csr=graph,
                 arrays=arrays_list[g],
                 packing=packing,
                 # finalize roots only the winning tree
-                rooted_for=lambda index, trees=packing.trees, root=roots[g]: (
-                    RootedTree(trees[index], root)
+                rooted_for=lambda index, packing=packing, root=roots[g]: (
+                    packing.rooted_tree(index, root)
                 ),
                 candidates=stack_candidates(*solved[g], stacks[g]),
                 acct=many.accountants[g],

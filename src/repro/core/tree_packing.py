@@ -34,10 +34,10 @@ array passes (:func:`~repro.ma.compiled.compiled_boruvka_rows`) with the
 deterministic ``(cost, str(edge_key))`` tie-break and one
 Minor-Aggregation round charged per phase; the sampling regime draws one
 binomial over the canonical CSR edge order.  A networkx graph and its CSR
-conversion therefore pack identical trees with identical ledgers.  CSR
-trees come back as plain adjacency mappings (what
-:class:`~repro.trees.rooted.RootedTree` consumes directly), networkx
-trees as weighted ``nx.Graph`` objects over the input's labels.
+conversion therefore pack identical trees with identical ledgers.  A
+packing stores its trees only as node-index edge arrays plus the graph's
+node labels; a tree's adjacency is derived when it is rooted
+(:meth:`TreePacking.rooted_tree`).
 """
 
 from __future__ import annotations
@@ -46,37 +46,69 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.accounting import RoundAccountant, log2ceil
-from repro.graphs.csr import CSRGraph, merge_components
+from repro.graphs.csr import CSRGraph, as_csr, merge_components
 from repro.ma.compiled import compiled_boruvka_rows
 from repro.obs import trace as obs_trace
-from repro.trees.rooted import Edge, _node_sort_key, edge_key
+from repro.trees.rooted import Edge, Node, RootedTree, _node_sort_key, edge_key
 
 
 @dataclass
 class TreePacking:
     """The packed spanning trees plus provenance of how they were obtained.
 
-    ``trees`` holds :class:`networkx.Graph` objects for networkx input and
-    plain ``{node: [neighbors]}`` adjacency mappings for CSR input.
-    ``tree_edge_arrays`` holds, for either input, one ``(edge_u, edge_v)``
-    pair of node-index arrays per tree in the exact insertion order the
-    trees were built with -- what
-    :func:`~repro.kernel.forest.stacked_tree_arrays` consumes.
+    ``tree_edge_arrays`` holds one ``(edge_u, edge_v)`` pair of node-index
+    arrays per tree, in the exact insertion order the tree was built with
+    -- what :func:`~repro.kernel.forest.stacked_tree_arrays` consumes and
+    what fixes every BFS downstream.  ``nodes`` is the graph's label table
+    (``None``: the indices are the labels).
     """
 
-    trees: list
+    tree_edge_arrays: "list[tuple[np.ndarray, np.ndarray]]" = field(
+        repr=False, compare=False
+    )
     sampled: bool
     sampling_probability: float | None
     approx_cut_value: float
     ma_rounds: float
     duplicates_removed: int = 0
-    tree_edge_arrays: "list[tuple[np.ndarray, np.ndarray]]" = field(
-        default_factory=list, repr=False, compare=False
-    )
+    nodes: "list | None" = None
+
+    @property
+    def trees(self) -> "list[list[Edge]]":
+        """Every packed tree as its ``(u, v)`` edge list over node labels,
+        in insertion order."""
+        labels = self.nodes
+        trees = []
+        for eu, ev in self.tree_edge_arrays:
+            pairs = zip(eu.tolist(), ev.tolist())
+            if labels is not None:
+                pairs = ((labels[u], labels[v]) for u, v in pairs)
+            trees.append(list(pairs))
+        return trees
+
+    def rooted_tree(
+        self, index: int, root: Node, labelled: bool = False
+    ) -> RootedTree:
+        """Tree ``index`` rooted at ``root``: over node indices, or over
+        the node labels when ``labelled``.  Neighbours are listed in
+        insertion order either way, so both spaces root the same tree
+        with the same BFS."""
+        eu, ev = self.tree_edge_arrays[index]
+        us, vs = eu.tolist(), ev.tolist()
+        # A spanning tree has one edge fewer than the graph has nodes.
+        names = range(len(us) + 1)
+        if labelled and self.nodes is not None:
+            names = self.nodes
+            us = [names[u] for u in us]
+            vs = [names[v] for v in vs]
+        adjacency: dict = {node: [] for node in names}
+        for u, v in zip(us, vs):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        return RootedTree(adjacency, root)
 
 
 @dataclass
@@ -123,7 +155,7 @@ def default_tree_count(n: int) -> int:
 
 
 def pack_trees(
-    graph: "nx.Graph | CSRGraph",
+    graph,
     seed: int = 0,
     num_trees: int | None = None,
     accountant: RoundAccountant | None = None,
@@ -131,37 +163,18 @@ def pack_trees(
 ) -> TreePacking:
     """Theorem 12: pack Θ(log n) spanning trees by greedy load-balancing.
 
-    A batch of one through :func:`pack_trees_many`.  An explicit
+    A batch of one through :func:`pack_trees_many` (a networkx input is
+    converted once with :meth:`CSRGraph.from_networkx`).  An explicit
     ``approx_cut_value`` skips the Stoer-Wagner approximation and its
     ``log2ceil(n)**2`` round charge.
     """
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
-    packing = pack_trees_many(
-        [csr],
+    return pack_trees_many(
+        [as_csr(graph)],
         [seed],
         num_trees=num_trees,
         accountants=[accountant or RoundAccountant()],
         approx_cut_values=[approx_cut_value],
     ).packings[0]
-    if csr is not graph:
-        labels = csr.node_labels()
-        packing.trees = [
-            _networkx_tree(graph, labels, eu, ev)
-            for eu, ev in packing.tree_edge_arrays
-        ]
-    return packing
-
-
-def _networkx_tree(graph: nx.Graph, labels: list, eu, ev) -> nx.Graph:
-    """An index-space tree as a weighted ``nx.Graph`` over ``graph``'s
-    labels, edges inserted in packing order (which fixes every BFS and
-    preorder downstream)."""
-    tree = nx.Graph()
-    tree.add_nodes_from(graph.nodes())
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        u, v = labels[a], labels[b]
-        tree.add_edge(u, v, weight=graph[u][v].get("weight", 1))
-    return tree
 
 
 def _min_cut_value(graph: CSRGraph, span=obs_trace.NULL_SPAN) -> float:
@@ -380,22 +393,14 @@ def pack_trees_many(
 
     packings = [
         TreePacking(
-            trees=[_adjacency(st["n"], eu, ev) for eu, ev in st["tree_edges"]],
+            tree_edge_arrays=st["tree_edges"],
             sampled=st["sampled"],
             sampling_probability=st["probability"],
             approx_cut_value=st["approx"],
             ma_rounds=accts[g].total,
             duplicates_removed=st["duplicates"],
-            tree_edge_arrays=st["tree_edges"],
+            nodes=graph.nodes,
         )
-        for g, st in enumerate(states)
+        for g, (graph, st) in enumerate(zip(graphs, states))
     ]
     return ManyPacking(packings=packings, accountants=accts)
-
-
-def _adjacency(n: int, eu: np.ndarray, ev: np.ndarray) -> dict[int, list[int]]:
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return adjacency

@@ -17,7 +17,7 @@ from repro.graphs import planted_cut_graph, random_connected_gnm
 
 
 def _crossings(tree, side) -> int:
-    return sum(1 for u, v in tree.edges() if (u in side) != (v in side))
+    return sum(1 for u, v in tree if (u in side) != (v in side))
 
 
 def run(quick: bool = True) -> ExperimentResult:

@@ -46,7 +46,9 @@ from repro.errors import GraphValidationError
 
 Node = Hashable
 
-__all__ = ["CSRGraph", "DisjointSets", "merge_components", "validate_weights"]
+__all__ = [
+    "CSRGraph", "DisjointSets", "as_csr", "merge_components", "validate_weights",
+]
 
 
 class DisjointSets:
@@ -643,6 +645,15 @@ class CSRGraph:
             self.n, self.edge_u, self.edge_v, w,
             nodes=self.nodes, meta=self.meta, canonical=True,
         )
+
+
+def as_csr(graph) -> CSRGraph:
+    """``graph`` itself when it is a :class:`CSRGraph`, else its
+    :meth:`CSRGraph.from_networkx` conversion -- the one crossing a
+    networkx input makes into the pipeline."""
+    if isinstance(graph, CSRGraph):
+        return graph
+    return CSRGraph.from_networkx(graph)
 
 
 def _canonicalize(

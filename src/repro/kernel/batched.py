@@ -70,12 +70,20 @@ _BYTES_PER_CELL = 32
 _CACHE_TARGET = 1024 * 1024
 
 
+def parse_batch_bytes(raw: str | None) -> int | None:
+    """A ``REPRO_BATCH_BYTES`` value as a byte budget: ``None`` (use the
+    default) when absent, unparsable or not positive."""
+    try:
+        value = int(raw) if raw is not None else 0
+    except ValueError:
+        return None
+    return value if value > 0 else None
+
+
 def env_batch_bytes() -> int:
     """The ``REPRO_BATCH_BYTES`` scratch budget (default 256 MiB)."""
-    try:
-        return int(os.environ.get("REPRO_BATCH_BYTES", _DEFAULT_BUDGET))
-    except ValueError:
-        return _DEFAULT_BUDGET
+    value = parse_batch_bytes(os.environ.get("REPRO_BATCH_BYTES"))
+    return _DEFAULT_BUDGET if value is None else value
 
 
 def _chunk_size(n: int, batch_bytes: int | None = None) -> int:

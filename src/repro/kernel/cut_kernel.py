@@ -127,24 +127,28 @@ class GraphArrays:
         )
 
     @classmethod
-    def from_csr(cls, graph: CSRGraph) -> "GraphArrays":
+    def from_csr(cls, graph: CSRGraph, labelled: bool = False) -> "GraphArrays":
         """Zero-loop extraction: the CSR edge table *is* the array form.
 
         The arrays work in dense-index space (``nodes`` is the identity)
         regardless of any label table on the graph; callers that need
-        labelled witnesses map back at the boundary.
+        labelled witnesses map back at the boundary.  ``labelled`` names
+        the positions by the graph's node labels instead -- the arrays
+        ``from_graph(graph.to_networkx())`` extracts, without the
+        conversion.
         """
         u, v, w = graph.edge_u, graph.edge_v, graph.edge_w
         loops = u == v
         if loops.any():
             keep = ~loops
             u, v, w = u[keep], v[keep], w[keep]
+        identity = not labelled or graph.nodes is None
         return cls(
-            nodes=list(range(graph.n)),
+            nodes=list(range(graph.n)) if identity else list(graph.nodes),
             u_pos=u,
             v_pos=v,
             weights=w,
-            identity_nodes=True,
+            identity_nodes=identity,
         )
 
     @property

@@ -40,12 +40,12 @@ __all__ = ["PackingCache", "packing_nbytes", "env_cache_bytes"]
 #: default byte budget for a service's packing cache (128 MiB).
 DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
 
-#: per-node-per-tree estimate for a packed tree's resident bytes: the
-#: adjacency dict the packing stores (~100 B/edge of Python dict + tuple
-#: overhead) plus the array kernel a warm solve lazily attaches to each
-#: rooted tree (Euler tours, tin/tout/pos, binary-lifting tables --
-#: roughly ``8 * (6 + log2 n)`` B/node).  Coarse on purpose; see module
-#: docstring.
+#: per-node-per-tree estimate for a packed tree's resident bytes: its
+#: edge arrays (16 B/edge) plus, once a warm solve roots it, the
+#: ``RootedTree`` dicts (~100 B/node of Python dict + list overhead) and
+#: the array kernel attached to it (Euler tours, tin/tout/pos,
+#: binary-lifting tables -- roughly ``8 * (6 + log2 n)`` B/node).  Coarse
+#: on purpose; see module docstring.
 TREE_NODE_BYTES = 200
 
 
@@ -66,9 +66,8 @@ def packing_nbytes(packed: GraphPacking) -> int:
     computed anyway -- that is the work a warm hit skips), then charges
     the exact ``GraphArrays.nbytes`` plus the per-tree estimate.
     """
-    trees = len(packed.packing.trees)
-    n = packed.csr.n if packed.csr is not None else len(packed.graph)
-    return int(packed.arrays.nbytes) + trees * n * TREE_NODE_BYTES
+    trees = len(packed.packing.tree_edge_arrays)
+    return int(packed.arrays.nbytes) + trees * packed.csr.n * TREE_NODE_BYTES
 
 
 class PackingCache:

@@ -380,12 +380,11 @@ class TestPackingEquivalence:
         assert pc.approx_cut_value == pn.approx_cut_value
         assert pc.ma_rounds == pn.ma_rounds
         assert len(pc.trees) == len(pn.trees)
-        for adjacency, tree in zip(pc.trees, pn.trees):
-            csr_edges = sorted(
-                (u, v) for u in adjacency for v in adjacency[u] if u < v
-            )
-            nx_edges = sorted(tuple(sorted(e)) for e in tree.edges())
-            assert csr_edges == nx_edges
+        assert pc.trees == pn.trees
+        for (eu, ev), (eu_n, ev_n) in zip(
+            pc.tree_edge_arrays, pn.tree_edge_arrays
+        ):
+            assert eu.tolist() == eu_n.tolist() and ev.tolist() == ev_n.tolist()
 
     @pytest.mark.parametrize("case", [
         "edges-shuffled-0", "edges-shuffled-1", "nodes-shuffled-2",
@@ -414,7 +413,7 @@ class TestPackingEquivalence:
             pn.trees, pc.tree_edge_arrays, pn.tree_edge_arrays
         ):
             assert eu.tolist() == eu_n.tolist() and ev.tolist() == ev_n.tolist()
-            assert {frozenset(e) for e in tree.edges()} == {
+            assert {frozenset(e) for e in tree} == {
                 frozenset((labels[u], labels[v]))
                 for u, v in zip(eu.tolist(), ev.tolist())
             }
@@ -478,16 +477,65 @@ class TestMinimumCutEquivalence:
         assert a.ma_rounds == b.ma_rounds
 
     def test_no_networkx_constructed_on_hot_path(self, monkeypatch):
+        from repro.core import session
+
         csr = csr_random_connected_gnm(26, 60, seed=9)
+        nx_inputs = [
+            csr.to_networkx(),
+            _heavy_nx_graph("string-labels", 9),
+        ]
+        conversions = []
+        from_networkx = CSRGraph.from_networkx.__func__
+
+        def counted(cls, graph):
+            conversions.append(graph)
+            return from_networkx(cls, graph)
+
+        monkeypatch.setattr(CSRGraph, "from_networkx", classmethod(counted))
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError("networkx.Graph constructed on the CSR hot path")
 
-        monkeypatch.setattr(nx.Graph, "__init__", forbidden)
-        result = repro.minimum_cut(
-            csr, seed=9, solver="oracle", compute_congest=True
+        with monkeypatch.context() as guard:
+            guard.setattr(nx.Graph, "__init__", forbidden)
+            result = repro.minimum_cut(
+                csr, seed=9, solver="oracle", compute_congest=True
+            )
+            assert result.value > 0
+            # A networkx input converts once per solve, and neither
+            # oracle nor stoer-wagner builds a networkx graph after it.
+            for graph in nx_inputs:
+                for solver in ("oracle", "stoer-wagner"):
+                    conversions.clear()
+                    repro.minimum_cut(graph, seed=9, solver=solver)
+                    assert conversions == [graph]
+            # ... and once per graph in a sweep, certify step included.
+            conversions.clear()
+            sweep = repro.minimum_cut_many(
+                nx_inputs, solver="oracle", seeds=[9, 9], certify=True
+            )
+            assert all(result.stats["certificate"]["ok"] for result in sweep)
+            assert len(conversions) == len(nx_inputs)
+
+        # A labelled CSR graph runs minor-aggregation on label-space views
+        # of its own arrays: no networkx round trip, one packing.
+        base = csr_random_connected_gnm(14, 30, seed=4)
+        labelled = CSRGraph(
+            base.n, base.edge_u, base.edge_v, base.edge_w,
+            nodes=[f"v{i}" for i in range(base.n)],
         )
-        assert result.value > 0
+        packs = []
+        pack_trees = session.pack_trees
+
+        def counted_pack(*args, **kwargs):
+            packs.append(args)
+            return pack_trees(*args, **kwargs)
+
+        monkeypatch.setattr(session, "pack_trees", counted_pack)
+        monkeypatch.setattr(CSRGraph, "to_networkx", forbidden)
+        result = repro.minimum_cut(labelled, seed=4, solver="minor-aggregation")
+        assert len(packs) == 1
+        assert result.partition[0] | result.partition[1] == set(labelled.nodes)
 
     def test_labelled_csr_witnesses_in_label_space(self):
         csr = CSRGraph.from_edge_list(

@@ -171,8 +171,9 @@ class TestReporting:
         graph = random_connected_gnm(18, 40, seed=13)
         result = repro.minimum_cut(graph, seed=13)
         tree = result.packing.trees[result.best_tree_index]
+        tree_edges = {frozenset(edge) for edge in tree}
         for u, v in result.respecting_edges:
-            assert tree.has_edge(u, v)
+            assert frozenset((u, v)) in tree_edges
 
     def test_candidate_kind(self):
         graph = random_connected_gnm(18, 40, seed=14)

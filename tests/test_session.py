@@ -27,8 +27,10 @@ def build(family, n, seed):
 class TestSolverConfig:
     def test_defaults(self):
         config = repro.SolverConfig()
+        assert list(config.as_dict()) == [
+            "solver", "num_trees", "batch_bytes", "compute_congest", "trace",
+        ]
         assert config.solver == "minor-aggregation"
-        assert config.backend == "csr"
         assert config.num_trees is None
         assert config.batch_bytes is None
         assert config.compute_congest is True
@@ -43,7 +45,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize(
         "fields",
-        [dict(backend="duckdb"), dict(num_trees=0), dict(batch_bytes=0)],
+        [dict(num_trees=-3), dict(num_trees=0), dict(batch_bytes=0)],
     )
     def test_validation(self, fields):
         with pytest.raises(ValueError):
@@ -69,6 +71,22 @@ class TestSolverConfig:
             config = repro.SolverConfig.from_env({"REPRO_BATCH_BYTES": raw})
             assert config.batch_bytes is None
 
+    def test_batch_bytes_env_parsed_one_way(self, monkeypatch):
+        # The kernel's run-time budget reads REPRO_BATCH_BYTES exactly as
+        # from_env does: a garbage or non-positive value means the default.
+        from repro.kernel.batched import _chunk_size, env_batch_bytes
+
+        monkeypatch.delenv("REPRO_BATCH_BYTES", raising=False)
+        default_budget, default_chunk = env_batch_bytes(), _chunk_size(48)
+        for raw in ("lots", "0", "-5"):
+            monkeypatch.setenv("REPRO_BATCH_BYTES", raw)
+            assert env_batch_bytes() == default_budget
+            assert _chunk_size(48) == default_chunk
+            assert repro.SolverConfig.from_env().batch_bytes is None
+        monkeypatch.setenv("REPRO_BATCH_BYTES", "999")
+        assert env_batch_bytes() == 999
+        assert repro.SolverConfig.from_env().batch_bytes == 999
+
     def test_from_args_round_trip(self):
         args = build_parser().parse_args(
             ["mincut", "--solver", "oracle", "--backend", "networkx",
@@ -76,7 +94,9 @@ class TestSolverConfig:
         )
         config = repro.SolverConfig.from_args(args)
         assert config.solver == "oracle"
-        assert config.backend == "networkx"
+        # --backend picks the graph the CLI builds, not a solver setting
+        assert args.backend == "networkx"
+        assert "backend" not in config.as_dict()
         assert config.num_trees == 7
         assert config.compute_congest is False
 
@@ -84,7 +104,7 @@ class TestSolverConfig:
         args = build_parser().parse_args(["mincut"])
         config = repro.SolverConfig.from_args(args)
         assert config.solver == "minor-aggregation"
-        assert config.backend == "csr"
+        assert args.backend == "csr"
         assert config.num_trees is None
         assert config.compute_congest is True
 
@@ -138,7 +158,7 @@ class TestRegistry:
         assert "echo" not in registered_solvers()
 
     def test_get_solver_traits(self):
-        assert get_solver("minor-aggregation").label_space
+        assert get_solver("minor-aggregation").uses_packing
         assert get_solver("oracle").uses_packing
         assert not get_solver("stoer-wagner").uses_packing
 
@@ -311,11 +331,23 @@ class TestMinimumCutMany:
             reference = repro.minimum_cut(graph, seed=seed, solver=solver)
             assert_results_bit_identical(reference, result)
 
-    def test_networkx_graphs_fall_back_per_graph(self):
+    def test_networkx_graphs_run_fused(self, monkeypatch):
+        from repro.core import session as session_module
+
         graphs = [build("gnm", 16, s).to_networkx() for s in range(2)]
+        fused = []
+        solve_many = session_module._solve_many_oracle
+
+        def spy(csrs, seeds, cfg):
+            fused.extend(csrs)
+            return solve_many(csrs, seeds, cfg)
+
+        monkeypatch.setattr(session_module, "_solve_many_oracle", spy)
         sweep = repro.minimum_cut_many(
             graphs, repro.SolverConfig(solver="oracle"), seeds=[0, 1]
         )
+        assert len(fused) == 2
+        assert all(isinstance(csr, CSRGraph) for csr in fused)
         for seed, (graph, result) in enumerate(zip(graphs, sweep)):
             reference = repro.minimum_cut(graph, seed=seed, solver="oracle")
             assert_results_bit_identical(reference, result)
@@ -395,13 +427,16 @@ class TestMinimumCutMany:
                 "graph_hash": graph.canonical_hash(),
             }
 
-    def test_networkx_results_carry_index_with_null_hash(self):
+    def test_networkx_results_carry_index_and_hash(self):
         graphs = [build("gnm", 14, s).to_networkx() for s in range(2)]
         sweep = repro.minimum_cut_many(
             graphs, repro.SolverConfig(solver="oracle"), seeds=[0, 1]
         )
-        for index, result in enumerate(sweep):
-            assert result.stats["sweep"] == {"index": index, "graph_hash": None}
+        for index, (graph, result) in enumerate(zip(graphs, sweep)):
+            assert result.stats["sweep"] == {
+                "index": index,
+                "graph_hash": CSRGraph.from_networkx(graph).canonical_hash(),
+            }
 
     def test_sweep_failures_carry_graph_hash(self):
         good = build("gnm", 16, 0)

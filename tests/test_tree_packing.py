@@ -15,7 +15,7 @@ from repro.graphs import (
 
 
 def min_cut_crossings(tree, side):
-    return sum(1 for u, v in tree.edges() if (u in side) != (v in side))
+    return sum(1 for u, v in tree if (u in side) != (v in side))
 
 
 class TestPackingBasics:
@@ -24,16 +24,10 @@ class TestPackingBasics:
         graph = random_connected_gnm(30, 75, seed=seed)
         packing = pack_trees(graph, seed=seed)
         for tree in packing.trees:
-            assert nx.is_tree(tree)
-            assert set(tree.nodes()) == set(graph.nodes())
-            assert all(graph.has_edge(u, v) for u, v in tree.edges())
-
-    def test_tree_weights_copied_from_graph(self):
-        graph = random_connected_gnm(20, 50, seed=5)
-        packing = pack_trees(graph, seed=5)
-        for tree in packing.trees:
-            for u, v, data in tree.edges(data=True):
-                assert data["weight"] == graph[u][v]["weight"]
+            spanning = nx.Graph(tree)
+            assert nx.is_tree(spanning)
+            assert set(spanning.nodes()) == set(graph.nodes())
+            assert all(graph.has_edge(u, v) for u, v in tree)
 
     def test_count_is_theta_log_n(self):
         assert default_tree_count(1000) <= 50
@@ -53,7 +47,7 @@ class TestPackingBasics:
     def test_trees_are_distinct(self):
         graph = random_connected_gnm(25, 80, seed=2)
         packing = pack_trees(graph, seed=2)
-        signatures = [frozenset(map(frozenset, t.edges())) for t in packing.trees]
+        signatures = [frozenset(map(frozenset, t)) for t in packing.trees]
         assert len(signatures) == len(set(signatures))
 
 
@@ -122,5 +116,5 @@ class TestAccounting:
         graph = random_connected_gnm(20, 50, seed=6)
         a = pack_trees(graph, seed=9)
         b = pack_trees(graph, seed=9)
-        sigs = lambda p: [frozenset(map(frozenset, t.edges())) for t in p.trees]
+        sigs = lambda p: [frozenset(map(frozenset, t)) for t in p.trees]
         assert sigs(a) == sigs(b)
