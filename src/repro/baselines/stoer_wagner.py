@@ -36,17 +36,7 @@ def stoer_wagner_min_cut(
             raise ValueError("minimum cut needs at least two nodes")
         if not graph.is_connected():
             raise ValueError("graph must be connected")
-        adjacency: dict[Node, dict[Node, float]] = {v: {} for v in range(n)}
-        for u, v, weight in zip(
-            graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_w.tolist()
-        ):
-            if u == v:
-                continue
-            adjacency[u][v] = adjacency[u].get(v, 0) + weight
-            adjacency[v][u] = adjacency[v].get(u, 0) + weight
-        merged: dict[Node, set] = {v: {v} for v in range(n)}
-        all_nodes = frozenset(range(n))
-        return _stoer_wagner(adjacency, merged, all_nodes)
+        return csr_stoer_wagner(graph)
 
     n = graph.number_of_nodes()
     if n < 2:
@@ -65,6 +55,27 @@ def stoer_wagner_min_cut(
         adjacency[v][u] = adjacency[v].get(u, 0) + weight
     merged = {v: {v} for v in graph.nodes()}
     all_nodes = frozenset(graph.nodes())
+    return _stoer_wagner(adjacency, merged, all_nodes)
+
+
+def csr_stoer_wagner(
+    graph: CSRGraph,
+) -> tuple[float, tuple[frozenset, frozenset]]:
+    """:func:`stoer_wagner_min_cut` on a CSR graph the caller has already
+    checked to be connected with at least two nodes (the session's
+    ``stoer-wagner`` solver, whose input validation ran once up front).
+    """
+    n = graph.n
+    adjacency: dict[Node, dict[Node, float]] = {v: {} for v in range(n)}
+    for u, v, weight in zip(
+        graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_w.tolist()
+    ):
+        if u == v:
+            continue
+        adjacency[u][v] = adjacency[u].get(v, 0) + weight
+        adjacency[v][u] = adjacency[v].get(u, 0) + weight
+    merged: dict[Node, set] = {v: {v} for v in range(n)}
+    all_nodes = frozenset(range(n))
     return _stoer_wagner(adjacency, merged, all_nodes)
 
 

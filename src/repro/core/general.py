@@ -22,12 +22,25 @@ suite asserts (the paper's |Virt| <= O(log n) invariant).
 Every instance graph, here and in the layers below, is an ordered edge
 table (:mod:`repro.core.edge_table`); only the centroid split still walks
 a networkx view of the tree.
+
+**Leaves are deferred.**  A base case (a tree of at most
+:data:`BASE_CASE_EDGES` edges) is recorded into a
+:class:`~repro.core.leaves.LeafBatch` instead of being solved on the spot,
+and every layer returns a :data:`~repro.core.leaves.Deferred` -- its
+candidates and leaf ids in DFS order.  The batch evaluates all leaves of
+all packed trees of a solve in one array pass; resolving a tree's result
+is then a first-minimum fold in that DFS order (the earliest of equal
+``(value, len(edges))`` wins), which is exactly what nested
+:func:`~repro.core.cut_values.best_candidate` calls over leaf-by-leaf
+results return.  No charge, interest list or contraction reads a leaf's
+value, so the round ledger does not move either.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import networkx as nx
@@ -35,8 +48,8 @@ import networkx as nx
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
 from repro.core.edge_table import EdgeTable, assemble, edge_table
+from repro.core.leaves import Deferred, LeafBatch, join
 from repro.core.one_respecting import one_respecting_cuts_fast
-from repro.kernel.cut_kernel import GraphArrays, pair_cover_matrix_kernel
 from repro.core.subtree_instance import (
     SubtreeInstance,
     SubtreeSolveStats,
@@ -47,6 +60,7 @@ from repro.trees.rooted import Edge, Node, RootedTree, edge_key
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.graphs.csr import CSRGraph
+    from repro.kernel.cut_kernel import GraphArrays
 
 #: Trees with at most this many edges are solved by direct enumeration.
 BASE_CASE_EDGES = 8
@@ -69,20 +83,41 @@ class GeneralSolveStats:
 
 @dataclass
 class TwoRespectingResult:
-    """Outcome of Theorem 40 plus the folded-in 1-respecting minimum."""
+    """Outcome of Theorem 40 plus the folded-in 1-respecting minimum.
 
-    best: CutCandidate
+    ``pending`` is the recursion's deferred result; ``two_respecting`` and
+    ``best`` resolve it against ``leaves`` on first access (evaluating the
+    batch if it still holds unevaluated leaves).
+    """
+
     one_respecting: CutCandidate
-    two_respecting: CutCandidate | None
+    pending: Deferred
+    leaves: LeafBatch
     ma_rounds: float
     stats: GeneralSolveStats
     accountant: RoundAccountant
 
+    @cached_property
+    def two_respecting(self) -> CutCandidate | None:
+        return self.leaves.resolve(self.pending)
+
+    @cached_property
+    def best(self) -> CutCandidate:
+        return self.leaves.resolve(join([self.one_respecting, self.pending]))
+
 
 class GeneralTwoRespectingSolver:
-    def __init__(self, accountant: RoundAccountant | None = None):
+    """Theorem 40's recursion; leaves go to ``leaves`` (a private batch
+    when none is given)."""
+
+    def __init__(
+        self,
+        accountant: RoundAccountant | None = None,
+        leaves: LeafBatch | None = None,
+    ):
         self.acct = accountant or RoundAccountant()
         self.stats = GeneralSolveStats()
+        self.leaves = leaves if leaves is not None else LeafBatch()
 
     # ------------------------------------------------------------------
     def _base_case(
@@ -91,30 +126,14 @@ class GeneralTwoRespectingSolver:
         tree: RootedTree,
         cov: Mapping[Edge, float],
         orig_of: Mapping[Edge, Edge],
-    ) -> CutCandidate | None:
-        """Enumerate every pair directly; the instance graphs are
-        pair-cover exact, and Cov(e) singles are carried globals."""
+    ) -> Deferred:
+        """Every pair, enumerated in the leaf batch; the instance graphs
+        are pair-cover exact, and Cov(e) singles are carried globals."""
         self.stats.base_cases += 1
         self.acct.charge(
             self.acct.cost.subtree_sum(len(tree)) + 2, "general:base-case"
         )
-        arrays = GraphArrays.from_edges(tree.kernel.nodes, graph)
-        edges, matrix = pair_cover_matrix_kernel(graph, tree, arrays=arrays)
-        labelled = [
-            (index, orig_of[edge])
-            for index, edge in enumerate(edges)
-            if edge in orig_of
-        ]
-        candidates = []
-        for a in range(len(labelled)):
-            ia, orig_a = labelled[a]
-            for b in range(a + 1, len(labelled)):
-                ib, orig_b = labelled[b]
-                value = cov[orig_a] + cov[orig_b] - 2 * matrix[ia, ib]
-                candidates.append(
-                    CutCandidate(value=value, edges=(orig_a, orig_b))
-                )
-        return best_candidate(candidates)
+        return self.leaves.base_case(graph, tree, cov, orig_of)
 
     # ------------------------------------------------------------------
     def _split_at_centroid(self, tree: RootedTree, centroid: Node):
@@ -238,7 +257,7 @@ class GeneralTwoRespectingSolver:
         orig_of: Mapping[Edge, Edge],
         virtual_nodes: frozenset,
         depth: int,
-    ) -> CutCandidate | None:
+    ) -> Deferred:
         self.stats.instances += 1
         self.stats.max_depth = max(self.stats.max_depth, depth)
         self.stats.max_virtual_nodes = max(
@@ -251,14 +270,16 @@ class GeneralTwoRespectingSolver:
         self.acct.charge(self.acct.cost.centroid(len(tree)), "general:centroid")
         components, anchors = self._split_at_centroid(tree, centroid)
 
-        results: list[CutCandidate | None] = []
+        results: list[Deferred] = []
         with self.acct.virtual_overhead(1):
             between = self._build_between_instance(
                 graph, tree, cov, orig_of, virtual_nodes,
                 centroid, components, anchors,
             )
             results.append(
-                solve_subtree_instance(between, self.acct, self.stats.subtree)
+                solve_subtree_instance(
+                    between, self.acct, self.stats.subtree, leaves=self.leaves
+                )
             )
 
         with self.acct.parallel() as par:
@@ -275,7 +296,7 @@ class GeneralTwoRespectingSolver:
                             sub_virtual, depth + 1,
                         )
                     )
-        return best_candidate(results)
+        return join(results)
 
     # ------------------------------------------------------------------
     def solve(
@@ -292,14 +313,13 @@ class GeneralTwoRespectingSolver:
         identity = {edge: edge for edge in tree.edges()}
         if table is None:
             table = edge_table(graph)
-        two_best = self._solve(
+        pending = self._solve(
             table, tree, cov, identity, frozenset(), depth=0
         )
-        overall = best_candidate([one_best, two_best])
         return TwoRespectingResult(
-            best=overall,
             one_respecting=one_best,
-            two_respecting=two_best,
+            pending=pending,
+            leaves=self.leaves,
             ma_rounds=self.acct.total,
             stats=self.stats,
             accountant=self.acct,
@@ -313,6 +333,7 @@ def two_respecting_min_cut(
     accountant: RoundAccountant | None = None,
     arrays: "GraphArrays | None" = None,
     table: EdgeTable | None = None,
+    leaves: LeafBatch | None = None,
 ) -> TwoRespectingResult:
     """Theorem 40 entry point.
 
@@ -324,6 +345,11 @@ def two_respecting_min_cut(
     can pre-extract its edges once: ``arrays`` for the 1-respecting pass,
     ``table`` (:func:`~repro.core.edge_table.edge_table`) for the
     recursion.
+
+    Without ``leaves`` the recursion's leaves are evaluated before this
+    returns.  Callers solving several trees pass one shared
+    :class:`~repro.core.leaves.LeafBatch` and call its ``flush`` once
+    after the last tree; each result's ``best`` resolves on access.
     """
     if isinstance(tree, RootedTree):
         rooted = tree
@@ -331,5 +357,8 @@ def two_respecting_min_cut(
         if root is None:
             root = min(tree.nodes(), key=lambda v: (type(v).__name__, str(v)))
         rooted = RootedTree(tree, root)
-    solver = GeneralTwoRespectingSolver(accountant)
-    return solver.solve(graph, rooted, arrays=arrays, table=table)
+    solver = GeneralTwoRespectingSolver(accountant, leaves)
+    result = solver.solve(graph, rooted, arrays=arrays, table=table)
+    if leaves is None:
+        solver.leaves.flush()
+    return result

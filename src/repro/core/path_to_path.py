@@ -22,6 +22,15 @@ An instance is a root plus two descending paths ``P`` and ``Q``; the goal is
   ``A(f) + B(e) + [e = e1] C(f) + [f = f1] D(e)`` and three linear
   minimizations finish without recursion.  (The explicit ``e1``/``f1`` terms
   extend Lemma 22 to the attachment-edge pairs; see DESIGN.md.)
+* **Deferred leaves.**  A base case (Lemma 21 scans of the shorter path)
+  is recorded into a :class:`~repro.core.leaves.LeafBatch` and evaluated
+  later with every other leaf of the solve; the recursion returns a
+  :data:`~repro.core.leaves.Deferred` (candidates and leaf ids in DFS
+  order: the Monge step's scans, then ``G_up``, then ``G_down``).
+  Resolving it folds first minima in that order, the earliest of equal
+  ``(value, len(edges))`` winning -- what nested ``best_candidate`` calls
+  over leaf-by-leaf results return.  The Monge step's best response reads
+  only its own scans, never a leaf, so deferral moves no decision.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from typing import Mapping
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
 from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
+from repro.core.leaves import Deferred, LeafBatch, join
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, Node
 
@@ -116,16 +126,29 @@ def _pair_covers_for_edge(
 
 
 class PathToPathSolver:
-    """Solves a :class:`PathInstance`; see the module docstring."""
+    """Solves a :class:`PathInstance`; see the module docstring.
 
-    def __init__(self, accountant: RoundAccountant | None = None):
+    With ``leaves``, :meth:`solve` records its base cases there and returns
+    a :data:`~repro.core.leaves.Deferred`; without, each call evaluates a
+    private batch and returns the best candidate.
+    """
+
+    def __init__(
+        self,
+        accountant: RoundAccountant | None = None,
+        leaves: LeafBatch | None = None,
+    ):
         self.acct = accountant or RoundAccountant()
         self.stats = PathSolveStats()
+        self.leaves = leaves
 
     # ------------------------------------------------------------------
-    def solve(self, instance: PathInstance) -> CutCandidate | None:
+    def solve(self, instance: PathInstance) -> "CutCandidate | Deferred | None":
         with obs_trace.span("ma.path_to_path", acct_prefix="path-to-path:"):
-            return self._solve(instance, depth=0)
+            if self.leaves is not None:
+                return self._solve(instance, 0, self.leaves)
+            leaves = LeafBatch()
+            return leaves.resolve(self._solve(instance, 0, leaves))
 
     def _cut_value(
         self, instance: PathInstance, i: int, j: int, pair_cov: float
@@ -133,6 +156,12 @@ class PathToPathSolver:
         cov_e = instance.cov[instance.p_orig[i - 1]]
         cov_f = instance.cov[instance.q_orig[j - 1]]
         return cov_e + cov_f - 2 * pair_cov
+
+    def _charge_scan(self, instance: PathInstance) -> None:
+        size = len(instance.p_nodes) + len(instance.q_nodes) + 1
+        self.acct.charge(
+            self.acct.cost.subtree_sum(size) + 2, "path-to-path:scan"
+        )
 
     def _scan_candidates(
         self,
@@ -145,10 +174,7 @@ class PathToPathSolver:
         other_len = (
             len(instance.q_nodes) if fixed_side == "p" else len(instance.p_nodes)
         )
-        size = len(instance.p_nodes) + len(instance.q_nodes) + 1
-        self.acct.charge(
-            self.acct.cost.subtree_sum(size) + 2, "path-to-path:scan"
-        )
+        self._charge_scan(instance)
         pair_cov = _pair_covers_for_edge(edge_index, crosses, other_len, fixed_side)
         candidates = []
         for other_index in range(1, other_len + 1):
@@ -308,7 +334,9 @@ class PathToPathSolver:
         )
 
     # ------------------------------------------------------------------
-    def _solve(self, instance: PathInstance, depth: int) -> CutCandidate | None:
+    def _solve(
+        self, instance: PathInstance, depth: int, leaves: LeafBatch
+    ) -> Deferred | None:
         k = len(instance.p_nodes)
         l = len(instance.q_nodes)
         if k == 0 or l == 0:
@@ -318,23 +346,19 @@ class PathToPathSolver:
         crosses = instance.cross_edges()
 
         with self.acct.virtual_overhead(len(instance.virtual_nodes)):
-            # Base case: scan every edge of the shorter path (Lemma 21).
+            # Base case: scan every edge of the shorter path (Lemma 21),
+            # in the leaf batch.
             if min(k, l) <= BASE_CASE_EDGES:
                 self.stats.base_cases += 1
-                candidates: list[CutCandidate] = []
-                fixed_side = "p" if k <= l else "q"
-                short_len = min(k, l)
-                for index in range(1, short_len + 1):
-                    candidates.extend(
-                        self._scan_candidates(instance, crosses, index, fixed_side)
-                    )
-                return best_candidate(candidates)
+                for _ in range(min(k, l)):
+                    self._charge_scan(instance)
+                return leaves.path_scans(instance, crosses)
 
             # Separable instance: solve without recursion (Lemma 22).
             self.acct.charge(1, "path-to-path:separability-check")
             if self._is_separable(instance, crosses):
                 self.stats.separable_solved += 1
-                return self._solve_separable(instance, crosses)
+                return join([self._solve_separable(instance, crosses)])
 
             # Monge step: midpoint, best response, counter-best-response.
             a = k // 2
@@ -350,11 +374,11 @@ class PathToPathSolver:
         with self.acct.parallel() as par:
             if up is not None:
                 with par.branch():
-                    results.append(self._solve(up, depth + 1))
+                    results.append(self._solve(up, depth + 1, leaves))
             if down is not None:
                 with par.branch():
-                    results.append(self._solve(down, depth + 1))
-        return best_candidate(results)
+                    results.append(self._solve(down, depth + 1, leaves))
+        return join(results)
 
 
 def solve_path_to_path(

@@ -471,13 +471,27 @@ class MinCutSolver:
     ) -> GraphPacking:
         """Validate ``graph`` and return the (lazily packed) session handle."""
         csr = as_csr(graph)
+        return self._packing(
+            csr, seed, num_trees, accountant, trivial=_validate_graph(csr)
+        )
+
+    def _packing(
+        self,
+        csr: CSRGraph,
+        seed: int,
+        num_trees: int | None,
+        accountant: RoundAccountant | None,
+        trivial: MinCutResult | None,
+    ) -> GraphPacking:
+        """The session handle of an already validated graph (``trivial``
+        is what :func:`_validate_graph` returned for it)."""
         return GraphPacking(
             config=self.config,
             csr=csr,
             seed=seed,
             num_trees=num_trees if num_trees is not None else self.config.num_trees,
             accountant=accountant,
-            trivial=_validate_graph(csr),
+            trivial=trivial,
         )
 
     def solve(
@@ -631,6 +645,7 @@ def _finalize_candidates_inner(
 def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     from repro.core.edge_table import edge_table
     from repro.core.general import two_respecting_min_cut
+    from repro.core.leaves import LeafBatch
 
     # The recursion runs on ordered edge tables; the graph's table is read
     # once per solve and shared by every packed tree.  It breaks ties in
@@ -651,8 +666,10 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             for index in range(len(packing.tree_edge_arrays))
         ]
     acct = ctx.accountant
-    candidates: list[CutCandidate] = []
-    solve_stats = None
+    # Every tree's recursion leaves go into one batch, evaluated once
+    # after the last tree (the ``ma.leaves`` span).
+    leaves = LeafBatch()
+    results = []
     for index, rooted in enumerate(trees):
         with obs_trace.span(
             "ma.two_respecting",
@@ -662,11 +679,15 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
                 "star:", "subtree:",
             ),
         ):
-            result = two_respecting_min_cut(
-                csr, rooted, accountant=acct, arrays=arrays, table=table,
+            results.append(
+                two_respecting_min_cut(
+                    csr, rooted, accountant=acct, arrays=arrays, table=table,
+                    leaves=leaves,
+                )
             )
-        candidates.append(result.best)
-        solve_stats = result.stats
+    leaves.flush()
+    candidates = [result.best for result in results]
+    solve_stats = results[-1].stats if results else None
     if labels is not None:
         index_of = csr.index_of
         candidates = [
@@ -728,10 +749,11 @@ def _per_tree_oracle(packed: GraphPacking) -> list[CutCandidate]:
     description="exact centralized baseline (maximum adjacency ordering)",
 )
 def _solve_stoer_wagner(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
-    from repro.baselines.stoer_wagner import stoer_wagner_min_cut
+    from repro.baselines.stoer_wagner import csr_stoer_wagner
 
-    # The CSR variant works in index space even on labelled graphs.
-    _value, (side, _other) = stoer_wagner_min_cut(packed.csr)
+    # The CSR variant works in index space even on labelled graphs; the
+    # graph was validated (connected, n > 2) when it was packed.
+    _value, (side, _other) = csr_stoer_wagner(packed.csr)
     return packed.finalize_partition(side, ctx)
 
 
@@ -912,13 +934,15 @@ def _sweep_impl(
     # (``stats["sweep"]`` / ``graph_hash``) so fan-out layers like the
     # serve batcher re-associate by identity, not by position.
     hashes: "list[str | None]" = [None] * len(graphs)
+    # Validation runs once, here; per-graph solves reuse its outcome.
+    trivials: "list[MinCutResult | None]" = [None] * len(graphs)
     valid: list[int] = []
     with obs_trace.span("sweep.validate", graphs=len(graphs)):
         for index, graph in enumerate(graphs):
             try:
                 csr = csrs[index] = as_csr(graph)
                 hashes[index] = csr.canonical_hash()
-                _validate_graph(csr)
+                trivials[index] = _validate_graph(csr)
             except Exception as exc:
                 if strict:
                     raise
@@ -939,7 +963,10 @@ def _sweep_impl(
     def solve_one(index: int, degraded: "dict | None" = None):
         started = time.perf_counter()
         try:
-            result = session.solve(csrs[index], seed=seed_list[index])
+            result = session._packing(
+                csrs[index], seed_list[index], num_trees=None,
+                accountant=None, trivial=trivials[index],
+            ).solve()
         except Exception as exc:
             if strict:
                 raise

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.accounting import RoundAccountant
-from repro.core.cut_values import CutCandidate, best_candidate
+from repro.core.cut_values import CutCandidate
 from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
 from repro.core.interest import greedy_edge_coloring, interest_structure
+from repro.core.leaves import Deferred, LeafBatch, join
 from repro.core.path_to_path import PathInstance, PathToPathSolver
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, Node
@@ -106,8 +107,17 @@ def solve_star(
     instance: StarInstance,
     accountant: RoundAccountant | None = None,
     stats: StarSolveStats | None = None,
-) -> CutCandidate | None:
-    """Theorem 27: best 2-respecting pair across different star paths."""
+    leaves: LeafBatch | None = None,
+) -> "CutCandidate | Deferred | None":
+    """Theorem 27: best 2-respecting pair across different star paths.
+
+    With ``leaves``, the path-to-path leaves are recorded there and the
+    result is :data:`~repro.core.leaves.Deferred`; without, a private
+    batch is evaluated and the best candidate returned.
+    """
+    if leaves is None:
+        leaves = LeafBatch()
+        return leaves.resolve(solve_star(instance, accountant, stats, leaves))
     acct = accountant or RoundAccountant()
     stats = stats if stats is not None else StarSolveStats()
     if len(instance.paths) < 2:
@@ -134,7 +144,7 @@ def solve_star(
                 "star:edge-coloring",
             )
 
-        results: list[CutCandidate | None] = []
+        results: list[Deferred] = []
         for color in colors:
             matched = [pair for pair, c in coloring.items() if c == color]
             with acct.parallel() as par:
@@ -142,6 +152,6 @@ def solve_star(
                     with par.branch():
                         stats.pair_instances += 1
                         pair_instance = _build_pair_instance(instance, i, j)
-                        solver = PathToPathSolver(acct)
+                        solver = PathToPathSolver(acct, leaves)
                         results.append(solver.solve(pair_instance))
-        return best_candidate(results)
+        return join(results)

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.accounting import RoundAccountant, log2ceil
-from repro.core.cut_values import CutCandidate, best_candidate
+from repro.core.cut_values import CutCandidate
 from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
+from repro.core.leaves import Deferred, LeafBatch, join
 from repro.core.star import StarInstance, StarPath, StarSolveStats, solve_star
 from repro.obs import trace as obs_trace
 from repro.trees.hld import HeavyLightDecomposition
@@ -170,8 +171,19 @@ def solve_subtree_instance(
     instance: SubtreeInstance,
     accountant: RoundAccountant | None = None,
     stats: SubtreeSolveStats | None = None,
-) -> CutCandidate | None:
-    """Theorem 39: best pair across different subtrees of the root."""
+    leaves: LeafBatch | None = None,
+) -> "CutCandidate | Deferred | None":
+    """Theorem 39: best pair across different subtrees of the root.
+
+    With ``leaves``, the path-to-path leaves are recorded there and the
+    result is :data:`~repro.core.leaves.Deferred`; without, a private
+    batch is evaluated and the best candidate returned.
+    """
+    if leaves is None:
+        leaves = LeafBatch()
+        return leaves.resolve(
+            solve_subtree_instance(instance, accountant, stats, leaves)
+        )
     acct = accountant or RoundAccountant()
     stats = stats if stats is not None else SubtreeSolveStats()
     tree = instance.tree
@@ -185,7 +197,7 @@ def solve_subtree_instance(
         assignments = pairwise_coloring(k)
         stats.colorings = len(assignments)
 
-        results: list[CutCandidate | None] = []
+        results: list[Deferred] = []
         for reds in assignments:
             if not any(reds) or all(reds):
                 continue
@@ -204,5 +216,7 @@ def solve_subtree_instance(
                     if star is None:
                         continue
                     stats.star_instances += 1
-                    results.append(solve_star(star, acct, stats.star))
-        return best_candidate(results)
+                    results.append(
+                        solve_star(star, acct, stats.star, leaves=leaves)
+                    )
+        return join(results)

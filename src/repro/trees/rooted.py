@@ -202,10 +202,23 @@ class RootedTree:
     # ------------------------------------------------------------------
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[Node, Node]], root: Node) -> "RootedTree":
-        graph = nx.Graph()
-        graph.add_node(root)
-        graph.add_edges_from(edges)
-        return cls(graph, root)
+        """Root the tree spanned by ``edges``.
+
+        The adjacency is a plain dict built in the order
+        ``networkx.Graph.add_edges_from`` would insert it (root first,
+        then each edge's new endpoints, ``u`` before ``v``; a repeated
+        edge keeps its first position), so children come out in the same
+        order as from the equivalent networkx graph.
+        """
+        adjacency: dict[Node, dict[Node, None]] = {root: {}}
+        for u, v in edges:
+            if u not in adjacency:
+                adjacency[u] = {}
+            if v not in adjacency:
+                adjacency[v] = {}
+            adjacency[u][v] = None
+            adjacency[v][u] = None
+        return cls(adjacency, root)
 
     def to_graph(self) -> nx.Graph:
         graph = nx.Graph()

@@ -9,6 +9,13 @@ how its instances are built must reproduce these exactly -- including
 the order-dependent Misra-Gries interest sketches, which the ``hub``
 case drives past their capacity.
 
+``tests/data/ma_golden_float.json`` pins the same record for seeded
+solves with fractional weights (uniform in [0.5, 20)), so the float
+arithmetic of every leaf (prefix-grid pair covers, Lemma 21 suffix sums,
+``Cut(e, f)`` values) is held bit for bit too, not only its integer
+special case.  Each float case was checked against networkx
+Stoer-Wagner when it was generated.
+
 Regenerate (only when a change is *meant* to move the outputs)::
 
     PYTHONPATH=src python tests/test_ma_golden.py
@@ -27,6 +34,7 @@ from repro.core.session import MinCutSolver, SolverConfig
 from repro.graphs import CSR_FAMILY_BUILDERS, random_connected_gnm
 
 GOLDEN = Path(__file__).parent / "data" / "ma_golden.json"
+FLOAT_GOLDEN = Path(__file__).parent / "data" / "ma_golden_float.json"
 
 SIZES = (10, 16, 24)
 #: extra packing seeds on the planar families the paper targets.
@@ -74,6 +82,43 @@ def cases() -> list[tuple[str, object, int]]:
     return out
 
 
+#: (family, n, seed) of the fractional-weight cases.
+FLOAT_CASES = (
+    ("grid", 16, 1), ("grid", 16, 4), ("delaunay", 18, 1),
+    ("delaunay", 24, 2), ("gnm", 16, 1), ("gnm", 24, 3),
+    ("cycle", 16, 1), ("planted", 20, 2), ("expander", 16, 1),
+    ("tree-chords", 18, 1), ("barbell", 16, 2), ("gnm", 40, 2),
+    ("delaunay", 40, 1),
+)
+
+
+def _fractional(graph, seed: int):
+    """``graph`` with every weight redrawn uniformly from [0.5, 20)."""
+    rng = random.Random(1000 + seed)
+    return graph.with_weights([rng.uniform(0.5, 20.0) for _ in range(graph.m)])
+
+
+def _float_nx_gnm() -> nx.Graph:
+    """A networkx input with fractional weights and shuffled node order."""
+    graph = nx.Graph()
+    for u, v, w in _shuffled_gnm().edges(data="weight"):
+        graph.add_edge(u, v, weight=w / 7.0 + 0.125)
+    return graph
+
+
+def float_cases() -> list[tuple[str, object, int]]:
+    out = [
+        (
+            f"{family}-{n}-s{seed}-float",
+            _fractional(CSR_FAMILY_BUILDERS[family](n, seed), seed),
+            seed,
+        )
+        for family, n, seed in FLOAT_CASES
+    ]
+    out.append(("nx-shuffled-gnm-20-float", _float_nx_gnm(), 3))
+    return out
+
+
 def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(x) for x in value]
@@ -99,6 +144,10 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def _float_golden() -> dict:
+    return json.loads(FLOAT_GOLDEN.read_text())
+
+
 @pytest.mark.parametrize(
     "name,graph,seed",
     [pytest.param(*case, id=case[0]) for case in cases()],
@@ -109,6 +158,39 @@ def test_ma_solve_matches_golden(name, graph, seed):
 
 def test_golden_covers_corpus():
     assert sorted(_golden()) == sorted(name for name, _g, _s in cases())
+
+
+@pytest.mark.parametrize(
+    "name,graph,seed",
+    [pytest.param(*case, id=case[0]) for case in float_cases()],
+)
+def test_ma_float_solve_matches_golden(name, graph, seed):
+    assert record(graph, seed) == _float_golden()[name]
+
+
+def test_float_golden_covers_corpus():
+    assert sorted(_float_golden()) == sorted(
+        name for name, _g, _s in float_cases()
+    )
+
+
+def _stoer_wagner_value(graph) -> float:
+    if not isinstance(graph, nx.Graph):
+        graph = graph.to_networkx()
+    value, _partition = nx.stoer_wagner(graph)
+    return value
+
+
+def _write_float_golden() -> None:
+    data = {}
+    for name, graph, seed in float_cases():
+        entry = record(graph, seed)
+        truth = _stoer_wagner_value(graph)
+        if abs(entry["value"] - truth) > 1e-9 * max(1.0, truth):
+            raise AssertionError(f"{name}: {entry['value']} != Stoer-Wagner {truth}")
+        data[name] = entry
+    FLOAT_GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} entries to {FLOAT_GOLDEN}")
 
 
 def test_hub_case_overflows_interest_sketches(monkeypatch):
@@ -135,3 +217,4 @@ if __name__ == "__main__":
     data = {name: record(graph, seed) for name, graph, seed in cases()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} entries to {GOLDEN}")
+    _write_float_golden()

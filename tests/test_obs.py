@@ -375,6 +375,14 @@ class TestPipelineIntegration:
         )
         assert all(nested[name]["rounds"] > 0 for name in layers)
         assert profile["unattributed_rounds"] == {}
+        # Every tree's leaves are evaluated once, after the last tree, in
+        # their own span; evaluation charges no rounds.
+        leaves = [
+            node for node in walk(profile["tree"]) if node["name"] == "ma.leaves"
+        ]
+        assert len(leaves) == 1
+        assert "ma.two_respecting" not in leaves[0]["path"]
+        assert leaves[0]["rounds"] == 0
 
     def test_sweep_profile_and_thread_safety(self):
         graphs = [graph_case(seed=s) for s in range(6)]

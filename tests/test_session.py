@@ -331,6 +331,28 @@ class TestMinimumCutMany:
             reference = repro.minimum_cut(graph, seed=seed, solver=solver)
             assert_results_bit_identical(reference, result)
 
+    def test_per_graph_path_validates_once(self, monkeypatch):
+        """A graph off the fused path reuses the sweep's own validation:
+        one connectivity BFS per graph, none in ``pack`` or in the
+        Stoer-Wagner baseline."""
+        checks = []
+        is_connected = CSRGraph.is_connected
+
+        def spy(self):
+            checks.append(self)
+            return is_connected(self)
+
+        monkeypatch.setattr(CSRGraph, "is_connected", spy)
+        graphs = [build("gnm", 18, 2), build("grid", 25, 4), build("cycle", 12, 1)]
+        sweep = repro.minimum_cut_many(
+            graphs, repro.SolverConfig(solver="stoer-wagner"), seeds=[5, 6, 7]
+        )
+        assert len(checks) == 3
+        monkeypatch.setattr(CSRGraph, "is_connected", is_connected)
+        for graph, seed, result in zip(graphs, [5, 6, 7], sweep):
+            reference = repro.minimum_cut(graph, seed=seed, solver="stoer-wagner")
+            assert_results_bit_identical(reference, result)
+
     def test_networkx_graphs_run_fused(self, monkeypatch):
         from repro.core import session as session_module
 
