@@ -10,9 +10,13 @@ perf PRs have a committed baseline to diff against.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py              # BENCH_PR15.json
+    PYTHONPATH=src python benchmarks/run_benchmarks.py              # BENCH_local.json
     PYTHONPATH=src python benchmarks/run_benchmarks.py --out X.json --repeats 5
     PYTHONPATH=src python benchmarks/run_benchmarks.py --compare BENCH_PR2.json
+
+Without ``--out`` the results go to ``BENCH_local.json`` (git-ignored), so
+a local run never overwrites a committed ``BENCH_PR*.json`` trajectory
+file; name one with ``--out`` to record a new baseline.
 
 The kernel micro section times ``cover_values`` and
 ``two_respecting_oracle`` on a seeded n=512, m=2048 random graph
@@ -1172,7 +1176,7 @@ def compare_against(baseline_path: str, payload: dict) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_PR15.json")
+    parser.add_argument("--out", default="BENCH_local.json")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--check",

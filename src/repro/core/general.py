@@ -20,8 +20,8 @@ most O(log n) virtual nodes -- which the implementation tracks and the test
 suite asserts (the paper's |Virt| <= O(log n) invariant).
 
 Every instance graph, here and in the layers below, is an ordered edge
-table (:mod:`repro.core.edge_table`); only the centroid split still walks
-a networkx view of the tree.
+table (:mod:`repro.core.edge_table`), and the centroid split walks the
+rooted tree's own parent and child indices.
 
 **Leaves are deferred.**  A base case (a tree of at most
 :data:`BASE_CASE_EDGES` edges) is recorded into a
@@ -43,8 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
-
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
 from repro.core.edge_table import EdgeTable, assemble, edge_table
@@ -59,6 +57,8 @@ from repro.trees.centroid import find_centroid_centralized
 from repro.trees.rooted import Edge, Node, RootedTree, edge_key
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
+
     from repro.graphs.csr import CSRGraph
     from repro.kernel.cut_kernel import GraphArrays
 
@@ -137,17 +137,33 @@ class GeneralTwoRespectingSolver:
 
     # ------------------------------------------------------------------
     def _split_at_centroid(self, tree: RootedTree, centroid: Node):
-        """Components of T - c plus everything both sub-solvers need."""
-        tree_graph = tree.to_graph()
-        tree_graph.remove_node(centroid)
-        components = [set(c) for c in nx.connected_components(tree_graph)]
+        """Components of T - c plus everything both sub-solvers need.
+
+        Components come in the order a BFS over ``tree.to_graph()``
+        minus ``c`` first meets them (the root's component, then one per
+        child of ``c``), each a set filled in BFS order and then copied,
+        as ``set(c) for c in networkx.connected_components(...)`` builds
+        it, so iterating a component visits its nodes in the same order.
+        """
+        parent = tree.parent
+        component_of: dict[Node, int] = {}
+        found: list[set] = []
         anchors = {}  # component index -> the component node adjacent to c
-        for index, members in enumerate(components):
-            for neighbor in tree.children.get(centroid, []):
-                if neighbor in members:
-                    anchors[index] = neighbor
-            if centroid != tree.root and tree.parent[centroid] in members:
-                anchors[index] = tree.parent[centroid]
+        for node in tree.order:
+            if node == centroid:
+                continue
+            above = parent[node]
+            if above is None or above == centroid:
+                component_of[node] = len(found)
+                anchors[len(found)] = (
+                    node if above == centroid else parent[centroid]
+                )
+                found.append({node})
+            else:
+                index = component_of[above]
+                component_of[node] = index
+                found[index].add(node)
+        components = [set(members) for members in found]
         assert len(anchors) == len(components)
         return components, anchors
 

@@ -12,6 +12,18 @@ ID; a suffix merge along each path (a subtree sum, since paths hang off the
 star root) yields each edge's sketch; majority keys -- filtered with the
 sketch's tracked slack, so no strong interest is ever missed and everything
 reported is at least weakly interesting -- are unioned into the path's list.
+
+**Exact sums when nothing can overflow.**  A sketch at a node of path
+``P_i`` (and every suffix merge along ``P_i``) only ever holds keys of the
+*other* paths, so a star with ``k`` paths puts at most ``k - 1`` keys in
+any sketch.  With ``k <= SKETCH_CAPACITY + 1`` that is at most
+``SKETCH_CAPACITY`` keys: no insert or merge ever exceeds the capacity,
+so no sketch ever decrements, its slack stays ``0.0``, and every counter
+is the exact per-(node, path) weight sum.  Those stars skip the sketch
+objects and fold plain sums with the same float operations in the same
+order (edge-table order per node, bottom-up per path), so they report
+bit for bit what the sketches would.  Stars with more paths fold
+Misra-Gries sketches, whose decrements depend on the fold order.
 """
 
 from __future__ import annotations
@@ -80,8 +92,10 @@ def compute_interest_lists(
         accountant.charge(
             accountant.cost.subtree_sum(size) + 2, "star:interest-lists"
         )
-    sketches = _node_sketches(paths, graph)
+    if len(paths) <= SKETCH_CAPACITY + 1:
+        return _exact_interest_lists(paths, graph)
 
+    sketches = _node_sketches(paths, graph)
     lists: list[set[int]] = []
     for index, path in enumerate(paths):
         found: set[int] = set()
@@ -99,6 +113,57 @@ def compute_interest_lists(
                 # est + slack > W/2 catches every true strict majority; any
                 # catch has true weight > W/2 - 2*slack >= W(1/2 - 2/11).
                 if estimate + acc.decremented > total / 2:
+                    found.add(key)
+        found.discard(index)
+        lists.append(found)
+    return lists
+
+
+def _exact_interest_lists(paths: list[list], graph) -> list[set[int]]:
+    """:func:`compute_interest_lists` for stars whose sketches cannot
+    overflow (see the module docstring): per-(node, path) sums and
+    per-node totals in edge-table order, then a bottom-up suffix fold per
+    path, each operation the one a sketch would make.  A node without
+    cross edges leaves the fold as it was, so its check is skipped."""
+    path_of: dict = {}
+    for index, path in enumerate(paths):
+        for node in path:
+            path_of[node] = index
+
+    sums: dict = {}
+    totals: dict = {}
+    for u, v, weight in edge_table(graph):
+        pu, pv = path_of.get(u), path_of.get(v)
+        if pu is None or pv is None or pu == pv:
+            continue
+        for node, label in ((u, pv), (v, pu)):
+            counts = sums.get(node)
+            if counts is None:
+                sums[node] = {label: weight}
+                totals[node] = 0.0 + weight
+            else:
+                counts[label] = counts.get(label, 0) + weight
+                totals[node] += weight
+
+    lists: list[set[int]] = []
+    for index, path in enumerate(paths):
+        found: set[int] = set()
+        acc: dict = {}
+        total = 0.0
+        for node in reversed(path):
+            counts = sums.get(node)
+            if counts is None:
+                continue  # nothing changed since the last check
+            total += totals[node]
+            for key, value in counts.items():
+                acc[key] = acc.get(key, 0) + value
+            if total <= 0:
+                continue
+            half = total / 2
+            for key, estimate in acc.items():
+                # ``+ 0.0`` is the sketch's zero slack: a huge int
+                # estimate is compared as a float, exactly as there.
+                if estimate + 0.0 > half:
                     found.add(key)
         found.discard(index)
         lists.append(found)

@@ -383,7 +383,10 @@ class GraphPacking:
         ctx: "SolveContext",
         solve_stats=None,
     ) -> MinCutResult:
-        """Select the best per-tree candidate and materialise the witness."""
+        """Select the best per-tree candidate and materialise the witness.
+
+        ``solve_stats`` (a dict) becomes ``result.stats["general_solver"]``.
+        """
         return _finalize_candidates(
             csr=self.csr,
             arrays=self.arrays,
@@ -607,11 +610,7 @@ def _finalize_candidates_inner(
         "trees": len(packing.tree_edge_arrays),
     }
     if solve_stats is not None:
-        stats["general_solver"] = {
-            "instances": solve_stats.instances,
-            "max_depth": solve_stats.max_depth,
-            "max_virtual_nodes": solve_stats.max_virtual_nodes,
-        }
+        stats["general_solver"] = dict(solve_stats)
 
     if csr.nodes is not None:
         # Map the index-space witness back onto the graph's labels.
@@ -687,7 +686,14 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             )
     leaves.flush()
     candidates = [result.best for result in results]
-    solve_stats = results[-1].stats if results else None
+    # The recursion statistics of the whole solve, over every packed tree.
+    solve_stats = None
+    if results:
+        solve_stats = {
+            "instances": sum(r.stats.instances for r in results),
+            "max_depth": max(r.stats.max_depth for r in results),
+            "max_virtual_nodes": max(r.stats.max_virtual_nodes for r in results),
+        }
     if labels is not None:
         index_of = csr.index_of
         candidates = [

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate
-from repro.core.edge_table import EdgeTable, assemble, chains, edge_table
+from repro.core.edge_table import EdgeTable, edge_table
 from repro.core.interest import greedy_edge_coloring, interest_structure
 from repro.core.leaves import Deferred, LeafBatch, join
 from repro.core.path_to_path import PathInstance, PathToPathSolver
@@ -53,7 +53,9 @@ class StarPath:
 @dataclass
 class StarInstance:
     """Root + descending paths; ``graph`` is the ordered edge table over
-    the root and the path nodes (a networkx graph is converted once)."""
+    the root and the path nodes (a networkx graph is converted once).
+    Only its edges between different paths are read, so Theorem 39's
+    contractions build just those."""
 
     graph: EdgeTable
     root: Node
@@ -73,26 +75,51 @@ class StarSolveStats:
     colors_used: int = 0
 
 
+def _pair_edges(instance: StarInstance) -> dict[tuple[int, int], EdgeTable]:
+    """The star's cross-path edges grouped by path pair ``(i, j)``, i < j,
+    each group in edge-table order."""
+    path_of: dict = {}
+    for index, path in enumerate(instance.paths):
+        for node in path.nodes:
+            path_of[node] = index
+    groups: dict[tuple[int, int], EdgeTable] = {}
+    for edge in instance.graph:
+        pu, pv = path_of.get(edge[0]), path_of.get(edge[1])
+        if pu is None or pv is None or pu == pv:
+            continue
+        key = (pu, pv) if pu < pv else (pv, pu)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [edge]
+        else:
+            group.append(edge)
+    return groups
+
+
 def _build_pair_instance(
-    instance: StarInstance, i: int, j: int
+    instance: StarInstance, i: int, j: int, edges: EdgeTable
 ) -> PathInstance:
-    """Matched pair (P_i, P_j) with a private virtual root (Theorem 27)."""
+    """Matched pair (P_i, P_j) with a private virtual root (Theorem 27).
+
+    ``edges`` are the star's edges between the two paths; the pair's
+    table is what :func:`assemble` builds over the root, the union of
+    the paths' node sets and the two chains: only those edges (the
+    zero-weight chains drop out), oriented and ordered by the earlier
+    endpoint's position in that node order, stable in star-table order.
+    """
     path_i, path_j = instance.paths[i], instance.paths[j]
     root = _fresh_id("pair_root")
-    members_i = set(path_i.nodes)
-    members_j = set(path_j.nodes)
-    graph = assemble(
-        [root, *(members_i | members_j)],
-        chains(root, (path_i.nodes, path_j.nodes)),
-        (
-            (u, v, w)
-            for u, v, w in instance.graph
-            if (u in members_i and v in members_j)
-            or (u in members_j and v in members_i)
-        ),
-    )
+    position = {
+        node: index
+        for index, node in enumerate(set(path_i.nodes) | set(path_j.nodes))
+    }
+    oriented = [
+        (u, v, w) if position[u] < position[v] else (v, u, w)
+        for u, v, w in edges
+    ]
+    oriented.sort(key=lambda edge: position[edge[0]])
     return PathInstance(
-        graph=graph,
+        graph=oriented,
         root=root,
         p_nodes=list(path_i.nodes),
         q_nodes=list(path_j.nodes),
@@ -144,6 +171,7 @@ def solve_star(
                 "star:edge-coloring",
             )
 
+        pair_edges = _pair_edges(instance)
         results: list[Deferred] = []
         for color in colors:
             matched = [pair for pair, c in coloring.items() if c == color]
@@ -151,7 +179,9 @@ def solve_star(
                 for i, j in matched:
                     with par.branch():
                         stats.pair_instances += 1
-                        pair_instance = _build_pair_instance(instance, i, j)
+                        pair_instance = _build_pair_instance(
+                            instance, i, j, pair_edges.get((i, j), [])
+                        )
                         solver = PathToPathSolver(acct, leaves)
                         results.append(solver.solve(pair_instance))
         return join(results)

@@ -1,6 +1,7 @@
 """General 2-respecting min-cut (Theorem 40): exactness + paper invariants."""
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -162,3 +163,50 @@ class TestStructuredFamilies:
         oracle = two_respecting_oracle(graph, tree)
         result = two_respecting_min_cut(graph, tree)
         assert result.best.value == pytest.approx(oracle.value)
+
+
+class TestCentroidSplit:
+    """``_split_at_centroid`` walks the rooted tree, yet must hand back
+    what networkx's connected components of ``T - c`` would: the same
+    component order, the same anchors, and sets that iterate in the same
+    order (the instance builders iterate them)."""
+
+    @staticmethod
+    def _networkx_split(tree, centroid):
+        graph = tree.to_graph()
+        graph.remove_node(centroid)
+        components = [set(c) for c in nx.connected_components(graph)]
+        anchors = {}
+        for index, members in enumerate(components):
+            for child in tree.children[centroid]:
+                if child in members:
+                    anchors[index] = child
+            if centroid != tree.root and tree.parent[centroid] in members:
+                anchors[index] = tree.parent[centroid]
+        return components, anchors
+
+    @pytest.mark.parametrize("labels", ["int", "tuple", "str"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_networkx_components(self, labels, seed):
+        from repro.core.general import GeneralTwoRespectingSolver
+
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        names = {
+            "int": lambda i: i * 7,
+            "tuple": lambda i: ("__split_centroid__", rng.randrange(10**6), i),
+            "str": lambda i: f"v{i}",
+        }[labels]
+        nodes = [names(i) for i in range(n)]
+        rng.shuffle(nodes)
+        edges = [(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n)]
+        rng.shuffle(edges)
+        tree = RootedTree.from_edges(edges, root=rng.choice(nodes))
+        solver = GeneralTwoRespectingSolver()
+        for centroid in rng.sample(tree.order, min(5, n)):
+            components, anchors = solver._split_at_centroid(tree, centroid)
+            want_components, want_anchors = self._networkx_split(tree, centroid)
+            assert [list(c) for c in components] == [
+                list(c) for c in want_components
+            ]
+            assert list(anchors.items()) == list(want_anchors.items())

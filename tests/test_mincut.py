@@ -162,6 +162,35 @@ class TestReporting:
         assert "general_solver" in result.stats
         assert result.stats["general_solver"]["max_depth"] >= 0
 
+    def test_general_solver_stats_cover_every_tree(self, monkeypatch):
+        """``stats["general_solver"]`` describes the whole solve: instances
+        summed over every packed tree's recursion, depth and virtual nodes
+        as maxima (not the last tree's recursion alone)."""
+        from repro.core import general
+        from repro.graphs import CSR_FAMILY_BUILDERS
+
+        per_tree = []
+        solve = general.two_respecting_min_cut
+
+        def spy(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            per_tree.append(result.stats)
+            return result
+
+        monkeypatch.setattr(general, "two_respecting_min_cut", spy)
+        result = repro.MinCutSolver(
+            repro.SolverConfig(solver="minor-aggregation")
+        ).solve(CSR_FAMILY_BUILDERS["gnm"](24, 1), seed=1)
+        assert len(per_tree) == result.stats["trees"] > 1
+        assert result.stats["general_solver"] == {
+            "instances": sum(s.instances for s in per_tree),
+            "max_depth": max(s.max_depth for s in per_tree),
+            "max_virtual_nodes": max(s.max_virtual_nodes for s in per_tree),
+        }
+        assert result.stats["general_solver"]["instances"] > max(
+            s.instances for s in per_tree
+        )
+
     def test_best_tree_index_valid(self):
         graph = random_connected_gnm(18, 40, seed=12)
         result = repro.minimum_cut(graph, seed=12)

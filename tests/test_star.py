@@ -6,16 +6,19 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import cover_values, cut_matrix
 from repro.core.interest import (
+    SKETCH_CAPACITY,
     build_interest_graph,
     compute_interest_lists,
     greedy_edge_coloring,
     interest_structure,
 )
 from repro.core.star import StarInstance, StarPath, StarSolveStats, solve_star
+from repro.ma.operators import MisraGries
 from repro.trees.rooted import RootedTree, edge_key
 
 
@@ -134,6 +137,110 @@ class TestInterestLists:
         acct = RoundAccountant()
         compute_interest_lists([p.nodes for p in instance.paths], graph, acct)
         assert acct.total > 0
+
+
+def sketch_interest_lists(paths, table):
+    """Lemma 32 folded through Misra-Gries sketch objects: per-node
+    sketches in table order, then a bottom-up suffix merge per path.
+    Returns the lists and the largest slack any suffix sketch reached."""
+    path_of = {node: i for i, path in enumerate(paths) for node in path}
+    sketches = {}
+    for u, v, w in table:
+        pu, pv = path_of.get(u), path_of.get(v)
+        if pu is None or pv is None or pu == pv:
+            continue
+        for node, label in ((u, pv), (v, pu)):
+            sketch = sketches.get(node, MisraGries.empty(SKETCH_CAPACITY))
+            sketches[node] = sketch.add(label, w)
+    lists, slack = [], 0.0
+    for i, path in enumerate(paths):
+        acc = MisraGries.empty(SKETCH_CAPACITY)
+        found = set()
+        for node in reversed(path):
+            if node in sketches:
+                acc = acc.merged(sketches[node])
+            if acc.total > 0:
+                found |= {
+                    key
+                    for key, estimate in acc.counts.items()
+                    if estimate + acc.decremented > acc.total / 2
+                }
+        slack = max(slack, acc.decremented)
+        found.discard(i)
+        lists.append(found)
+    return lists, slack
+
+
+WEIGHTS = {
+    "int": st.integers(1, 100),
+    "mixed": st.one_of(
+        st.just(1e-9), st.floats(0.1, 0.3), st.just(1e9)
+    ),
+    "huge-int": st.integers(10**17, 10**18),
+}
+
+
+@st.composite
+def interest_cases(draw, min_paths, max_paths):
+    """Paths of 1-4 nodes hanging off root 0, two off-path nodes, and a
+    table of random edges (self-loops dropped) with parallel repeats,
+    optionally tying every path to path 0 so its sketches fill up."""
+    k = draw(st.integers(min_paths, max_paths))
+    paths, next_id = [], 1
+    for length in draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)):
+        paths.append(list(range(next_id, next_id + length)))
+        next_id += length
+    nodes = st.integers(0, next_id + 1)
+    weights = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    table = draw(st.lists(st.tuples(nodes, nodes, weights), max_size=60))
+    if draw(st.booleans()):
+        table += [(paths[0][-1], path[0], draw(weights)) for path in paths[1:]]
+    for index in draw(st.lists(st.integers(0, 10**6), max_size=10)):
+        if table:
+            u, v, _w = table[index % len(table)]
+            table.append((v, u, draw(weights)))  # a parallel edge
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    rng.shuffle(table)
+    return paths, [(u, v, w) for u, v, w in table if u != v]
+
+
+class TestInterestFastPath:
+    """Stars with at most ``SKETCH_CAPACITY + 1`` paths fold exact sums,
+    larger ones fold sketches; both must give the sketch fold's lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=interest_cases(2, SKETCH_CAPACITY + 1))
+    def test_exact_sums_equal_sketch_fold(self, case):
+        paths, table = case
+        lists, slack = sketch_interest_lists(paths, table)
+        assert slack == 0  # at most k - 1 keys: no sketch ever decrements
+        assert compute_interest_lists(paths, table) == lists
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interest_cases(SKETCH_CAPACITY + 2, 16))
+    def test_overflowing_stars_keep_sketch_fold(self, case):
+        paths, table = case
+        lists, _slack = sketch_interest_lists(paths, table)
+        assert compute_interest_lists(paths, table) == lists
+
+    def test_small_star_builds_no_sketch(self, monkeypatch):
+        merged = []
+        original = MisraGries.merged
+        monkeypatch.setattr(
+            MisraGries, "merged",
+            lambda self, other: merged.append(1) or original(self, other),
+        )
+        graph, _rooted, instance = make_star([3] * (SKETCH_CAPACITY + 1), 60, 2)
+        compute_interest_lists([p.nodes for p in instance.paths], graph)
+        assert not merged
+
+    def test_hub_path_overflows_sketches(self):
+        """Twelve paths all tied to one: that path's sketch overflows."""
+        paths = [[i] for i in range(1, 13)]
+        table = [(1, j, 1 + j % 3) for j in range(2, 13)]
+        lists, slack = sketch_interest_lists(paths, table)
+        assert slack > 0
+        assert compute_interest_lists(paths, table) == lists
 
 
 class TestInterestGraph:

@@ -145,3 +145,70 @@ class TestSolveSubtreeInstance:
         max_depth = math.floor(math.log2(n)) + 1
         assert stats.colorings <= math.ceil(math.log2(4))
         assert stats.star_instances <= stats.colorings * max_depth ** 2
+
+
+class TestInstanceIndex:
+    """``_index`` decomposes every subtree in one walk; its HL-paths must
+    be those (and in the order) that a ``HeavyLightDecomposition`` of
+    ``RootedTree.from_edges`` over the subtree's preorder edges gives."""
+
+    @staticmethod
+    def _reference_paths(instance):
+        from repro.trees.hld import HeavyLightDecomposition
+
+        tree, orig_of = instance.tree, instance.orig_of
+        out = []
+        for top in tree.children[tree.root]:
+            edges = [
+                (node, tree.parent[node])
+                for node in tree.subtree_nodes(top)
+                if node != top
+            ]
+            hld = HeavyLightDecomposition(RootedTree.from_edges(edges, root=top))
+            paths_at = {}
+            for path in hld.hl_paths():
+                if any(e not in orig_of for e in path.edges):
+                    continue
+                paths_at.setdefault(path.depth, []).append(
+                    (list(path.nodes), [orig_of[e] for e in path.edges])
+                )
+            depths = {hld.hl_depth[v] for v in hld.tree.order[1:]} | {0}
+            out.append((paths_at, depths))
+        return out
+
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_paths_match_heavy_light_decomposition(self, labels, seed):
+        from repro.core.subtree_instance import _index
+
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, 12) for _ in range(rng.randint(2, 5))]
+        _graph, rooted, instance, _nodes = make_subtree_instance(
+            sizes, 20, seed + 90
+        )
+        if labels == "str":
+            name = {v: f"n{v}" for v in rooted.order}
+            relabel = lambda e: tuple(sorted((name[e[0]], name[e[1]])))
+            tree = RootedTree.from_edges(
+                [(name[u], name[v]) for u, v in rooted.to_graph().edges()],
+                root=name[rooted.root],
+            )
+            instance = SubtreeInstance(
+                graph=[(name[u], name[v], w) for u, v, w in instance.graph],
+                tree=tree,
+                orig_of={
+                    relabel(e): relabel(o) for e, o in instance.orig_of.items()
+                },
+                cov={relabel(e): c for e, c in instance.cov.items()},
+            )
+        got = [
+            (
+                {
+                    d: [(p.nodes, p.orig) for p in paths]
+                    for d, paths in sub.paths_at.items()
+                },
+                sub.depths,
+            )
+            for sub in _index(instance).subtrees
+        ]
+        assert got == self._reference_paths(instance)
