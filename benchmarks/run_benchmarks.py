@@ -68,6 +68,15 @@ The ``ma_vs_oracle`` section times full ``minor-aggregation`` and
 centralized brute force, tracked toward a <= 5x ratio but not gated on
 it.  Any value mismatch between the two solvers fails the run.
 
+The ``default_config`` section times what ``minimum_cut(graph)`` costs:
+the default ``SolverConfig()`` (the paper's solver with CONGEST
+estimates, hence the exact diameter) against the same solve with
+``compute_congest=False``, interleaved, on gnm m=4n graphs at n 256 and
+1024.  Every timed solve gets a fresh copy of the graph, so the per-graph
+diameter cache never hides the diameter's cost.  Values must agree, and
+``--check`` fails when the median ratio at n=1024 exceeds
+``DEFAULT_CONFIG_RATIO_CEILING``.
+
 The ``oracle_stack`` section times the stacked 2-respecting oracle
 (``batched_two_respecting_oracle``) on the seeded packed trees of every
 family at n=256, in ms per tree, next to the per-tree
@@ -135,6 +144,11 @@ MA_MIN_PAIRS = 5
 #: the paper's solver vs the oracle: gnm m=3n at these sizes.
 MA_VS_ORACLE_NS = (24, 48, 96)
 MA_VS_ORACLE_SEED = 1
+#: the default-config row: gnm m=4n at these sizes; --check gates the
+#: default/no-CONGEST median ratio at the largest.
+DEFAULT_CONFIG_NS = (256, 1024)
+DEFAULT_CONFIG_SEED = 1
+DEFAULT_CONFIG_RATIO_CEILING = 1.10
 #: the PR 9 scale row: the full packing round schedule at CONGEST scale.
 MA_SCALE_N = 100_000
 MA_SCALE_M = 300_000
@@ -527,6 +541,74 @@ def run_ma_vs_oracle_bench(repeats: int) -> dict:
             f"  ratio {ma_ms / oracle_ms:5.1f}x  identical={identical}"
         )
     rows["identical"] = all(row["identical"] for row in rows.values())
+    return rows
+
+
+def run_default_config_bench(repeats: int) -> dict:
+    """What ``minimum_cut(graph)`` pays for its CONGEST estimates.
+
+    The default ``SolverConfig()`` against ``compute_congest=False``, the
+    two alternating solve by solve (and which goes first, pair by pair);
+    median seconds per side and their ratio, plus the median time of the
+    diameter alone.  The diameter is cached per graph, so each timed
+    solve gets a fresh copy (made outside the timer).
+    """
+    from repro.core.session import MinCutSolver, SolverConfig
+    from repro.graphs import CSRGraph, csr_random_connected_gnm
+
+    sides = [
+        ("default", MinCutSolver(SolverConfig())),
+        ("no_congest", MinCutSolver(SolverConfig(compute_congest=False))),
+    ]
+    rows: dict = {}
+    for index, n in enumerate(DEFAULT_CONFIG_NS):
+        graph = csr_random_connected_gnm(n, 4 * n, seed=DEFAULT_CONFIG_SEED)
+
+        def fresh_solve(solver):
+            fresh = CSRGraph(graph.n, graph.edge_u, graph.edge_v, graph.edge_w)
+            start = time.perf_counter()
+            result = solver.solve(fresh, seed=DEFAULT_CONFIG_SEED)
+            return time.perf_counter() - start, result.value
+
+        if index == 0:  # warm the process up once, untimed
+            for _name, solver in sides:
+                fresh_solve(solver)
+        samples: dict = {name: [] for name, _solver in sides}
+        values = set()
+        for pair in range(repeats):
+            # Alternate which side runs first, pair by pair.
+            for name, solver in sides[:: 1 if pair % 2 == 0 else -1]:
+                seconds, value = fresh_solve(solver)
+                samples[name].append(seconds)
+                values.add(value)
+        diameter_s = []
+        for _ in range(repeats):
+            fresh = CSRGraph(graph.n, graph.edge_u, graph.edge_v, graph.edge_w)
+            start = time.perf_counter()
+            fresh.diameter()
+            diameter_s.append(time.perf_counter() - start)
+        default_s = statistics.median(samples["default"])
+        plain_s = statistics.median(samples["no_congest"])
+        ratio = default_s / plain_s
+        rows[f"gnm_{n}"] = {
+            "n": n, "m": graph.m, "seed": DEFAULT_CONFIG_SEED,
+            "default_median_s": round(default_s, 4),
+            "no_congest_median_s": round(plain_s, 4),
+            "ratio": round(ratio, 3),
+            "diameter_median_ms": round(statistics.median(diameter_s) * 1e3, 3),
+            "identical": len(values) == 1,
+        }
+        print(
+            f"  gnm n={n:<5} m={graph.m:<6} default {default_s:8.3f} s  "
+            f"compute_congest=False {plain_s:8.3f} s  ratio {ratio:5.3f}  "
+            f"diameter {statistics.median(diameter_s) * 1e3:7.2f} ms  "
+            f"identical={len(values) == 1}"
+        )
+    largest = rows[f"gnm_{max(DEFAULT_CONFIG_NS)}"]
+    rows["within_ceiling"] = largest["ratio"] <= DEFAULT_CONFIG_RATIO_CEILING
+    rows["identical"] = all(
+        row["identical"] for key, row in rows.items() if key.startswith("gnm_")
+    )
     return rows
 
 
@@ -1209,6 +1291,8 @@ def main() -> int:
     oracle_stack = run_oracle_stack_bench(args.repeats)
     print("minor-aggregation vs oracle (gnm m=3n):")
     ma_vs_oracle = run_ma_vs_oracle_bench(args.repeats)
+    print("default config vs compute_congest=False (gnm m=4n):")
+    default_config = run_default_config_bench(args.repeats)
     print("minor-aggregation scale row:")
     ma_scale = run_ma_scale_bench()
     print("serve tier (cold/warm/unbatched):")
@@ -1239,6 +1323,7 @@ def main() -> int:
         "approx_cut": approx_cut,
         "oracle_stack": oracle_stack,
         "ma_vs_oracle": ma_vs_oracle,
+        "default_config": default_config,
         "serve": serve,
         "serve_overload": serve_overload,
         "profile": profile,
@@ -1256,6 +1341,7 @@ def main() -> int:
     ok = ok and approx_cut["identical"]
     ok = ok and oracle_stack["identical"]
     ok = ok and ma_vs_oracle["identical"]
+    ok = ok and default_config["identical"]
     many_fast_enough = all(
         row["speedup"] >= MANY_SPEEDUP_FLOOR for row in many.values()
     )
@@ -1277,6 +1363,14 @@ def main() -> int:
     if args.check and not ma_fast_enough:
         print(
             f"FAIL: compiled MA round speedup below {MA_SPEEDUP_FLOOR}x",
+            file=sys.stderr,
+        )
+        return 1
+    if args.check and not default_config["within_ceiling"]:
+        print(
+            f"FAIL: default-config solve more than "
+            f"{DEFAULT_CONFIG_RATIO_CEILING}x the compute_congest=False solve "
+            f"at n={max(DEFAULT_CONFIG_NS)}",
             file=sys.stderr,
         )
         return 1

@@ -19,9 +19,9 @@ phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -43,6 +43,29 @@ def log_star(n: int) -> int:
     return max(1, count)
 
 
+def _tabled(formula):
+    """Memoise a :class:`CostModel` formula per instance, keyed by its
+    arguments: the recursion charges the same few sizes thousands of
+    times.  A formula must be a pure function of its arguments (``scale``
+    is applied by :meth:`CostModel.scaled`, not here); an override in a
+    subclass is its own formula and is not memoised unless it says so.
+    """
+    name = formula.__name__
+
+    @functools.wraps(formula)
+    def lookup(self, *args, **kwargs):
+        if kwargs:
+            return formula(self, *args, **kwargs)
+        key = (name, *args)
+        try:
+            return self._table[key]
+        except KeyError:
+            value = self._table[key] = formula(self, *args)
+            return value
+
+    return lookup
+
+
 @dataclass
 class CostModel:
     """Documented Minor-Aggregation round costs of the paper's primitives.
@@ -55,20 +78,28 @@ class CostModel:
 
     #: Multiplier applied to every formula (lets experiments study constants).
     scale: float = 1.0
+    #: formula values already computed, keyed by ``(formula, *args)``
+    _table: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
+    @_tabled
     def prefix_sum(self, length: int) -> int:
         """Lemma 45: one round per recursion level, ``ceil(log2 len)`` levels."""
         return max(1, log2ceil(max(2, length)))
 
+    @_tabled
     def subtree_sum(self, n: int) -> int:
         """Lemma 46: O(log n) HL levels x (1 collect + prefix-sum) rounds."""
         levels = log2ceil(n) + 1
         return levels * (1 + self.prefix_sum(n))
 
+    @_tabled
     def ancestor_sum(self, n: int) -> int:
         """Lemma 46 (symmetric to the subtree sum)."""
         return self.subtree_sum(n)
 
+    @_tabled
     def hld(self, n: int) -> int:
         """Lemma 47 / Theorem 48: O(log n) merge iterations, each doing a
         star-merge (Cole-Vishkin) plus a constant number of subtree sums."""
@@ -76,14 +107,17 @@ class CostModel:
         per_iteration = log_star(n) + 3 + 2 * self.subtree_sum(n)
         return iterations * per_iteration
 
+    @_tabled
     def centroid(self, n: int) -> int:
         """Lemma 42: root election + subtree sum + local max + leader round."""
         return self.subtree_sum(n) + 3
 
+    @_tabled
     def one_respecting(self, n: int) -> int:
         """Theorem 18: HLD + 2 local rounds + 2 subtree sums."""
         return self.hld(n) + 2 + 2 * self.subtree_sum(n)
 
+    @_tabled
     def edge_coloring(self, max_degree: int, n: int) -> int:
         """Lemma 35 (Panconesi-Rizzi): O(Delta + log* n) CONGEST rounds on the
         interest graph, simulated with O(Delta) blowup (Lemma 34)."""
@@ -98,20 +132,75 @@ class CostModel:
         return self.scale * rounds
 
 
-@dataclass
+class _VirtualOverhead:
+    """A :meth:`RoundAccountant.virtual_overhead` scope: its multiplier is
+    on the stack exactly while the body runs, also when the body raises."""
+
+    __slots__ = ("_stack", "_factor")
+
+    def __init__(self, stack: list, factor: float):
+        self._stack = stack
+        self._factor = factor
+
+    def __enter__(self) -> None:
+        self._stack.append(self._factor)
+
+    def __exit__(self, *exc) -> bool:
+        self._stack.pop()
+        return False
+
+
 class _ParallelScope:
-    """Collects per-branch totals; contributes the max on exit."""
+    """A :meth:`RoundAccountant.parallel` scope: collects per-branch
+    totals and contributes their max on exit (also when the body raises,
+    counting the branches that finished)."""
 
-    branch_totals: list = field(default_factory=list)
-    current: float = 0.0
+    __slots__ = ("_acct", "branch_totals", "current")
 
-    @contextmanager
-    def branch(self):
+    def __init__(self, acct: "RoundAccountant"):
+        self._acct = acct
+        self.branch_totals: list[float] = []
+        self.current = 0.0
+
+    def __enter__(self) -> "_ParallelScope":
+        self._acct._parallel_stack.append(self)
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        acct = self._acct
+        stack = acct._parallel_stack
+        stack.pop()
+        contribution = max(self.branch_totals, default=0.0)
+        # Re-inject the max into the enclosing context.
+        if stack:
+            stack[-1].current += contribution
+        else:
+            acct._total += contribution
+        return False
+
+    def branch(self) -> "_Branch":
         """One node-disjoint branch: its charges are totalled separately."""
-        self.current = 0.0
-        yield
-        self.branch_totals.append(self.current)
-        self.current = 0.0
+        return _Branch(self)
+
+
+class _Branch:
+    """One branch of a :class:`_ParallelScope`.  A branch whose body
+    raises records no total (its partial charges are dropped)."""
+
+    __slots__ = ("_scope",)
+
+    def __init__(self, scope: _ParallelScope):
+        self._scope = scope
+
+    def __enter__(self) -> None:
+        self._scope.current = 0.0
+
+    def __exit__(self, exc_type, *exc) -> bool:
+        if exc_type is None:
+            scope = self._scope
+            scope.branch_totals.append(scope.current)
+            scope.current = 0.0
+        return False
 
 
 class RoundAccountant:
@@ -186,32 +275,15 @@ class RoundAccountant:
     # ------------------------------------------------------------------
     # Composition rules
     # ------------------------------------------------------------------
-    @contextmanager
-    def virtual_overhead(self, beta: int):
+    def virtual_overhead(self, beta: int) -> _VirtualOverhead:
         """Theorem 14: everything inside costs ``(beta + 1)`` times more."""
         if beta < 0:
             raise ValueError("beta must be non-negative")
-        self._multiplier_stack.append(beta + 1)
-        try:
-            yield
-        finally:
-            self._multiplier_stack.pop()
+        return _VirtualOverhead(self._multiplier_stack, beta + 1)
 
-    @contextmanager
-    def parallel(self):
+    def parallel(self) -> _ParallelScope:
         """Corollary 11: node-disjoint branches cost the max, not the sum."""
-        scope = _ParallelScope()
-        self._parallel_stack.append(scope)
-        try:
-            yield scope
-        finally:
-            self._parallel_stack.pop()
-            contribution = max(scope.branch_totals, default=0.0)
-            # Re-inject the max into the enclosing context.
-            if self._parallel_stack:
-                self._parallel_stack[-1].current += contribution
-            else:
-                self._total += contribution
+        return _ParallelScope(self)
 
     def merge(self, *others: "RoundAccountant | dict") -> "RoundAccountant":
         """Fold other ledgers into this one (sequential composition).

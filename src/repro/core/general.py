@@ -47,7 +47,10 @@ from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
 from repro.core.edge_table import EdgeTable, assemble, edge_table
 from repro.core.leaves import Deferred, LeafBatch, join
-from repro.core.one_respecting import one_respecting_cuts_fast
+from repro.core.one_respecting import (
+    charge_one_respecting,
+    one_respecting_cuts_fast,
+)
 from repro.core.subtree_instance import (
     SubtreeInstance,
     SubtreeSolveStats,
@@ -321,8 +324,12 @@ class GeneralTwoRespectingSolver:
         tree: RootedTree,
         arrays: "GraphArrays | None" = None,
         table: EdgeTable | None = None,
+        cov: "dict[Edge, float] | None" = None,
     ) -> TwoRespectingResult:
-        cov = one_respecting_cuts_fast(graph, tree, self.acct, arrays=arrays)
+        if cov is None:
+            cov = one_respecting_cuts_fast(graph, tree, self.acct, arrays=arrays)
+        else:
+            charge_one_respecting(self.acct, graph.number_of_nodes())
         one_best = best_candidate(
             CutCandidate(value=value, edges=(edge,)) for edge, value in cov.items()
         )
@@ -350,6 +357,7 @@ def two_respecting_min_cut(
     arrays: "GraphArrays | None" = None,
     table: EdgeTable | None = None,
     leaves: LeafBatch | None = None,
+    cov: "dict[Edge, float] | None" = None,
 ) -> TwoRespectingResult:
     """Theorem 40 entry point.
 
@@ -360,7 +368,9 @@ def two_respecting_min_cut(
     asserted against.  Callers solving many spanning trees of one graph
     can pre-extract its edges once: ``arrays`` for the 1-respecting pass,
     ``table`` (:func:`~repro.core.edge_table.edge_table`) for the
-    recursion.
+    recursion, and ``cov`` -- the tree's ``Cov(e)`` in ``tree.edges()``
+    order, e.g. a :func:`~repro.kernel.cut_kernel.stacked_covers` row --
+    in place of the 1-respecting pass (its rounds are charged either way).
 
     Without ``leaves`` the recursion's leaves are evaluated before this
     returns.  Callers solving several trees pass one shared
@@ -374,7 +384,7 @@ def two_respecting_min_cut(
             root = min(tree.nodes(), key=lambda v: (type(v).__name__, str(v)))
         rooted = RootedTree(tree, root)
     solver = GeneralTwoRespectingSolver(accountant, leaves)
-    result = solver.solve(graph, rooted, arrays=arrays, table=table)
+    result = solver.solve(graph, rooted, arrays=arrays, table=table, cov=cov)
     if leaves is None:
         solver.leaves.flush()
     return result

@@ -116,11 +116,13 @@ def one_respecting_cuts_fast(
     trees.
     """
     if accountant is not None:
-        accountant.charge(
-            accountant.cost.one_respecting(graph.number_of_nodes()),
-            "one-respecting",
-        )
+        charge_one_respecting(accountant, graph.number_of_nodes())
     return cover_values_kernel(graph, tree, arrays=arrays)
+
+
+def charge_one_respecting(accountant: RoundAccountant, n: int) -> None:
+    """Charge Theorem 18's documented cost for an ``n``-node graph."""
+    accountant.charge(accountant.cost.one_respecting(n), "one-respecting")
 
 
 def one_respecting_min_cut(

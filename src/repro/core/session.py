@@ -81,7 +81,12 @@ from repro.kernel.batched import (
     parse_batch_bytes,
     stack_candidates,
 )
-from repro.kernel.cut_kernel import GraphArrays, partition_cut_weight_arrays
+from repro.kernel.cut_kernel import (
+    GraphArrays,
+    cover_dict,
+    partition_cut_weight_arrays,
+    stacked_covers,
+)
 from repro.kernel.forest import stacked_tree_arrays
 from repro.ma.simulation import congest_estimates
 from repro.obs import metrics as obs_metrics
@@ -603,7 +608,9 @@ def _finalize_candidates_inner(
 
     congest = None
     if compute_congest:
-        congest = congest_estimates(acct.total, n=csr.n, diameter=csr.diameter())
+        with obs_trace.span("finalize.diameter", n=csr.n):
+            diameter = csr.diameter()
+        congest = congest_estimates(acct.total, n=csr.n, diameter=diameter)
 
     stats: dict = {
         "accountant": acct.snapshot(),
@@ -665,6 +672,10 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             for index in range(len(packing.tree_edge_arrays))
         ]
     acct = ctx.accountant
+    # Theorem 18's Cov(e) for every packed tree in one stacked pass; a
+    # stack row is indexed like its tree's BFS order in either space.
+    with obs_trace.span("ma.covers", trees=len(trees)):
+        covers = stacked_covers(packed.stack, arrays)
     # Every tree's recursion leaves go into one batch, evaluated once
     # after the last tree (the ``ma.leaves`` span).
     leaves = LeafBatch()
@@ -681,7 +692,7 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             results.append(
                 two_respecting_min_cut(
                     csr, rooted, accountant=acct, arrays=arrays, table=table,
-                    leaves=leaves,
+                    leaves=leaves, cov=cover_dict(rooted, covers[index]),
                 )
             )
     leaves.flush()
@@ -1145,11 +1156,12 @@ def _build_stacks(sizes, tree_edge_arrays, roots):
 class _StackView:
     """A per-graph row-range window onto a fused :class:`TreeStack`."""
 
-    __slots__ = ("tin", "tout", "pos", "_stack", "_lo")
+    __slots__ = ("parent", "tin", "tout", "pos", "_stack", "_lo")
 
     def __init__(self, stack, lo: int, hi: int):
         self._stack = stack
         self._lo = lo
+        self.parent = stack.parent[lo:hi]
         self.tin = stack.tin[lo:hi]
         self.tout = stack.tout[lo:hi]
         self.pos = stack.pos[lo:hi]

@@ -59,6 +59,7 @@ class SubtreeInstance:
 
 @dataclass
 class SubtreeSolveStats:
+    #: the most pairwise colorings (chi) any one instance used
     colorings: int = 0
     star_instances: int = 0
     star: StarSolveStats = field(default_factory=StarSolveStats)
@@ -307,7 +308,7 @@ def solve_subtree_instance(
         subtrees = index.subtrees
         acct.charge(acct.cost.hld(len(tree)), "subtree:hld")
         assignments = pairwise_coloring(k)
-        stats.colorings = len(assignments)
+        stats.colorings = max(stats.colorings, len(assignments))
 
         results: list[Deferred] = []
         for reds in assignments:

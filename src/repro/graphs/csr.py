@@ -50,6 +50,22 @@ __all__ = [
     "CSRGraph", "DisjointSets", "as_csr", "merge_components", "validate_weights",
 ]
 
+#: Byte budget of :meth:`CSRGraph.diameter`'s per-level neighbour gather
+#: (8 bytes per adjacency slot per 64 sources): bounds its memory on any
+#: graph, while a gnm graph with m = 4n up to n = 4096 runs in one block.
+DIAMETER_GATHER_BYTES = 32 << 20
+#: A sparse level's indexed gather costs about this many full-sweep
+#: gather elements per element; it runs only while it is cheaper.
+SPARSE_GATHER_COST = 4
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + k) for s, k in zip(starts, lengths)])``
+    as one vectorised expansion (``lengths`` non-empty)."""
+    ends = np.cumsum(lengths)
+    offsets = np.repeat(starts - (ends - lengths), lengths)
+    return np.arange(int(ends[-1]), dtype=np.int64) + offsets
+
 
 class DisjointSets:
     """Array union-find over dense indices ``0..n-1`` (path halving).
@@ -159,7 +175,7 @@ class CSRGraph:
     __slots__ = (
         "n", "edge_u", "edge_v", "edge_w",
         "indptr", "indices", "adj_weight", "adj_edge",
-        "nodes", "meta", "int_weights", "_index", "_hash",
+        "nodes", "meta", "int_weights", "_index", "_hash", "_diameter",
     )
 
     def __init__(
@@ -185,6 +201,7 @@ class CSRGraph:
         self.meta = dict(meta) if meta else {}
         self._index: dict | None = None
         self._hash: str | None = None
+        self._diameter: int | None = None
 
         u = _as_index_array(edge_u, n, "edge_u")
         v = _as_index_array(edge_v, n, "edge_v")
@@ -537,15 +554,11 @@ class CSRGraph:
         while len(frontier):
             level += 1
             starts = indptr[frontier]
-            ends = indptr[frontier + 1]
-            total = int((ends - starts).sum())
-            if total == 0:
+            lengths = indptr[frontier + 1] - starts
+            if not lengths.any():
                 break
             # Gather all frontier adjacency rows in one shot.
-            offsets = np.repeat(starts - np.concatenate(
-                ([0], np.cumsum(ends - starts)[:-1])
-            ), ends - starts)
-            reach = indices[np.arange(total, dtype=np.int64) + offsets]
+            reach = indices[_ranges(starts, lengths)]
             fresh = reach[dist[reach] < 0]
             if not len(fresh):
                 break
@@ -571,14 +584,107 @@ class CSRGraph:
         return bool((self.bfs_levels(0) >= 0).all())
 
     def diameter(self) -> int:
-        """Exact hop diameter (all-sources BFS; requires connectivity)."""
+        """Exact hop diameter (requires connectivity), computed once per
+        graph.
+
+        Bit-parallel BFS from every source at once: each node's packed
+        ``uint64`` reach words hold one bit per source, set once the
+        source is within the current distance of the node.  A level ORs
+        each node's neighbours' words into its own -- one
+        ``bitwise_or.reduceat`` over the CSR neighbour gather -- and the
+        diameter is the level at which every node's words are full.
+        While few words change per level (long-diameter graphs) a level
+        recomputes only the neighbours of the words that changed.
+        Sources run in blocks of words that keep the gather under
+        :data:`DIAMETER_GATHER_BYTES`.
+        """
+        if self._diameter is None:
+            self._diameter = self._bit_parallel_diameter()
+        return self._diameter
+
+    def _bit_parallel_diameter(self) -> int:
+        n = self.n
+        if n <= 1:
+            return 0
+        degree = np.diff(self.indptr)
+        # reduceat needs every segment non-empty; an isolated node (n >= 2)
+        # is disconnected anyway.
+        if not degree.all():
+            raise GraphValidationError("diameter of a disconnected graph")
+        total_words = (n + 63) // 64
+        block_words = max(1, DIAMETER_GATHER_BYTES // (8 * len(self.indices)))
         best = 0
-        for source in range(self.n):
-            dist = self.bfs_levels(source)
-            if (dist < 0).any():
-                raise GraphValidationError("diameter of a disconnected graph")
-            best = max(best, int(dist.max()))
+        for first in range(0, total_words, block_words):
+            words = min(block_words, total_words - first)
+            # Word-major units: reach[w, v] holds sources 64w .. 64w + 63
+            # of the block (bit = source - 64w) for node v.
+            sources = np.arange(
+                first * 64, min(n, (first + words) * 64), dtype=np.int64
+            )
+            column = sources - first * 64
+            bits = np.left_shift(np.uint64(1), (column & 63).astype(np.uint64))
+            reach = np.zeros((words, n), dtype=np.uint64)
+            reach[column >> 6, sources] = bits
+            full = np.zeros((words, 1), dtype=np.uint64)
+            np.bitwise_or.at(full[:, 0], column >> 6, bits)
+            best = max(best, self._levels_until_full(reach, full, degree))
         return best
+
+    def _levels_until_full(
+        self, reach: np.ndarray, full: np.ndarray, degree: np.ndarray
+    ) -> int:
+        """BFS levels until every unit of ``reach`` equals its word of
+        ``full``: the block's largest eccentricity."""
+        words, n = reach.shape
+        starts, indices = self.indptr[:-1], self.indices
+        sweep = words * len(indices)
+        segments = (
+            starts[None, :] + len(indices) * np.arange(words, dtype=np.int64)[:, None]
+        ).ravel()
+        flat = reach.reshape(-1)
+        # Units whose words changed in the last level: only their
+        # neighbours can change in the next one.
+        changed = np.flatnonzero(flat)
+        level = 0
+        while not (flat.reshape(words, n) == full).all():
+            if not len(changed):
+                raise GraphValidationError("diameter of a disconnected graph")
+            level += 1
+            # Recompute only the neighbours of changed units while that
+            # gathers well under a full sweep (long-diameter graphs, where
+            # few units change per level); else sweep every unit with one
+            # gather and one reduceat over all (word, node) segments.
+            targets = None
+            word, node = np.divmod(changed, n)
+            push = degree[node]
+            if SPARSE_GATHER_COST * int(push.sum()) < sweep:
+                mark = np.zeros(words * n, dtype=bool)
+                mark[
+                    np.repeat(word * n, push) + indices[_ranges(starts[node], push)]
+                ] = True
+                targets = np.flatnonzero(mark)
+                word, node = np.divmod(targets, n)
+                pull = degree[node]
+                if SPARSE_GATHER_COST * int(pull.sum()) >= sweep:
+                    targets = None
+            if targets is None:
+                gathered = np.take(flat.reshape(words, n), indices, axis=1)
+                grown = np.bitwise_or.reduceat(gathered.reshape(-1), segments)
+                grown |= flat
+                changed = np.flatnonzero(grown != flat)
+                flat = grown
+                continue
+            gathered = flat[
+                np.repeat(word * n, pull) + indices[_ranges(starts[node], pull)]
+            ]
+            offsets = np.zeros(len(targets), dtype=np.int64)
+            np.cumsum(pull[:-1], out=offsets[1:])
+            old = flat[targets]
+            grown = np.bitwise_or.reduceat(gathered, offsets) | old
+            moved = grown != old
+            changed = targets[moved]
+            flat[changed] = grown[moved]
+        return level
 
     # ------------------------------------------------------------------
     # Structural primitives

@@ -7,7 +7,8 @@ Two algorithmic upgrades over walking each graph edge's tree path:
   ``-2w`` at their LCA, and one subtree-sum pass turns the deposits into
   ``Cov(e)`` for every tree edge simultaneously.  With the vectorized LCA
   and the Euler prefix-sum this is O((n + m) log n) in numpy instead of
-  O(m * pathlen) in Python.
+  O(m * pathlen) in Python.  :func:`stacked_covers` runs it for every
+  tree of a packing in one pass; one tree is its one-row case.
 
 * :func:`pair_cover_matrix_kernel` -- ``Cov(e, f)`` for *all* pairs in
   O(n^2 + m) instead of O(m * pathlen^2).  Write each graph edge's weight
@@ -39,9 +40,10 @@ import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, validate_weights
-from repro.kernel.tree_kernel import TreeKernel
+from repro.kernel.tree_kernel import TreeKernel, euler_lca, lifting_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.kernel.forest import TreeStack
     from repro.trees.rooted import Edge, RootedTree
 
 Node = Hashable
@@ -185,30 +187,84 @@ def cover_values_kernel(
     tree: "RootedTree",
     arrays: GraphArrays | None = None,
 ) -> "dict[Edge, float]":
-    """``Cov(e)`` for every tree edge -- differencing + one subtree sum."""
+    """``Cov(e)`` for every tree edge -- differencing + one subtree sum
+    (the one-tree case of :func:`stacked_covers`)."""
     kernel = tree.kernel
     arrays = _arrays_for(graph, arrays)
-    cover = _cover_array(kernel, arrays)
-    edge_of = tree.edge_of
-    nodes = kernel.nodes
-    return {edge_of(nodes[i]): float(cover[i]) for i in range(1, kernel.n)}
-
-
-def _cover_array(kernel: TreeKernel, arrays: GraphArrays) -> np.ndarray:
-    """``Cov`` indexed by the *bottom node* of each tree edge (index 0 =
-    root carries the total-minus-everything residue and is ignored)."""
     u_idx, v_idx = arrays.tree_endpoints(kernel)
-    weights = arrays.weights
+    cover = _covers(
+        kernel.parent[None], kernel.tin[None], kernel.tout[None],
+        u_idx[None], v_idx[None], arrays.weights,
+    )
+    return cover_dict(tree, cover[0])
+
+
+def stacked_covers(stack: "TreeStack", arrays: GraphArrays) -> np.ndarray:
+    """``Cov`` of every tree of a :class:`~repro.kernel.forest.TreeStack`
+    in one array pass: ``out[t, i]`` is the cover of tree ``t``'s edge
+    above BFS index ``i`` (column 0, the root, carries a residue).
+
+    ``arrays`` positions must be the stack's node ids (true of
+    :meth:`GraphArrays.from_csr`, labelled or not).  Each row's floats
+    are those :func:`cover_values_kernel` computes for that tree alone,
+    bit for bit.
+    """
+    return _covers(
+        stack.parent, stack.tin, stack.tout,
+        stack.pos[:, arrays.u_pos], stack.pos[:, arrays.v_pos],
+        arrays.weights,
+    )
+
+
+def cover_dict(tree: "RootedTree", cover: np.ndarray) -> "dict[Edge, float]":
+    """One tree's cover row as ``{tree edge: Cov(e)}`` in BFS order (the
+    row is indexed like ``tree.order``)."""
+    values = cover.tolist()
+    edge_of = tree.edge_of
+    order = tree.order
+    return {edge_of(order[i]): values[i] for i in range(1, len(order))}
+
+
+def _covers(
+    parent: np.ndarray,
+    tin: np.ndarray,
+    tout: np.ndarray,
+    u_idx: np.ndarray,
+    v_idx: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """``Cov`` per row and BFS index, for ``(T, n)`` parent / Euler rows
+    and ``(T, m)`` edge endpoints in each row's BFS indices.
+
+    The rows sit side by side in one flat index space.  Every cell gets
+    its deposits in the one-tree order (all ``+w`` at ``u``, then all
+    ``+w`` at ``v``, then all ``-2w`` at the LCA, each in edge order) and
+    each row's prefix sum runs over that row's preorder alone, so a row's
+    floats do not depend on the rows stacked beside it.
+    """
+    trees, n = tin.shape
     nonzero = weights != 0
     if not nonzero.all():
-        u_idx, v_idx, weights = u_idx[nonzero], v_idx[nonzero], weights[nonzero]
-    delta = np.zeros(kernel.n, dtype=np.float64)
-    np.add.at(delta, u_idx, weights)
-    np.add.at(delta, v_idx, weights)
-    if len(weights):
-        lca = kernel.lca_indices(u_idx, v_idx)
-        np.add.at(delta, lca, -2.0 * weights)
-    return kernel.subtree_sums(delta)
+        u_idx, v_idx = u_idx[:, nonzero], v_idx[:, nonzero]
+        weights = weights[nonzero]
+    offset = np.arange(0, trees * n, n, dtype=np.int64)[:, None]
+    u = (u_idx + offset).ravel()
+    v = (v_idx + offset).ravel()
+    w = np.tile(weights, trees)
+    delta = np.zeros(trees * n, dtype=np.float64)
+    np.add.at(delta, u, w)
+    np.add.at(delta, v, w)
+    if len(w):
+        up = lifting_table((parent + offset).ravel(), max(1, (n - 1).bit_length()))
+        lca = euler_lca(up, tin.ravel(), tout.ravel(), u, v)
+        np.add.at(delta, lca, -2.0 * w)
+    preorder = np.empty(trees * n, dtype=np.int64)
+    preorder[(tin + offset).ravel()] = np.arange(trees * n, dtype=np.int64)
+    prefix = np.zeros((trees, n + 1), dtype=np.float64)
+    np.cumsum(delta[preorder].reshape(trees, n), axis=1, out=prefix[:, 1:])
+    return np.take_along_axis(prefix, tout, axis=1) - np.take_along_axis(
+        prefix, tin, axis=1
+    )
 
 
 def pair_cover_matrix_kernel(

@@ -11,7 +11,8 @@ replaces per-node pointer chasing with contiguous numpy arrays:
   enumeration becomes a list slice;
 * a binary-lifting table gives O(log n) LCA for single queries and, more
   importantly, *vectorized* LCA for whole arrays of node pairs at once
-  (one numpy pass per bit instead of one Python loop per query);
+  (:func:`euler_lca`: one numpy pass per lifting level, over one tree or
+  a whole stack of trees);
 * subtree sums of any node vector reduce to one cumulative sum over the
   preorder permutation (``sum over [tin, tout)``), which is how the cover
   kernel gets its O(n + m) 1-respecting pass.
@@ -49,8 +50,8 @@ class TreeKernel:
     tin / tout:
         Half-open Euler interval per index: descendants of ``i`` occupy
         preorder positions ``tin[i] .. tout[i] - 1``.
-    preorder:
-        ``preorder[t]`` = index of the node visited at preorder time ``t``.
+    preorder_nodes:
+        Node objects in that preorder.
     """
 
     def __init__(self, tree: "RootedTree"):
@@ -92,7 +93,6 @@ class TreeKernel:
             stack.extend(children[v])
         self.tin = tin
         self.tout = tout
-        self.preorder = preorder
         #: node objects in preorder -- subtree slices come straight off this
         self.preorder_nodes: list[Node] = [nodes[i] for i in preorder]
 
@@ -108,11 +108,7 @@ class TreeKernel:
     def up(self) -> np.ndarray:
         """``up[k][i]`` = 2^k-th ancestor of ``i`` (clamped at the root)."""
         if self._up is None:
-            up = np.empty((self.log, self.n), dtype=np.int64)
-            up[0] = self.parent
-            for k in range(1, self.log):
-                up[k] = up[k - 1][up[k - 1]]
-            self._up = up
+            self._up = lifting_table(self.parent, self.log)
         return self._up
 
     # ------------------------------------------------------------------
@@ -187,41 +183,49 @@ class TreeKernel:
         return self._inverse
 
     def lca_indices(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """LCA indices for aligned arrays of node indices, all at once.
+        """LCA indices for aligned arrays of node indices, all at once
+        (the one-tree case of :func:`euler_lca`)."""
+        return euler_lca(
+            self.up,
+            self.tin,
+            self.tout,
+            np.asarray(u, dtype=np.int64),
+            np.asarray(v, dtype=np.int64),
+        )
 
-        One numpy pass per depth bit: first the deeper endpoint of every
-        pair is lifted to the shallower one's depth, then both endpoints
-        jump down the lifting table in lockstep wherever they still differ.
-        """
-        u = np.array(u, dtype=np.int64, copy=True)
-        v = np.array(v, dtype=np.int64, copy=True)
-        depth, up = self.depth, self.up
-        du, dv = depth[u], depth[v]
-        lift_u = np.maximum(du - dv, 0)
-        lift_v = np.maximum(dv - du, 0)
-        for k in range(self.log):
-            mask = (lift_u >> k) & 1 == 1
-            if mask.any():
-                u[mask] = up[k][u[mask]]
-            mask = (lift_v >> k) & 1 == 1
-            if mask.any():
-                v[mask] = up[k][v[mask]]
-        for k in range(self.log - 1, -1, -1):
-            differs = up[k][u] != up[k][v]
-            if differs.any():
-                u[differs] = up[k][u[differs]]
-                v[differs] = up[k][v[differs]]
-        result = u.copy()
-        unequal = u != v
-        result[unequal] = self.parent[u[unequal]]
-        return result
 
-    def subtree_sums(self, values: np.ndarray) -> np.ndarray:
-        """``out[i] = sum(values[j] for j in subtree(i))`` for every index.
+def lifting_table(parent: np.ndarray, levels: int) -> np.ndarray:
+    """``up[k][i]`` = 2^k-th ancestor of ``i`` for a flat parent array
+    whose roots point at themselves (so lifting clamps at a root)."""
+    up = np.empty((levels, len(parent)), dtype=np.int64)
+    up[0] = parent
+    for k in range(1, levels):
+        up[k] = up[k - 1][up[k - 1]]
+    return up
 
-        One permutation + one cumulative sum: a subtree is an interval of
-        the preorder, so its sum is a difference of prefix sums.
-        """
-        prefix = np.zeros(self.n + 1, dtype=np.float64)
-        np.cumsum(values[self.preorder], out=prefix[1:])
-        return prefix[self.tout] - prefix[self.tin]
+
+def euler_lca(
+    up: np.ndarray,
+    tin: np.ndarray,
+    tout: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+) -> np.ndarray:
+    """LCA of every aligned pair ``(u[j], v[j])``, by Euler-interval
+    binary lifting: one numpy pass per lifting level.
+
+    ``up`` is a :func:`lifting_table` with ``2^levels`` above every depth;
+    ``tin``/``tout`` are the half-open Euler intervals.  The index space
+    may hold many trees side by side (flat ``tree * n + node`` indices
+    with per-tree intervals): only pairs within one tree are compared.
+    ``u`` is lifted to its highest ancestor that is not an ancestor of
+    ``v``; that node's parent is the LCA, unless ``u`` itself is an
+    ancestor of ``v``.  No depth array is needed.
+    """
+    tin_v, tout_v = tin[v], tout[v]
+    x = u
+    for k in range(len(up) - 1, -1, -1):
+        y = up[k][x]
+        x = np.where((tin[y] > tin_v) | (tout_v > tout[y]), y, x)
+    covers = (tin[u] <= tin_v) & (tout_v <= tout[u])
+    return np.where(covers, u, up[0][x])

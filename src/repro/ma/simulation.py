@@ -121,7 +121,8 @@ def congest_estimates(
 
     Either pass the ``graph`` -- networkx or a
     :class:`~repro.graphs.csr.CSRGraph` (n and diameter are computed, the
-    latter via all-sources CSR BFS) -- or pass ``n`` and ``diameter``
+    latter by a bit-parallel all-sources BFS, once per graph) -- or pass
+    ``n`` and ``diameter``
     directly.  ``shortcut_quality`` defaults to the existential
     ``D + sqrt(n)`` bound of [GH16].
     """

@@ -168,8 +168,21 @@ class RootedTree:
         return self.kernel.subtree_nodes(node)
 
     def subtree_sizes(self) -> dict[Node, int]:
-        """|desc(v)| for every node (Euler interval widths on the kernel)."""
-        return self.kernel.subtree_sizes()
+        """|desc(v)| for every node, in BFS order.
+
+        Euler interval widths when the kernel is already built; otherwise
+        one accumulation over the reversed BFS order, so a caller that
+        needs only sizes (the centroid search) builds no kernel.
+        """
+        if self._kernel is not None:
+            return self._kernel.subtree_sizes()
+        sizes = dict.fromkeys(self.order, 1)
+        parent = self.parent
+        for node in reversed(self.order):
+            above = parent[node]
+            if above is not None:
+                sizes[above] += sizes[node]
+        return sizes
 
     def path_edges(self, u: Node, v: Node) -> list[Edge]:
         """Tree edges on the unique u-v path (the covering set of {u, v})."""

@@ -25,6 +25,37 @@ class TestCentralized:
         tree = random_tree(3 + seed * 13, seed)
         assert_is_centroid(tree, find_centroid_centralized(tree))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subtree_sizes_without_a_kernel(self, seed):
+        """Sizes accumulated over the reversed BFS order equal the
+        kernel's Euler interval widths, in the same (BFS) order, and
+        reading them builds no kernel."""
+        tree = random_tree(2 + seed * 17, seed)
+        sizes = tree.subtree_sizes()
+        assert tree._kernel is None
+        expected = tree.kernel.subtree_sizes()
+        assert list(sizes.items()) == list(expected.items())
+
+    def test_minor_aggregation_solve_builds_one_kernel(self, monkeypatch):
+        """The packed trees' covers come from one stacked pass and the
+        centroid steps read sizes without a kernel: only finalize's
+        witness partition roots a kernel."""
+        from repro.core.session import MinCutSolver, SolverConfig
+        from repro.graphs import csr_random_connected_gnm
+        from repro.kernel.tree_kernel import TreeKernel
+
+        built = []
+        original = TreeKernel.__init__
+
+        def counted(self, tree):
+            built.append(len(tree))
+            original(self, tree)
+
+        monkeypatch.setattr(TreeKernel, "__init__", counted)
+        graph = csr_random_connected_gnm(96, 288, seed=1)
+        MinCutSolver(SolverConfig(solver="minor-aggregation")).solve(graph, seed=1)
+        assert len(built) <= 1
+
     def test_path_tree_middle(self):
         tree = RootedTree(nx.path_graph(9), 0)
         assert find_centroid_centralized(tree) == 4

@@ -32,6 +32,7 @@ from repro.graphs import (
     tree_plus_chords,
     validate_weights,
 )
+from repro.errors import GraphValidationError
 from repro.kernel import batched
 from repro.kernel.batched import (
     OracleJob,
@@ -342,6 +343,94 @@ class TestPrimitives:
         csr = CSR_FAMILY_BUILDERS["delaunay"](30, 1)
         graph = csr.to_networkx()
         assert csr.degrees().tolist() == [graph.degree(i) for i in range(csr.n)]
+
+
+def _per_source_diameter(csr: CSRGraph) -> int:
+    """The diameter as the maximum eccentricity over one BFS per source
+    (the independent reference for the bit-parallel sweep)."""
+    best = 0
+    for source in range(csr.n):
+        dist = csr.bfs_levels(source)
+        if (dist < 0).any():
+            raise GraphValidationError("disconnected")
+        best = max(best, int(dist.max()))
+    return best
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("family", sorted(CSR_FAMILY_BUILDERS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [12, 64, 256])
+    def test_matches_per_source_bfs(self, family, seed, n):
+        csr = CSR_FAMILY_BUILDERS[family](n, seed)
+        assert csr.diameter() == _per_source_diameter(csr)
+
+    @pytest.mark.parametrize("family", ["gnm", "expander"])
+    def test_matches_per_source_bfs_at_4096(self, family):
+        # One block of 64 words; the per-source reference is the slow side
+        # (about 8 s per family here, minutes on the cycle and barbell).
+        csr = CSR_FAMILY_BUILDERS[family](4096, 1)
+        assert csr.diameter() == _per_source_diameter(csr)
+
+    def test_blocks_of_one_word(self, monkeypatch):
+        # A budget below one word per slot runs 64 sources per block.
+        from repro.graphs import csr as csr_module
+
+        monkeypatch.setattr(csr_module, "DIAMETER_GATHER_BYTES", 1)
+        for family in ("grid", "barbell", "delaunay"):
+            csr = CSR_FAMILY_BUILDERS[family](200, 4)
+            assert csr.n > 128
+            assert csr.diameter() == _per_source_diameter(csr)
+
+    @pytest.mark.parametrize("cost", [0, 10**9])
+    def test_each_level_kind_alone(self, monkeypatch, cost):
+        # Cost 0 makes every level sparse (neighbours of changed units
+        # only); a huge cost makes every level a full sweep.
+        from repro.graphs import csr as csr_module
+
+        monkeypatch.setattr(csr_module, "SPARSE_GATHER_COST", cost)
+        for family in sorted(CSR_FAMILY_BUILDERS):
+            csr = CSR_FAMILY_BUILDERS[family](150, 5)
+            assert csr.diameter() == _per_source_diameter(csr), family
+
+    def test_tiny_graphs(self):
+        assert CSRGraph(1, [], []).diameter() == 0
+        assert CSRGraph(2, [0], [1], [3.0]).diameter() == 1
+        # A self-loop is no hop.
+        assert CSRGraph(2, [0, 0], [0, 1]).diameter() == 1
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            CSRGraph(2, [], []),
+            CSRGraph(4, [0, 2], [1, 3]),  # two edges, no isolated node
+            CSRGraph(5, [0, 1, 2], [1, 2, 3]),  # one isolated node
+            # Two paths spanning three words, no isolated node.
+            CSRGraph(
+                130,
+                list(range(64)) + list(range(65, 129)),
+                list(range(1, 65)) + list(range(66, 130)),
+            ),
+        ],
+    )
+    def test_disconnected_raises(self, graph):
+        with pytest.raises(GraphValidationError, match="disconnected"):
+            graph.diameter()
+
+    def test_computed_once_per_graph(self, monkeypatch):
+        csr = CSR_FAMILY_BUILDERS["grid"](36, 1)
+        calls = []
+        original = CSRGraph._bit_parallel_diameter
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CSRGraph, "_bit_parallel_diameter", counted)
+        first = repro.minimum_cut(csr, seed=0, solver="oracle")
+        second = repro.minimum_cut(csr, seed=1, solver="oracle")
+        assert first.congest.diameter == second.congest.diameter == 10
+        assert len(calls) == 1
 
 
 class TestGeneratorEquivalence:

@@ -373,6 +373,106 @@ class TestCoverAndCuts:
 
 
 # ---------------------------------------------------------------------------
+# Stacked covers: every packed tree in one pass
+# ---------------------------------------------------------------------------
+
+
+def _reweighted(graph: nx.Graph, regime: str, rng: random.Random) -> nx.Graph:
+    """Integer weights as generated, fractional 0.5-20, or a 1e-9 /
+    0.1-0.3 / 1e9 mix (the cancellation-prone regime)."""
+    for _u, _v, data in graph.edges(data=True):
+        if regime == "fractional":
+            data["weight"] = rng.uniform(0.5, 20.0)
+        elif regime == "mixed":
+            data["weight"] = rng.choice([1e-9, rng.uniform(0.1, 0.3), 1e9])
+    return graph
+
+
+def _packed_trees(source):
+    """A session packing of ``source`` and its trees in the space the
+    recursion uses: node indices, or labels on a labelled graph."""
+    from repro.core.session import MinCutSolver, SolverConfig
+
+    packed = MinCutSolver(SolverConfig(solver="minor-aggregation")).pack(
+        source, seed=3
+    )
+    labels = packed.csr.nodes
+    if labels is None:
+        return packed, packed.arrays, packed.rooted_trees
+    packing = packed.packing
+    root = labels[packed.root_position]
+    trees = [
+        packing.rooted_tree(i, root, labelled=True)
+        for i in range(len(packing.tree_edge_arrays))
+    ]
+    return packed, GraphArrays.from_csr(packed.csr, labelled=True), trees
+
+
+class TestStackedCovers:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("regime", ["integer", "fractional", "mixed"])
+    @pytest.mark.parametrize("space", ["networkx", "csr", "labelled"])
+    def test_rows_equal_each_tree_alone_and_brute_force(self, seed, regime, space):
+        from repro.kernel.cut_kernel import (
+            cover_dict,
+            cover_values_kernel,
+            stacked_covers,
+        )
+
+        rng = random.Random(seed)
+        n = rng.randint(5, 28)
+        graph = random_connected_gnm(n, rng.randint(n, 3 * n), seed=seed, weight_high=17)
+        _reweighted(graph, regime, rng)
+        if space == "labelled":
+            graph = nx.relabel_nodes(graph, {v: f"n{(v * 7) % n}-{v}" for v in graph})
+        source = graph if space == "networkx" else CSRGraph.from_networkx(graph)
+        packed, arrays, trees = _packed_trees(source)
+        assert (packed.csr.nodes is not None) == (space == "labelled")
+        reference = packed.csr.to_networkx()
+        total = sum(w for _u, _v, w in reference.edges(data="weight"))
+
+        rows = stacked_covers(packed.stack, arrays)
+        assert rows.shape == (len(trees), packed.csr.n)
+        assert len(trees) > 1
+        for t, tree in enumerate(trees):
+            stacked = cover_dict(tree, rows[t])
+            alone = cover_values_kernel(packed.csr, tree, arrays=arrays)
+            assert list(stacked) == list(tree.edges())
+            assert [(e, v.hex()) for e, v in stacked.items()] == [
+                (e, v.hex()) for e, v in alone.items()
+            ]
+            for edge, value in stacked.items():
+                brute = crossing_weight(reference, middle_component(tree, [edge]))
+                if regime == "integer":
+                    assert value == brute
+                else:
+                    assert abs(value - brute) <= 1e-12 * n * total
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_lca_matches_walks(self, seed):
+        from repro.kernel.tree_kernel import euler_lca, lifting_table
+
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        graph = random_connected_gnm(n, 3 * n, seed=seed)
+        packed, _arrays, trees = _packed_trees(CSRGraph.from_networkx(graph))
+        stack = packed.stack
+        rows, width = stack.tin.shape
+        offset = np.arange(rows)[:, None] * width
+        u = np.array([[rng.randrange(n) for _ in range(60)] for _ in range(rows)])
+        v = np.array([[rng.randrange(n) for _ in range(60)] for _ in range(rows)])
+        up = lifting_table((stack.parent + offset).ravel(), max(1, (n - 1).bit_length()))
+        lca = euler_lca(
+            up, stack.tin.ravel(), stack.tout.ravel(),
+            (u + offset).ravel(), (v + offset).ravel(),
+        ).reshape(rows, -1) - offset
+        for t, tree in enumerate(trees):
+            order = tree.order
+            for a, b, meet in zip(u[t], v[t], lca[t]):
+                assert order[meet] == walk_lca(tree, order[a], order[b])
+
+
+# ---------------------------------------------------------------------------
 # Partitions
 # ---------------------------------------------------------------------------
 

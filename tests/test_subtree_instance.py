@@ -146,6 +146,15 @@ class TestSolveSubtreeInstance:
         assert stats.colorings <= math.ceil(math.log2(4))
         assert stats.star_instances <= stats.colorings * max_depth ** 2
 
+    def test_colorings_is_the_most_any_instance_used(self):
+        """Shared stats keep chi of the widest instance, not the last one."""
+        _g, _rt, wide, _nodes = make_subtree_instance([3] * 8, 60, 5)
+        _g, _rt, narrow, _nodes = make_subtree_instance([5, 5], 20, 6)
+        stats = SubtreeSolveStats()
+        solve_subtree_instance(wide, stats=stats)
+        solve_subtree_instance(narrow, stats=stats)
+        assert stats.colorings == len(pairwise_coloring(8)) == 3
+
 
 class TestInstanceIndex:
     """``_index`` decomposes every subtree in one walk; its HL-paths must
