@@ -54,9 +54,6 @@ __all__ = [
 #: (8 bytes per adjacency slot per 64 sources): bounds its memory on any
 #: graph, while a gnm graph with m = 4n up to n = 4096 runs in one block.
 DIAMETER_GATHER_BYTES = 32 << 20
-#: A sparse level's indexed gather costs about this many full-sweep
-#: gather elements per element; it runs only while it is cheaper.
-SPARSE_GATHER_COST = 4
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -590,13 +587,11 @@ class CSRGraph:
         Bit-parallel BFS from every source at once: each node's packed
         ``uint64`` reach words hold one bit per source, set once the
         source is within the current distance of the node.  A level ORs
-        each node's neighbours' words into its own -- one
-        ``bitwise_or.reduceat`` over the CSR neighbour gather -- and the
-        diameter is the level at which every node's words are full.
-        While few words change per level (long-diameter graphs) a level
-        recomputes only the neighbours of the words that changed.
-        Sources run in blocks of words that keep the gather under
-        :data:`DIAMETER_GATHER_BYTES`.
+        the neighbours' words into the words of every neighbour of a
+        word that changed in the previous level -- one gather and one
+        ``bitwise_or.reduceat`` -- and the diameter is the level at which
+        every node's words are full.  Sources run in blocks of words that
+        keep a level's gather under :data:`DIAMETER_GATHER_BYTES`.
         """
         if self._diameter is None:
             self._diameter = self._bit_parallel_diameter()
@@ -616,15 +611,15 @@ class CSRGraph:
         best = 0
         for first in range(0, total_words, block_words):
             words = min(block_words, total_words - first)
-            # Word-major units: reach[w, v] holds sources 64w .. 64w + 63
+            # Word-major units: reach[w * n + v] holds sources 64w .. 64w + 63
             # of the block (bit = source - 64w) for node v.
             sources = np.arange(
                 first * 64, min(n, (first + words) * 64), dtype=np.int64
             )
             column = sources - first * 64
             bits = np.left_shift(np.uint64(1), (column & 63).astype(np.uint64))
-            reach = np.zeros((words, n), dtype=np.uint64)
-            reach[column >> 6, sources] = bits
+            reach = np.zeros(words * n, dtype=np.uint64)
+            reach[(column >> 6) * n + sources] = bits
             full = np.zeros((words, 1), dtype=np.uint64)
             np.bitwise_or.at(full[:, 0], column >> 6, bits)
             best = max(best, self._levels_until_full(reach, full, degree))
@@ -633,57 +628,38 @@ class CSRGraph:
     def _levels_until_full(
         self, reach: np.ndarray, full: np.ndarray, degree: np.ndarray
     ) -> int:
-        """BFS levels until every unit of ``reach`` equals its word of
-        ``full``: the block's largest eccentricity."""
-        words, n = reach.shape
+        """BFS levels until every ``(word, node)`` unit of ``reach`` equals
+        its word of ``full``: the block's largest eccentricity."""
+        words, n = len(full), self.n
         starts, indices = self.indptr[:-1], self.indices
-        sweep = words * len(indices)
-        segments = (
-            starts[None, :] + len(indices) * np.arange(words, dtype=np.int64)[:, None]
-        ).ravel()
-        flat = reach.reshape(-1)
-        # Units whose words changed in the last level: only their
-        # neighbours can change in the next one.
-        changed = np.flatnonzero(flat)
+
+        def neighbour_units(units):
+            """The ``(word, neighbour)`` units of each unit, unit by unit,
+            and each unit's degree."""
+            word, node = np.divmod(units, n)
+            count = degree[node]
+            around = np.repeat(word * n, count) + indices[_ranges(starts[node], count)]
+            return around, count
+
+        # Only neighbours of the units that changed in the last level can
+        # change in the next one.
+        changed = np.flatnonzero(reach)
         level = 0
-        while not (flat.reshape(words, n) == full).all():
+        while not (reach.reshape(words, n) == full).all():
             if not len(changed):
                 raise GraphValidationError("diameter of a disconnected graph")
             level += 1
-            # Recompute only the neighbours of changed units while that
-            # gathers well under a full sweep (long-diameter graphs, where
-            # few units change per level); else sweep every unit with one
-            # gather and one reduceat over all (word, node) segments.
-            targets = None
-            word, node = np.divmod(changed, n)
-            push = degree[node]
-            if SPARSE_GATHER_COST * int(push.sum()) < sweep:
-                mark = np.zeros(words * n, dtype=bool)
-                mark[
-                    np.repeat(word * n, push) + indices[_ranges(starts[node], push)]
-                ] = True
-                targets = np.flatnonzero(mark)
-                word, node = np.divmod(targets, n)
-                pull = degree[node]
-                if SPARSE_GATHER_COST * int(pull.sum()) >= sweep:
-                    targets = None
-            if targets is None:
-                gathered = np.take(flat.reshape(words, n), indices, axis=1)
-                grown = np.bitwise_or.reduceat(gathered.reshape(-1), segments)
-                grown |= flat
-                changed = np.flatnonzero(grown != flat)
-                flat = grown
-                continue
-            gathered = flat[
-                np.repeat(word * n, pull) + indices[_ranges(starts[node], pull)]
-            ]
+            mark = np.zeros(words * n, dtype=bool)
+            mark[neighbour_units(changed)[0]] = True
+            targets = np.flatnonzero(mark)
+            around, count = neighbour_units(targets)
             offsets = np.zeros(len(targets), dtype=np.int64)
-            np.cumsum(pull[:-1], out=offsets[1:])
-            old = flat[targets]
-            grown = np.bitwise_or.reduceat(gathered, offsets) | old
+            np.cumsum(count[:-1], out=offsets[1:])
+            old = reach[targets]
+            grown = np.bitwise_or.reduceat(reach[around], offsets) | old
             moved = grown != old
             changed = targets[moved]
-            flat[changed] = grown[moved]
+            reach[changed] = grown[moved]
         return level
 
     # ------------------------------------------------------------------

@@ -155,10 +155,6 @@ class TreeKernel:
         i = self.index[node]
         return self.preorder_nodes[self.tin[i] : self.tout[i]]
 
-    def subtree_sizes(self) -> dict[Node, int]:
-        sizes = self.tout - self.tin
-        return {node: int(sizes[i]) for i, node in enumerate(self.nodes)}
-
     # ------------------------------------------------------------------
     # Vectorized queries
     # ------------------------------------------------------------------

@@ -170,12 +170,9 @@ class RootedTree:
     def subtree_sizes(self) -> dict[Node, int]:
         """|desc(v)| for every node, in BFS order.
 
-        Euler interval widths when the kernel is already built; otherwise
-        one accumulation over the reversed BFS order, so a caller that
+        One accumulation over the reversed BFS order, so a caller that
         needs only sizes (the centroid search) builds no kernel.
         """
-        if self._kernel is not None:
-            return self._kernel.subtree_sizes()
         sizes = dict.fromkeys(self.order, 1)
         parent = self.parent
         for node in reversed(self.order):

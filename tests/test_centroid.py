@@ -27,14 +27,14 @@ class TestCentralized:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_subtree_sizes_without_a_kernel(self, seed):
-        """Sizes accumulated over the reversed BFS order equal the
-        kernel's Euler interval widths, in the same (BFS) order, and
-        reading them builds no kernel."""
+        """Sizes accumulated over the reversed BFS order count each
+        node's descendants, in BFS order, and reading them builds no
+        kernel."""
         tree = random_tree(2 + seed * 17, seed)
         sizes = tree.subtree_sizes()
         assert tree._kernel is None
-        expected = tree.kernel.subtree_sizes()
-        assert list(sizes.items()) == list(expected.items())
+        expected = [(node, len(tree.subtree_nodes(node))) for node in tree.order]
+        assert list(sizes.items()) == expected
 
     def test_minor_aggregation_solve_builds_one_kernel(self, monkeypatch):
         """The packed trees' covers come from one stacked pass and the

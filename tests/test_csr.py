@@ -357,6 +357,37 @@ def _per_source_diameter(csr: CSRGraph) -> int:
     return best
 
 
+def _closed_form_diameter(family: str, n: int) -> int:
+    """D of the ``CSR_FAMILY_BUILDERS`` cycle, grid and barbell shapes."""
+    if family == "cycle":
+        return n // 2
+    if family == "grid":
+        rows = max(2, int(n ** 0.5))
+        return rows - 1 + max(2, round(n / rows)) - 1
+    # barbell: one hop from a clique node onto the path, path + 1 hops
+    # along it, one hop to a node of the other clique.
+    return max(2, n // 2) + 3
+
+
+def _all_pairs_diameter(csr: CSRGraph) -> int:
+    """The diameter from scipy's unweighted all-pairs shortest paths,
+    512 sources at a time."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
+
+    adjacency = csr_matrix(
+        (np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=(csr.n, csr.n)
+    )
+    best = 0
+    for first in range(0, csr.n, 512):
+        dist = csgraph.shortest_path(
+            adjacency, directed=False, unweighted=True,
+            indices=np.arange(first, min(csr.n, first + 512)),
+        )
+        best = max(best, int(dist.max()))
+    return best
+
+
 class TestDiameter:
     @pytest.mark.parametrize("family", sorted(CSR_FAMILY_BUILDERS))
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -365,12 +396,31 @@ class TestDiameter:
         csr = CSR_FAMILY_BUILDERS[family](n, seed)
         assert csr.diameter() == _per_source_diameter(csr)
 
-    @pytest.mark.parametrize("family", ["gnm", "expander"])
-    def test_matches_per_source_bfs_at_4096(self, family):
-        # One block of 64 words; the per-source reference is the slow side
-        # (about 8 s per family here, minutes on the cycle and barbell).
+    @pytest.mark.parametrize("family", ["cycle", "grid", "barbell"])
+    @pytest.mark.parametrize("n", [12, 64, 256])
+    def test_closed_forms_match_per_source_bfs(self, family, n):
+        csr = CSR_FAMILY_BUILDERS[family](n, 1)
+        assert _closed_form_diameter(family, n) == _per_source_diameter(csr)
+
+    @pytest.mark.parametrize("family", ["cycle", "grid"])
+    def test_long_diameters_at_4096(self, family):
+        # D = 2048 and 126 levels: the closed form is the reference.
         csr = CSR_FAMILY_BUILDERS[family](4096, 1)
-        assert csr.diameter() == _per_source_diameter(csr)
+        assert csr.diameter() == _closed_form_diameter(family, 4096)
+
+    def test_barbell_at_1024(self):
+        # Two 256-cliques on a 512-node path (D = 515).  At n=4096 the
+        # cliques hold about 1M edges and the diameter takes tens of
+        # seconds, so the long-path-plus-cliques shape is checked here.
+        csr = CSR_FAMILY_BUILDERS["barbell"](1024, 1)
+        assert csr.diameter() == _closed_form_diameter("barbell", 1024)
+
+    @pytest.mark.parametrize(
+        "family", ["delaunay", "expander", "gnm", "planted", "tree-chords"]
+    )
+    def test_matches_all_pairs_shortest_paths_at_4096(self, family):
+        csr = CSR_FAMILY_BUILDERS[family](4096, 1)
+        assert csr.diameter() == _all_pairs_diameter(csr)
 
     def test_blocks_of_one_word(self, monkeypatch):
         # A budget below one word per slot runs 64 sources per block.
@@ -381,17 +431,6 @@ class TestDiameter:
             csr = CSR_FAMILY_BUILDERS[family](200, 4)
             assert csr.n > 128
             assert csr.diameter() == _per_source_diameter(csr)
-
-    @pytest.mark.parametrize("cost", [0, 10**9])
-    def test_each_level_kind_alone(self, monkeypatch, cost):
-        # Cost 0 makes every level sparse (neighbours of changed units
-        # only); a huge cost makes every level a full sweep.
-        from repro.graphs import csr as csr_module
-
-        monkeypatch.setattr(csr_module, "SPARSE_GATHER_COST", cost)
-        for family in sorted(CSR_FAMILY_BUILDERS):
-            csr = CSR_FAMILY_BUILDERS[family](150, 5)
-            assert csr.diameter() == _per_source_diameter(csr), family
 
     def test_tiny_graphs(self):
         assert CSRGraph(1, [], []).diameter() == 0

@@ -1,8 +1,8 @@
 """Array-backed tree kernel against brute-force references.
 
 Every tree/cut primitive -- ``lca``, ``is_ancestor``, ``subtree_nodes``,
-``subtree_sizes``, ``cover_values``, ``pair_cover_matrix``,
-``cut_matrix``, ``two_respecting_oracle``, ``one_respecting_cuts_fast``,
+``cover_values``, ``pair_cover_matrix``, ``cut_matrix``,
+``two_respecting_oracle``, ``one_respecting_cuts_fast``,
 ``cut_partition``, ``partition_cut_weight`` -- has a single
 implementation, the kernel.  The references below share no code with it:
 ancestry comes from walking ``tree.parent``/``tree.depth``, subtrees from
