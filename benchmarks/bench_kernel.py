@@ -55,11 +55,13 @@ def test_matches_independent_references():
         assert cov[edge] == partition_cut_weight(graph, side, arrays=arrays)[0]
 
     position = {node: i for i, node in enumerate(arrays.nodes)}
-    stack = stacked_tree_arrays(
-        np.array([[position[u] for u, _ in tree_edges]]),
-        np.array([[position[v] for _, v in tree_edges]]),
-        np.array([position[tree.root]]),
-        N,
+    (stack,) = stacked_tree_arrays(
+        [N],
+        [[(
+            np.array([position[u] for u, _ in tree_edges]),
+            np.array([position[v] for _, v in tree_edges]),
+        )]],
+        [position[tree.root]],
     )
     (batched,) = batched_two_respecting_oracle(arrays, stack)
     oracle = two_respecting_oracle(graph, tree)

@@ -30,6 +30,13 @@ small-instance sweep the batched ``minimum_cut_many`` must be >= 2x the
 throughput of looping ``minimum_cut`` with bit-identical results
 (enforced with ``--check``).
 
+The ``sweep_mixed_n`` section times a ``minimum_cut_many`` batch of 16
+gnm graphs of 16 distinct node counts against 16 graphs of one node
+count with the same total, in interleaved pairs: the forest build and
+the approximate min-cut run once per batch whatever the sizes, so
+``--check`` caps the ratio of medians at ``SWEEP_MIXED_N_CEILING``.  The
+mixed batch must equal looped ``minimum_cut`` calls.
+
 The ``profile`` section (PR 7) records the per-phase breakdown of one
 traced end-to-end oracle solve (seconds + peak bytes + paper-rounds per
 phase), and the ``trace_overhead`` section proves the disabled-mode
@@ -161,6 +168,12 @@ APPROX_CUT_SPEEDUP_FLOOR = 5.0
 ORACLE_STACK_N = 256
 ORACLE_STACK_SEED = 1
 #: the PR 8 acceptance bar: warm-cache served qps vs unbatched solves.
+#: the sweep_mixed_n row: gnm batches of these 16 sizes vs 16 graphs of
+#: their mean size, interleaved pairs; --check caps the ratio of medians.
+SWEEP_MIXED_N_SIZES = tuple(range(24, 56, 2))
+SWEEP_MIXED_N_SEED = 1
+SWEEP_MIXED_N_PAIRS = 21
+SWEEP_MIXED_N_CEILING = 1.2
 SERVE_WARM_FLOOR = 3.0
 #: the PR 10 overload row: distinct cold requests fired at ~3x capacity
 #: (the calibration underestimates sustained batched throughput by
@@ -291,11 +304,13 @@ def run_kernel_micro(repeats: int) -> dict:
 
     def oracle_matches(candidate) -> bool:
         position = {node: i for i, node in enumerate(arrays.nodes)}
-        stack = stacked_tree_arrays(
-            np.array([[position[u] for u, _ in tree_edges]]),
-            np.array([[position[v] for _, v in tree_edges]]),
-            np.array([position[tree.root]]),
-            KERNEL_MICRO_N,
+        (stack,) = stacked_tree_arrays(
+            [KERNEL_MICRO_N],
+            [[(
+                np.array([position[u] for u, _ in tree_edges]),
+                np.array([position[v] for _, v in tree_edges]),
+            )]],
+            [position[tree.root]],
         )
         (batched,) = batched_two_respecting_oracle(arrays, stack)
         return (candidate.value, candidate.edges) == (
@@ -805,6 +820,81 @@ def run_many_bench(repeats: int) -> dict:
     return {f"sweep{MANY_COUNT}": row}
 
 
+def run_sweep_mixed_n_bench(repeats: int) -> dict:
+    """A sweep batch of 16 distinct node counts vs one of a single count.
+
+    Both batches hold 16 gnm graphs (m = 2.5n) with the same total node
+    count (n 24, 26, .., 54 against 16 x n=39), timed in interleaved
+    pairs; each graph is a fresh copy per call, so no per-graph cache
+    carries over.  The forest build and the approximate min-cut run once
+    per batch whatever the sizes, so the ratio of medians stays near 1;
+    ``--check`` fails above ``SWEEP_MIXED_N_CEILING``.  The mixed
+    batch's results must equal looped ``minimum_cut`` calls.
+    """
+    from repro.core.mincut import minimum_cut
+    from repro.core.session import SolverConfig, minimum_cut_many
+    from repro.graphs import CSR_FAMILY_BUILDERS, CSRGraph
+
+    def batch(sizes):
+        return [
+            CSR_FAMILY_BUILDERS["gnm"](n, SWEEP_MIXED_N_SEED + i)
+            for i, n in enumerate(sizes)
+        ]
+
+    def fresh(graphs):
+        return [
+            CSRGraph(g.n, g.edge_u, g.edge_v, g.edge_w, canonical=True)
+            for g in graphs
+        ]
+
+    mixed = batch(SWEEP_MIXED_N_SIZES)
+    same_n = sum(SWEEP_MIXED_N_SIZES) // len(SWEEP_MIXED_N_SIZES)
+    same = batch([same_n] * len(SWEEP_MIXED_N_SIZES))
+    assert sum(g.n for g in same) == sum(g.n for g in mixed)
+    seeds = list(range(len(mixed)))
+    config = SolverConfig(solver="oracle", compute_congest=False)
+    minimum_cut_many(fresh(mixed), config, seeds=seeds)  # warm imports
+    mixed_samples, same_samples, results, _same_results = _interleaved(
+        lambda: minimum_cut_many(fresh(mixed), config, seeds=seeds),
+        lambda: minimum_cut_many(fresh(same), config, seeds=seeds),
+        max(repeats, SWEEP_MIXED_N_PAIRS),
+    )
+    identical = all(
+        (r.value, r.partition, r.candidate, r.ma_rounds)
+        == (a.value, a.partition, a.candidate, a.ma_rounds)
+        for r, a in zip(
+            results,
+            (
+                minimum_cut(g, seed=s, solver="oracle", compute_congest=False)
+                for g, s in zip(mixed, seeds)
+            ),
+        )
+    )
+    ratios = sorted(m / s for m, s in zip(mixed_samples, same_samples))
+    quartiles = statistics.quantiles(ratios, n=4)
+    ratio = statistics.median(mixed_samples) / statistics.median(same_samples)
+    row = {
+        "graphs": len(mixed),
+        "sizes": list(SWEEP_MIXED_N_SIZES),
+        "same_n": same_n,
+        "pairs": len(ratios),
+        "mixed_median_seconds": round(statistics.median(mixed_samples), 6),
+        "same_median_seconds": round(statistics.median(same_samples), 6),
+        "ratio": round(ratio, 3),
+        "pair_ratio_iqr": round(quartiles[2] - quartiles[0], 3),
+        "ceiling": SWEEP_MIXED_N_CEILING,
+        "within_ceiling": ratio <= SWEEP_MIXED_N_CEILING,
+        "bit_identical": bool(identical),
+    }
+    print(
+        f"  16 distinct n {row['mixed_median_seconds'] * 1e3:8.2f} ms"
+        f"  16 x n={same_n} {row['same_median_seconds'] * 1e3:8.2f} ms"
+        f"  ratio {ratio:5.2f} (pair IQR {row['pair_ratio_iqr']:.3f})"
+        f"  identical={identical}"
+    )
+    return row
+
+
 def run_serve_bench(repeats: int) -> dict:
     """Service-tier throughput: cold-cache vs warm-cache vs unbatched.
 
@@ -1261,6 +1351,8 @@ def main() -> int:
     csr = run_csr_bench(args.repeats)
     print("many-graph sweep:")
     many = run_many_bench(args.repeats)
+    print("mixed-size sweep batch (16 distinct n vs one n):")
+    sweep_mixed_n = run_sweep_mixed_n_bench(args.repeats)
     print("minor-aggregation backends (closure vs compiled):")
     ma = run_ma_bench(args.repeats)
     print("packing min-cut value (contraction vs Stoer-Wagner):")
@@ -1296,6 +1388,7 @@ def main() -> int:
         "kernel_micro": micro,
         "csr": csr,
         "many": many,
+        "sweep_mixed_n": sweep_mixed_n,
         "ma": ma,
         "ma_scale": ma_scale,
         "approx_cut": approx_cut,
@@ -1314,6 +1407,7 @@ def main() -> int:
     ok = all(row["bit_identical"] for row in micro.values())
     ok = ok and csr["mincut_oracle"]["bit_identical"]
     ok = ok and all(row["bit_identical"] for row in many.values())
+    ok = ok and sweep_mixed_n["bit_identical"]
     ok = ok and serve[f"sweep{MANY_COUNT}"]["bit_identical"]
     ok = ok and all(row["bit_identical"] for row in ma.values())
     ok = ok and approx_cut["identical"]
@@ -1331,6 +1425,13 @@ def main() -> int:
     if args.check and not many_fast_enough:
         print(
             f"FAIL: many-graph sweep speedup below {MANY_SPEEDUP_FLOOR}x",
+            file=sys.stderr,
+        )
+        return 1
+    if args.check and not sweep_mixed_n["within_ceiling"]:
+        print(
+            f"FAIL: a sweep batch of 16 distinct n takes {sweep_mixed_n['ratio']}x "
+            f"one of a single n (ceiling {SWEEP_MIXED_N_CEILING}x)",
             file=sys.stderr,
         )
         return 1

@@ -289,11 +289,11 @@ class GraphPacking:
         """The packed trees as one stacked BFS/Euler forest over node
         indices, rooted at the session root (built on first use)."""
         if self._stack is None:
-            self._stack = _build_stacks(
+            (self._stack,) = stacked_tree_arrays(
                 [self.csr.n],
                 [self.packing.tree_edge_arrays],
                 [self.root_position],
-            )[0]
+            )
         return self._stack
 
     def rooted_tree(self, index: int) -> RootedTree:
@@ -1069,11 +1069,11 @@ def _solve_many_oracle(
     ):
         many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
 
-    # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
-    # with a common node count share one level-synchronous build.
+    # Stage 2: stacked BFS/Euler arrays -- every tree of every graph in
+    # one level-synchronous build, whatever the node counts.
     roots = [_root_position(graph.nodes) for graph in graphs]
     with obs_trace.span("sweep.stacks", graphs=len(graphs)):
-        stacks = _build_stacks(
+        stacks = stacked_tree_arrays(
             [graph.n for graph in graphs],
             [packing.tree_edge_arrays for packing in many.packings],
             roots,
@@ -1121,50 +1121,3 @@ def _root_position(labels: "list | None") -> int:
     if labels is None:
         return 0
     return min(range(len(labels)), key=lambda i: _node_sort_key(labels[i]))
-
-
-def _build_stacks(sizes, tree_edge_arrays, roots):
-    """One :class:`TreeStack` view per graph (node counts ``sizes``),
-    same-``n`` graphs fused."""
-    by_n: dict[int, list[int]] = {}
-    for g, n in enumerate(sizes):
-        by_n.setdefault(n, []).append(g)
-    stacks: list = [None] * len(sizes)
-    for n, members in by_n.items():
-        edge_u_rows, edge_v_rows, root_rows, owners = [], [], [], []
-        for g in members:
-            for eu, ev in tree_edge_arrays[g]:
-                edge_u_rows.append(eu)
-                edge_v_rows.append(ev)
-                root_rows.append(roots[g])
-                owners.append(g)
-        if not edge_u_rows:
-            continue
-        fused = stacked_tree_arrays(
-            np.stack(edge_u_rows), np.stack(edge_v_rows),
-            np.array(root_rows, dtype=np.int64), n,
-        )
-        # Split the fused stack back into per-graph row-range views.
-        owners_arr = np.array(owners)
-        for g in members:
-            rows = np.nonzero(owners_arr == g)[0]
-            lo, hi = int(rows[0]), int(rows[-1]) + 1
-            stacks[g] = _StackView(fused, lo, hi)
-    return stacks
-
-
-class _StackView:
-    """A per-graph row-range window onto a fused :class:`TreeStack`."""
-
-    __slots__ = ("parent", "tin", "tout", "pos", "_stack", "_lo")
-
-    def __init__(self, stack, lo: int, hi: int):
-        self._stack = stack
-        self._lo = lo
-        self.parent = stack.parent[lo:hi]
-        self.tin = stack.tin[lo:hi]
-        self.tout = stack.tout[lo:hi]
-        self.pos = stack.pos[lo:hi]
-
-    def edge_at(self, t: int, i: int):
-        return self._stack.edge_at(self._lo + t, i)

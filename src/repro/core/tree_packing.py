@@ -18,13 +18,15 @@ approximation of the min-cut value; the paper uses the Õ(1)-round
 (:func:`_min_cut_value`, still charged ``log2ceil(n)**2`` rounds) -- only
 the value is used, to pick the regime and the sampling probability.  It
 is computed centrally by Padberg-Rinaldi contraction (heavy edges and
-heavy-neighbour tests, a few array passes) and Stoer-Wagner on the
-kernel that is left, which is usually a single supernode.  Every
-contraction preserves the minimum of the running upper bound and the
-kernel's min-cut, so the value is exact; on integer weights every float
-sum is exact below 2**53 and the value equals full Stoer-Wagner's bit for
-bit, while on non-integral weights the two may differ by rounding only
-(Stoer-Wagner's own float value depends on its merge order).
+heavy-neighbour tests, a few array passes over the concatenated edge
+table of every graph of a batch, :func:`_contract_many`) and
+Stoer-Wagner on each kernel that is left, which is usually a single
+supernode.  Every contraction preserves the minimum of the running upper
+bound and the kernel's min-cut, so the value is exact; on integer
+weights every float sum is exact below 2**53 and the value equals full
+Stoer-Wagner's bit for bit, while on non-integral weights the two may
+differ by rounding only (Stoer-Wagner's own float value depends on its
+merge order).
 
 One implementation: :func:`pack_trees_many` packs any number of CSR graphs
 over one concatenated edge table, and :func:`pack_trees` is a batch of one
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.accounting import RoundAccountant, log2ceil
-from repro.graphs.csr import CSRGraph, as_csr, merge_components
+from repro.graphs.csr import CSRGraph, _canonicalize, as_csr, merge_components
 from repro.ma.compiled import compiled_boruvka_rows
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge, Node, RootedTree, _node_sort_key, edge_key
@@ -178,81 +180,162 @@ def pack_trees(
 
 
 def _min_cut_value(graph: CSRGraph, span=obs_trace.NULL_SPAN) -> float:
-    """Exact min-cut value of a connected graph by Padberg-Rinaldi
-    contraction, with Stoer-Wagner only on the kernel that is left.
+    """Exact min-cut value of a connected graph: :func:`_contract_many`
+    on a batch of one, then :meth:`Contracted.value`."""
+    (contracted,) = _contract_many([graph])
+    return contracted.value(span)
 
-    Each pass lowers the upper bound ``best`` to the least weighted
-    degree (a trivial cut is a real cut), then contracts every edge of
-    weight >= ``best`` (a cut separating its ends weighs at least
-    ``best``, whatever else is contracted) and every supernode ``x`` into its heaviest neighbour ``t``
-    when ``2 w(x, t) >= d(x)`` (moving ``x`` to ``t``'s side never makes a
-    cut heavier, and the trivial cut ``{x}`` is already in ``best``).  All
-    of one pass contracts at once: one pointer per supernode forms a
-    forest (plus tie cycles, whose closing edge is redundant), and
-    contracting it root-down applies each test while its ``x`` is still
-    unmerged, with ``w(x, t's supernode) >= w(x, t)``.  The passes stop at
-    one or two supernodes or when nothing contracts; Stoer-Wagner then
-    solves the kernel.  ``span`` gets ``kernel_n`` (the supernodes handed
-    to Stoer-Wagner, or 1) and ``passes``.
+
+@dataclass
+class Contracted:
+    """One graph after its Padberg-Rinaldi passes: the running upper
+    bound ``best``, the pass count, and the kernel left for
+    Stoer-Wagner (``None`` once one or two supernodes are left)."""
+
+    best: float
+    passes: int
+    kernel: "CSRGraph | None" = None
+
+    def value(self, span=obs_trace.NULL_SPAN) -> float:
+        """The exact min-cut value: ``best``, lowered by Stoer-Wagner on
+        the kernel when one is left.  ``span`` gets ``kernel_n`` (the
+        supernodes handed to Stoer-Wagner, or 1) and ``passes``."""
+        from repro.baselines.stoer_wagner import stoer_wagner_min_cut
+
+        best, kernel_n = self.best, 1
+        if self.kernel is not None:
+            kernel_n = self.kernel.n
+            best = min(best, stoer_wagner_min_cut(self.kernel)[0])
+        span.set(kernel_n=kernel_n, passes=self.passes)
+        return float(best)
+
+
+def _contract_many(graphs: "list[CSRGraph]") -> "list[Contracted]":
+    """Padberg-Rinaldi contraction of many connected graphs at once.
+
+    Each pass lowers a graph's upper bound ``best`` to its least
+    weighted degree (a trivial cut is a real cut), then contracts every
+    edge of weight >= ``best`` (a cut separating its ends weighs at
+    least ``best``, whatever else is contracted) and every supernode
+    ``x`` into its heaviest neighbour ``t`` when ``2 w(x, t) >= d(x)``
+    (moving ``x`` to ``t``'s side never makes a cut heavier, and the
+    trivial cut ``{x}`` is already in ``best``).  All of one pass
+    contracts at once: one pointer per supernode forms a forest (plus
+    tie cycles, whose closing edge is redundant), and contracting it
+    root-down applies each test while its ``x`` is still unmerged, with
+    ``w(x, t's supernode) >= w(x, t)``.  A graph stops at one or two
+    supernodes, or with its kernel when a pass contracts nothing.
+
+    The passes run over one canonical edge table of every running
+    graph, node blocks side by side.  Every float operation of a block
+    -- degree sums in edge order, parallel-edge merges -- is the one the
+    graph alone would make, so each result is bit-identical to a batch
+    of one.
     """
-    from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
-    if graph.n < 2:
-        raise ValueError("minimum cut needs at least two nodes")
-    if merge_components(np.arange(graph.n), graph.edge_u, graph.edge_v).any():
-        raise ValueError("graph must be connected")
-    kernel = graph.drop_self_loops()
-    best = math.inf
-    passes, kernel_n = 0, 1
-    while kernel.n > 1:
-        passes += 1
-        k, eu, ev, ew = kernel.n, kernel.edge_u, kernel.edge_v, kernel.edge_w
-        degree = np.bincount(eu, ew, minlength=k)
-        degree += np.bincount(ev, ew, minlength=k)
-        best = min(best, float(degree.min()))
-        if k == 2:
-            break
-        heavy = ew >= best
-        # Each supernode's heaviest neighbour: the first entry of its
-        # adjacency segment once the segment is sorted by weight, descending.
-        src = np.repeat(np.arange(k), np.diff(kernel.indptr))
-        first = np.lexsort((-kernel.adj_weight, src))[kernel.indptr[:-1]]
-        witness = 2 * kernel.adj_weight[first] >= degree
+    for graph in graphs:
+        if graph.n < 2:
+            raise ValueError("minimum cut needs at least two nodes")
+        if not graph.is_connected():
+            raise ValueError("graph must be connected")
+    if not graphs:
+        return []
+    results: "list[Contracted | None]" = [None] * len(graphs)
+    best = [math.inf] * len(graphs)
+    passes = [0] * len(graphs)
+    # The running graphs, their supernode counts and first node ids, and
+    # their concatenated canonical edge table (sorted by ``eu``).
+    live = list(range(len(graphs)))
+    k = np.array([graph.n for graph in graphs], dtype=np.int64)
+    start = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum(k, out=start[1:])
+    shift = np.repeat(start[:-1], [graph.m for graph in graphs])
+    eu = np.concatenate([graph.edge_u for graph in graphs]) + shift
+    ev = np.concatenate([graph.edge_v for graph in graphs]) + shift
+    ew = np.concatenate([graph.edge_w for graph in graphs])
+    loops = eu == ev
+    if loops.any():
+        eu, ev, ew = eu[~loops], ev[~loops], ew[~loops]
+    while live:
+        total = int(start[-1])
+        first_node = start[:-1]
+        node_block = np.repeat(np.arange(len(live)), k)
+        degree = np.bincount(eu, ew, minlength=total)
+        degree += np.bincount(ev, ew, minlength=total)
+        least = np.minimum.reduceat(degree, first_node).tolist()
+        for block, g in enumerate(live):
+            passes[g] += 1
+            best[g] = min(best[g], least[block])
+        bound = np.array([best[g] for g in live])
+        heavy = ew >= bound[node_block[eu]]
+        # Each supernode's heaviest neighbour, ties to the least index
+        # (the first in adjacency order): one scatter-max of the weights
+        # over the directed edges, one scatter-min over the tied ones.
+        src = np.concatenate([eu, ev])
+        dst = np.concatenate([ev, eu])
+        wgt = np.concatenate([ew, ew])
+        heaviest = np.full(total, -math.inf)
+        np.maximum.at(heaviest, src, wgt)
+        tied = wgt == heaviest[src]
+        neighbour = np.full(total, total, dtype=np.int64)
+        np.minimum.at(neighbour, src[tied], dst[tied])
+        witness = 2 * heaviest >= degree
         labels = merge_components(
-            np.arange(k),
+            np.arange(total),
             np.concatenate([eu[heavy], np.flatnonzero(witness)]),
-            np.concatenate([ev[heavy], kernel.indices[first][witness]]),
+            np.concatenate([ev[heavy], neighbour[witness]]),
         )
-        if (labels == np.arange(k)).all():
-            kernel_n = k
-            best = min(best, stoer_wagner_min_cut(kernel)[0])
+        # Labels are each component's least node, so a block's supernode
+        # count after contraction is its number of fixed points.
+        fixed = labels == np.arange(total)
+        left = np.add.reduceat(fixed, first_node)
+        edge_start = np.searchsorted(eu, start).tolist()
+        keep = (k > 2) & (left < k) & (left > 1)
+        for block, g in enumerate(live):
+            if keep[block]:
+                continue
+            kernel = None
+            if k[block] > 2 and left[block] == k[block]:
+                # Nothing contracts: Stoer-Wagner solves the kernel.
+                lo, hi = edge_start[block], edge_start[block + 1]
+                base = int(start[block])
+                kernel = CSRGraph(
+                    int(k[block]), eu[lo:hi] - base, ev[lo:hi] - base,
+                    ew[lo:hi], canonical=True,
+                )
+            results[g] = Contracted(float(best[g]), passes[g], kernel)
+        if not keep.any():
             break
-        kernel, _dense = kernel.contract(labels)
-    span.set(kernel_n=kernel_n, passes=passes)
-    return float(best)
+        # Contract the blocks that go on: supernodes renumbered densely
+        # in order of least member (block by block), loops dropped,
+        # parallel edges merged by the canonical order.
+        kept_nodes = keep[node_block]
+        _uniq, dense = np.unique(labels[kept_nodes], return_inverse=True)
+        supernode = np.full(total, -1, dtype=np.int64)
+        supernode[kept_nodes] = dense
+        kept_edges = kept_nodes[eu]
+        cu, cv = supernode[eu[kept_edges]], supernode[ev[kept_edges]]
+        cross = cu != cv
+        eu, ev, ew = _canonicalize(cu[cross], cv[cross], ew[kept_edges][cross])
+        live = [g for block, g in enumerate(live) if keep[block]]
+        k = left[keep]
+        start = np.zeros(len(live) + 1, dtype=np.int64)
+        np.cumsum(k, out=start[1:])
+    return results
 
 
 def _packing_graph(
     graph: CSRGraph,
     rng: random.Random,
     acct: RoundAccountant,
-    approx_cut_value: float | None,
-) -> tuple[CSRGraph, float, bool, float | None]:
-    """The approximate min-cut and the regime (B) sample of one graph:
-    ``(packing graph, approx cut value, sampled, sampling probability)``."""
+    approx_cut_value: float,
+) -> tuple[CSRGraph, bool, float | None]:
+    """The regime (B) sample of one graph: ``(packing graph, sampled,
+    sampling probability)``."""
     n = graph.n
-    if approx_cut_value is None:
-        with obs_trace.span(
-            "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
-        ) as sp:
-            approx_cut_value = _min_cut_value(graph, sp)
-        # The distributed stand-in: Õ(1) Minor-Aggregation rounds [GH16].
-        acct.charge(log2ceil(n) ** 2, "packing:approx-min-cut")
-
     # Regime (B): sample down to a Θ(log n) min-cut when lambda is large.
     target = 24.0 * max(1.0, math.log(n))
     if approx_cut_value <= 2 * target:
-        return graph, approx_cut_value, False, None
+        return graph, False, None
     sampled_graph, sampled = graph, False
     with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
         probability = min(1.0, target / approx_cut_value)
@@ -263,7 +346,7 @@ def _packing_graph(
                 break
             probability = min(1.0, 2 * probability)
     acct.charge(1, "packing:sampling")
-    return sampled_graph, approx_cut_value, sampled, probability
+    return sampled_graph, sampled, probability
 
 
 def pack_trees_many(
@@ -298,12 +381,26 @@ def pack_trees_many(
         else [None] * count_of
     )
 
+    if any(graph.n < 2 for graph in graphs):
+        raise ValueError("need at least two nodes to pack trees")
+    # The approximate min-cut of every graph without a given value: one
+    # batched contraction, then each graph's kernel on its own.
+    pending = [g for g, approx in enumerate(approx_values) if approx is None]
+    with obs_trace.span("pack.contract", graphs=len(pending)):
+        contracted = _contract_many([graphs[g] for g in pending])
+    for g, cut in zip(pending, contracted):
+        n = graphs[g].n
+        with obs_trace.span(
+            "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
+        ) as sp:
+            approx_values[g] = cut.value(sp)
+        # The distributed stand-in: Õ(1) Minor-Aggregation rounds [GH16].
+        accts[g].charge(log2ceil(n) ** 2, "packing:approx-min-cut")
+
     states: list[dict] = []
     for graph, seed, acct, approx in zip(graphs, seeds, accts, approx_values):
         n = graph.n
-        if n < 2:
-            raise ValueError("need at least two nodes to pack trees")
-        packing_graph, approx, sampled, probability = _packing_graph(
+        packing_graph, sampled, probability = _packing_graph(
             graph, random.Random(seed), acct, approx
         )
         eu, ev = packing_graph.edge_u, packing_graph.edge_v

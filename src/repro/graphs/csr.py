@@ -173,6 +173,7 @@ class CSRGraph:
         "n", "edge_u", "edge_v", "edge_w",
         "indptr", "indices", "adj_weight", "adj_edge",
         "nodes", "meta", "int_weights", "_index", "_hash", "_diameter",
+        "_connected",
     )
 
     def __init__(
@@ -199,6 +200,7 @@ class CSRGraph:
         self._index: dict | None = None
         self._hash: str | None = None
         self._diameter: int | None = None
+        self._connected: bool | None = None
 
         u = _as_index_array(edge_u, n, "edge_u")
         v = _as_index_array(edge_v, n, "edge_v")
@@ -576,9 +578,11 @@ class CSRGraph:
         return labels
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        return bool((self.bfs_levels(0) >= 0).all())
+        """Whether every node reaches node 0 (one BFS, computed once per
+        graph)."""
+        if self._connected is None:
+            self._connected = self.n > 0 and bool((self.bfs_levels(0) >= 0).all())
+        return self._connected
 
     def diameter(self) -> int:
         """Exact hop diameter (requires connectivity), computed once per

@@ -236,8 +236,8 @@ def batched_two_respecting_oracle(
     """Best 1-/2-respecting cut per tree of one graph's stacked forest.
 
     A one-graph delegate to :func:`batched_two_respecting_oracle_many`.
-    ``stack`` is the graph's :class:`~repro.kernel.forest.TreeStack` (or a
-    row window onto a fused one) over the node positions of ``arrays``.
+    ``stack`` is the graph's :class:`~repro.kernel.forest.TreeStack` over
+    the node positions of ``arrays``.
     Returns one :class:`CutCandidate` per tree, equal (value, edges, and
     tie-break) to ``two_respecting_oracle(graph, tree, arrays=arrays)``
     on the same tree with the same root; edges name the nodes of

@@ -4,26 +4,30 @@
 with a Python BFS and an explicit DFS stack -- fine per call, but a
 many-graph sweep packs *hundreds* of trees and the per-tree Python loops
 become the bottleneck once packing and the oracle are batched.  This
-module builds the same arrays for a whole stack of same-size trees with
-level-synchronous numpy passes:
+module builds the same arrays for every tree of every graph of a batch,
+whatever the graphs' node counts, with level-synchronous numpy passes
+over one flat node space (tree ``j`` owns the slots ``offset[j] ..
+offset[j] + n_j - 1``; a graph's trees sit next to each other):
 
 * **BFS order / parents** -- one frontier expansion per level across all
-  trees at once (CSR adjacency over ``tree * n + node`` keys);
-* **subtree sizes** -- one scatter-add per level, deepest first;
+  trees at once (CSR adjacency over ``offset + node`` keys);
+* **subtree sizes** -- one segmented sum per level, deepest first;
 * **Euler ``tin``/``tout``** -- no DFS at all: children of a node occupy
   a contiguous run of BFS positions, and the kernel's stack discipline
   (children pushed in adjacency order, popped LIFO) visits them in
   *reverse* adjacency order, so ``tin(child) = tin(parent) + 1 +
-  (sizes of later siblings)`` -- a segmented suffix sum over the BFS
-  order, resolved level by level.
+  (sizes of later siblings)`` -- a run-segmented suffix sum over the
+  flat BFS order, resolved level by level.
 
-The outputs are element-for-element equal to the per-tree
-:class:`TreeKernel` fields (asserted by the test suite): ``order`` is the
-BFS order (``kernel.nodes``), ``pos`` its inverse (``tree_remap``), and
-``tin``/``tout`` the Euler intervals.  Equality holds because the input
-edge lists are given in the exact insertion order the serial path feeds
-``RootedTree`` (canonical edge-key order), so adjacency enumeration --
-and hence every downstream order -- coincides.
+Each graph's :class:`TreeStack` is a ``(T, n)`` reshape of its block of
+the flat arrays.  The outputs are element-for-element equal to the
+per-tree :class:`TreeKernel` fields (asserted by the test suite):
+``order`` is the BFS order (``kernel.nodes``), ``pos`` its inverse
+(``tree_remap``), and ``tin``/``tout`` the Euler intervals.  Equality
+holds because the input edge lists are given in the exact insertion
+order the serial path feeds ``RootedTree`` (canonical edge-key order),
+so adjacency enumeration -- and hence every downstream order --
+coincides.
 
 Only index-space trees (nodes ``0..n-1``) are supported; that is what
 every packing's ``tree_edge_arrays`` holds, for CSR and networkx input
@@ -31,6 +35,8 @@ alike.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -78,51 +84,81 @@ class TreeStack:
 
 
 def stacked_tree_arrays(
-    edge_u: np.ndarray, edge_v: np.ndarray, roots: np.ndarray, n: int
-) -> TreeStack:
-    """Build a :class:`TreeStack` from ``(T, n-1)`` edge endpoint arrays.
+    sizes: Sequence[int],
+    trees: "Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]",
+    roots: Sequence[int],
+) -> list[TreeStack]:
+    """One :class:`TreeStack` per graph, every tree built in one pass.
 
-    ``edge_u[t, e]`` / ``edge_v[t, e]`` are the endpoints of tree ``t``'s
-    ``e``-th edge *in insertion order* (the order the serial path hands
-    :class:`RootedTree`, which fixes adjacency enumeration); ``roots[t]``
-    is tree ``t``'s root node id.
+    ``trees[g]`` lists graph ``g``'s spanning trees as ``(edge_u,
+    edge_v)`` node-index arrays of ``sizes[g] - 1`` edges each, *in
+    insertion order* (the order the serial path hands
+    :class:`RootedTree`, which fixes adjacency enumeration); every tree
+    of graph ``g`` is rooted at node ``roots[g]``.
     """
     with obs_trace.span(
-        "forest.stacked_build", trees=int(np.asarray(edge_u).shape[0]), n=n
+        "forest.stacked_build",
+        graphs=len(sizes),
+        trees=sum(len(group) for group in trees),
     ) as sp:
-        stack = _stacked_tree_arrays(edge_u, edge_v, roots, n)
-        sp.set(
-            bytes=int(
-                stack.order.nbytes + stack.pos.nbytes + stack.parent.nbytes
-                + stack.tin.nbytes + stack.tout.nbytes
-            )
+        stacks, nbytes = _stacked_tree_arrays(sizes, trees, roots)
+        sp.set(bytes=nbytes)
+        return stacks
+
+
+def _stacked_tree_arrays(sizes, trees, roots) -> tuple[list[TreeStack], int]:
+    counts = [len(group) for group in trees]
+    tree_n = np.repeat(np.asarray(sizes, dtype=np.int64), counts)
+    offset = np.zeros(len(tree_n) + 1, dtype=np.int64)
+    np.cumsum(tree_n, out=offset[1:])
+    edges = [pair for group in trees for pair in group]
+    for (edge_u, _edge_v), n in zip(edges, tree_n.tolist()):
+        if len(edge_u) != n - 1:
+            raise ValueError(f"expected {n - 1} edges per tree, got {len(edge_u)}")
+    if edges:
+        # Tree j's node ids shifted into its slots of the flat space.
+        shift = np.repeat(offset[:-1], tree_n - 1)
+        edge_u = np.concatenate([eu for eu, _ev in edges]) + shift
+        edge_v = np.concatenate([ev for _eu, ev in edges]) + shift
+    else:
+        edge_u = edge_v = np.zeros(0, dtype=np.int64)
+    tree_roots = np.repeat(np.asarray(roots, dtype=np.int64), counts)
+    flat = _flat_forest(edge_u, edge_v, tree_roots, offset)
+
+    # A graph's trees are one contiguous block: each stack is a reshape.
+    stacks = []
+    start = 0
+    for n, count in zip(sizes, counts):
+        block = slice(start, start + n * count)
+        stacks.append(
+            TreeStack(*(array[block].reshape(count, n) for array in flat))
         )
-        return stack
+        start += n * count
+    return stacks, sum(array.nbytes for array in flat)
 
 
-def _stacked_tree_arrays(
-    edge_u: np.ndarray, edge_v: np.ndarray, roots: np.ndarray, n: int
-) -> TreeStack:
-    edge_u = np.asarray(edge_u, dtype=np.int64)
-    edge_v = np.asarray(edge_v, dtype=np.int64)
-    roots = np.asarray(roots, dtype=np.int64)
-    trees, k = edge_u.shape
-    if k != n - 1:
-        raise ValueError(f"expected {n - 1} edges per tree, got {k}")
-    total = trees * n
+def _flat_forest(
+    edge_u: np.ndarray, edge_v: np.ndarray, roots: np.ndarray, offset: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(order, pos, parent, tin, tout)`` over the flat slot space: tree
+    ``j`` owns slots ``offset[j] .. offset[j + 1] - 1``, its node ``x``
+    is key ``offset[j] + x`` (``pos`` is indexed by key), and its BFS
+    index ``i`` is slot ``offset[j] + i`` (every other array).  Values
+    stay tree-local: node ids and BFS indices."""
+    tree_count = len(roots)
+    total = int(offset[-1])
+    start = offset[:-1]
+    tree_of = np.repeat(np.arange(tree_count, dtype=np.int64), np.diff(offset))
 
     # Directed adjacency in RootedTree insertion order: edge e appends
     # u -> v first, v -> u second, so entry rank (e, direction) is the
     # within-node enumeration order; a stable sort by source key
     # reproduces each node's neighbor sequence exactly.
-    src = np.empty(trees * k * 2, dtype=np.int64)
+    src = np.empty(2 * len(edge_u), dtype=np.int64)
     dst = np.empty_like(src)
-    src[0::2] = (edge_u + np.arange(trees)[:, None] * n).ravel()
-    dst[0::2] = (edge_v + np.arange(trees)[:, None] * n).ravel()
-    src[1::2] = dst[0::2]
-    dst[1::2] = src[0::2]
-    sort = np.argsort(src, kind="stable")
-    adj_dst = dst[sort]
+    src[0::2] = dst[1::2] = edge_u
+    dst[0::2] = src[1::2] = edge_v
+    adj_dst = dst[np.argsort(src, kind="stable")]
     indptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
 
@@ -131,87 +167,74 @@ def _stacked_tree_arrays(
     # grouped by tree and ordered by BFS position inside each tree, so
     # concatenated child expansions reproduce the serial queue order.
     # ------------------------------------------------------------------
-    pos_flat = np.full(total, -1, dtype=np.int64)
-    order = np.empty((trees, n), dtype=np.int64)
-    parent = np.zeros((trees, n), dtype=np.int64)
-    level_of: list[tuple[np.ndarray, np.ndarray]] = []  # (tree, bfs_pos)
-
-    frontier = roots + np.arange(trees, dtype=np.int64) * n
-    pos_flat[frontier] = 0
-    order[:, 0] = roots
-    next_index = np.ones(trees, dtype=np.int64)
-    frontier_pos = np.zeros(trees, dtype=np.int64)  # bfs pos per frontier entry
-    level_of.append((np.arange(trees, dtype=np.int64), frontier_pos))
-
-    while True:
+    pos = np.full(total, -1, dtype=np.int64)
+    order = np.empty(total, dtype=np.int64)
+    parent = np.zeros(total, dtype=np.int64)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (slots, parent slots)
+    frontier = start + roots
+    pos[frontier] = 0
+    order[start] = roots
+    next_index = np.ones(tree_count, dtype=np.int64)
+    while len(frontier):
         counts = indptr[frontier + 1] - indptr[frontier]
-        if not counts.any():
-            break
         # Expand every frontier node's adjacency slice, in frontier order.
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        take = np.arange(offsets[-1], dtype=np.int64)
-        take += np.repeat(indptr[frontier] - offsets[:-1], counts)
+        ends = np.cumsum(counts)
+        take = np.arange(int(ends[-1]), dtype=np.int64)
+        take += np.repeat(indptr[frontier] - (ends - counts), counts)
         targets = adj_dst[take]
-        source = np.repeat(frontier, counts)
-        new = pos_flat[targets] < 0
+        new = pos[targets] < 0
         children = targets[new]
         if not len(children):
             break
-        child_parent = source[new]
-        t_of = children // n
+        parent_pos = pos[np.repeat(frontier, counts)[new]]
+        t_of = tree_of[children]
         # Sequential BFS positions per tree; `children` is grouped by
         # tree (the frontier was), so a segmented arange suffices.
-        ccounts = np.bincount(t_of, minlength=trees)
-        group_start = np.concatenate([[0], np.cumsum(ccounts)[:-1]])
-        within = np.arange(len(children), dtype=np.int64) - group_start[t_of]
-        bfs_pos = next_index[t_of] + within
-        pos_flat[children] = bfs_pos
-        order[t_of, bfs_pos] = children % n
-        parent[t_of, bfs_pos] = pos_flat[child_parent]
+        ccounts = np.bincount(t_of, minlength=tree_count)
+        group_start = np.cumsum(ccounts) - ccounts
+        bfs_pos = next_index[t_of] - group_start[t_of]
+        bfs_pos += np.arange(len(children), dtype=np.int64)
+        base = start[t_of]
+        slots = base + bfs_pos
+        pos[children] = bfs_pos
+        order[slots] = children - base
+        parent[slots] = parent_pos
         next_index += ccounts
-        level_of.append((t_of, bfs_pos))
+        levels.append((slots, base + parent_pos))
         frontier = children
 
-    if (pos_flat < 0).any():
+    if (pos < 0).any():
         raise ValueError("input edges do not form spanning trees")
 
     # ------------------------------------------------------------------
     # Subtree sizes, deepest level first (siblings may share a parent, so
     # the accumulation is a scatter-add per level).
     # ------------------------------------------------------------------
-    sizes = np.ones((trees, n), dtype=np.int64)
-    for t_of, bfs_pos in reversed(level_of[1:]):
-        np.add.at(sizes, (t_of, parent[t_of, bfs_pos]), sizes[t_of, bfs_pos])
+    sizes = np.ones(total, dtype=np.int64)
+    for slots, parent_slots in reversed(levels):
+        np.add.at(sizes, parent_slots, sizes[slots])
 
     # ------------------------------------------------------------------
     # Euler tin/tout without a DFS.  BFS parents are non-decreasing along
     # the BFS order, so sibling groups are contiguous runs; the DFS stack
     # visits children in reverse adjacency order, hence
     #   tin(child) = tin(parent) + 1 + sum(sizes of later siblings).
-    # The "later siblings" term is a run-segmented suffix sum.
+    # The "later siblings" term is a run-segmented suffix sum; a run is
+    # keyed by its parent's BFS index, and the roots (key -1) part the
+    # trees, so no run crosses from one tree into the next.
     # ------------------------------------------------------------------
-    run_parent = parent.copy()
-    run_parent[:, 0] = -1  # the root is its own run, never a sibling
-    suffix = np.zeros((trees, n + 1), dtype=np.int64)
-    np.cumsum(sizes[:, ::-1], axis=1, out=suffix[:, 1:])
-    suffix = suffix[:, ::-1]  # suffix[t, i] = sum of sizes[t, i:]
-    boundary = np.empty((trees, n), dtype=np.int64)
-    boundary[:, -1] = n
-    changes = run_parent[:, 1:] != run_parent[:, :-1]
-    boundary[:, :-1] = np.where(changes, np.arange(1, n), n + 1)
-    run_end = np.minimum.accumulate(boundary[:, ::-1], axis=1)[:, ::-1]
-    idx_next = np.broadcast_to(np.arange(1, n + 1), (trees, n)).copy()
-    later_siblings = (
-        np.take_along_axis(suffix, idx_next, axis=1)
-        - np.take_along_axis(suffix, run_end, axis=1)
-    )
+    run_key = parent.copy()
+    run_key[start] = -1
+    boundary = np.full(total, total + 1, dtype=np.int64)
+    boundary[-1:] = total
+    changes = np.flatnonzero(run_key[1:] != run_key[:-1])
+    boundary[changes] = changes + 1
+    run_end = np.minimum.accumulate(boundary[::-1])[::-1]
+    prefix = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(sizes, out=prefix[1:])
+    later_siblings = prefix[run_end] - prefix[1:]
 
-    tin = np.zeros((trees, n), dtype=np.int64)
-    for t_of, bfs_pos in level_of[1:]:
-        tin[t_of, bfs_pos] = (
-            tin[t_of, parent[t_of, bfs_pos]] + 1 + later_siblings[t_of, bfs_pos]
-        )
-    tout = tin + sizes
-
-    pos = pos_flat.reshape(trees, n)
-    return TreeStack(order=order, pos=pos, parent=parent, tin=tin, tout=tout)
+    tin = np.zeros(total, dtype=np.int64)
+    for slots, parent_slots in levels:
+        tin[slots] = tin[parent_slots] + 1 + later_siblings[slots]
+    return order, pos, parent, tin, tin + sizes

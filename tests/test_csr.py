@@ -699,11 +699,13 @@ def _stacked_forest(graph, trees, root=0):
         rooted.append(RootedTree(ordered, root))
         edge_u.append([position[u] for u, _v in edges])
         edge_v.append([position[v] for _u, v in edges])
-    stack = stacked_tree_arrays(
-        np.array(edge_u, dtype=np.int64).reshape(len(trees), n - 1),
-        np.array(edge_v, dtype=np.int64).reshape(len(trees), n - 1),
-        np.full(len(trees), position[root], dtype=np.int64),
-        n,
+    (stack,) = stacked_tree_arrays(
+        [n],
+        [[
+            (np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64))
+            for eu, ev in zip(edge_u, edge_v)
+        ]],
+        [position[root]],
     )
     return stack, rooted
 
