@@ -83,6 +83,14 @@ themselves are closed-form).  It reports the median diameter over the
 median ``compute_congest=False`` solve, and ``--check`` fails when that
 share exceeds ``DEFAULT_CONFIG_OVERHEAD_CEILING`` at n=1024.
 
+The ``oracle_scale`` section times full ``oracle`` solves of gnm m=4n
+graphs at n 1024 and 2048 (median s, no CONGEST estimates) and reports
+the packed trees the stop rule solved out of all of them
+(:mod:`repro.core.tree_schedule`).  The winner must equal the one an
+all-trees ``batched_two_respecting_oracle`` pass picks (first least
+``(value, edges)``: value, edges and tree index), or the run fails; the
+all-trees pass is timed once beside it.
+
 The ``oracle_stack`` section times the stacked 2-respecting oracle
 (``batched_two_respecting_oracle``) on the seeded packed trees of every
 family at n=256, in ms per tree, next to the per-tree
@@ -167,6 +175,9 @@ APPROX_CUT_SPEEDUP_FLOOR = 5.0
 #: the stacked oracle row: every family's packed trees at this size.
 ORACLE_STACK_N = 256
 ORACLE_STACK_SEED = 1
+#: the oracle scale row: full oracle solves of gnm m=4n at these sizes.
+ORACLE_SCALE_NS = (1024, 2048)
+ORACLE_SCALE_SEED = 1
 #: the PR 8 acceptance bar: warm-cache served qps vs unbatched solves.
 #: the sweep_mixed_n row: gnm batches of these 16 sizes vs 16 graphs of
 #: their mean size, interleaved pairs; --check caps the ratio of medians.
@@ -760,6 +771,59 @@ def run_oracle_stack_bench(repeats: int) -> dict:
             f"  {family:<28} stacked {stacked_ms:7.3f} ms/tree"
             f"  per-tree {per_tree_ms:7.3f} ms/tree  ({trees} trees)"
             f"  identical={identical}"
+        )
+    rows["identical"] = all(row["identical"] for row in rows.values())
+    return rows
+
+
+def run_oracle_scale_bench(repeats: int) -> dict:
+    """Full oracle solves at n 1024/2048 under the stop rule, against the
+    all-trees stacked oracle on the same packing."""
+    from repro.core.session import MinCutSolver, SolverConfig
+    from repro.graphs import csr_random_connected_gnm
+    from repro.kernel.batched import batched_two_respecting_oracle
+    from repro.obs import trace
+
+    config = SolverConfig(solver="oracle", compute_congest=False)
+    solver = MinCutSolver(config)
+    rows: dict = {}
+    for n in ORACLE_SCALE_NS:
+        graph = csr_random_connected_gnm(n, 4 * n, seed=ORACLE_SCALE_SEED)
+        solve_s, result = median_seconds(
+            lambda: solver.solve(graph, seed=ORACLE_SCALE_SEED), repeats
+        )
+        with trace.tracing():
+            mark = trace.mark()
+            MinCutSolver(config).solve(graph, seed=ORACLE_SCALE_SEED)
+            (span,) = [
+                record for record in trace.records_since(mark)
+                if record.name == "session.solve"
+            ]
+        packed = solver.pack(graph, seed=ORACLE_SCALE_SEED)
+        start = time.perf_counter()
+        every = batched_two_respecting_oracle(packed.arrays, packed.stack)
+        all_trees_s = time.perf_counter() - start
+        best = 0
+        for index, candidate in enumerate(every):
+            if candidate.better_than(every[best]):
+                best = index
+        identical = (
+            result.best_tree_index == best
+            and result.candidate == every[best]
+            and result.value == every[best].value
+        )
+        rows[f"gnm_{n}"] = {
+            "n": n, "m": graph.m, "seed": ORACLE_SCALE_SEED,
+            "solve_median_s": round(solve_s, 4),
+            "all_trees_oracle_s": round(all_trees_s, 4),
+            "trees_solved": span.attrs["trees_solved"],
+            "trees": span.attrs["trees"],
+            "identical": identical,
+        }
+        print(
+            f"  gnm n={n:<5} m={graph.m:<6} solve {solve_s:7.3f} s  "
+            f"trees {span.attrs['trees_solved']}/{span.attrs['trees']}  "
+            f"all-trees oracle {all_trees_s:7.3f} s  identical={identical}"
         )
     rows["identical"] = all(row["identical"] for row in rows.values())
     return rows
@@ -1359,6 +1423,8 @@ def main() -> int:
     approx_cut = run_approx_cut_bench(args.repeats)
     print("stacked 2-respecting oracle (stacked vs per-tree):")
     oracle_stack = run_oracle_stack_bench(args.repeats)
+    print("oracle scale (stop rule vs all trees, gnm m=4n):")
+    oracle_scale = run_oracle_scale_bench(args.repeats)
     print("minor-aggregation vs oracle (gnm m=3n):")
     ma_vs_oracle = run_ma_vs_oracle_bench(args.repeats)
     print("default config vs compute_congest=False (gnm m=4n):")
@@ -1393,6 +1459,7 @@ def main() -> int:
         "ma_scale": ma_scale,
         "approx_cut": approx_cut,
         "oracle_stack": oracle_stack,
+        "oracle_scale": oracle_scale,
         "ma_vs_oracle": ma_vs_oracle,
         "default_config": default_config,
         "serve": serve,
@@ -1412,6 +1479,7 @@ def main() -> int:
     ok = ok and all(row["bit_identical"] for row in ma.values())
     ok = ok and approx_cut["identical"]
     ok = ok and oracle_stack["identical"]
+    ok = ok and oracle_scale["identical"]
     ok = ok and ma_vs_oracle["identical"]
     many_fast_enough = all(
         row["speedup"] >= MANY_SPEEDUP_FLOOR for row in many.values()

@@ -52,6 +52,7 @@ from repro.accounting import CostModel, RoundAccountant
 from repro.certify import Certificate, certify_cut, certify_result
 from repro.errors import (
     BudgetExceeded,
+    CandidateBelowMinCutError,
     CertificationError,
     FaultPlanError,
     GraphValidationError,
@@ -98,6 +99,7 @@ __all__ = [
     "GraphValidationError",
     "SolverError",
     "NumericalRangeError",
+    "CandidateBelowMinCutError",
     "FaultPlanError",
     "PackingError",
     "BudgetExceeded",

@@ -25,11 +25,13 @@ compares.  This module is the redesigned public surface:
   sweeps under the ``oracle`` solver it amortizes the whole
   pipeline across graphs: one concatenated-table tree packing
   (:func:`~repro.core.tree_packing.pack_trees_many`), one stacked
-  BFS/Euler kernel build (:mod:`repro.kernel.forest`), and one chunked
-  stacked-tensor oracle pass (:mod:`repro.kernel.batched`) -- with
+  BFS/Euler kernel build (:mod:`repro.kernel.forest`), and chunked
+  stacked-tensor oracle passes (:mod:`repro.kernel.batched`) -- with
   results bit-identical to looping ``minimum_cut`` (asserted by the
   test suite).  A single-graph ``oracle`` solve runs the same stages as
-  a batch of one and roots only its winning tree.
+  a batch of one and roots only its winning tree.  Either path solves
+  the packed trees in order and stops once no later tree can change
+  the winner (:mod:`repro.core.tree_schedule`).
 
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
@@ -67,6 +69,7 @@ from repro.core.mincut import (
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
 from repro.core.tree_packing import pack_trees, pack_trees_many
+from repro.core.tree_schedule import TreeSchedule, run_schedule, stop_value
 from repro.errors import (
     BudgetExceeded,
     GraphValidationError,
@@ -76,6 +79,7 @@ from repro.errors import (
 from repro.graphs.csr import CSRGraph, as_csr
 from repro.kernel.batched import (
     OracleJob,
+    _chunk_size,
     batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
     parse_batch_bytes,
@@ -296,6 +300,13 @@ class GraphPacking:
             )
         return self._stack
 
+    def schedule(self, cap: int) -> TreeSchedule:
+        """The oracle's solve order over the packed trees, in batches of
+        at most ``cap`` trees (:mod:`repro.core.tree_schedule`)."""
+        return TreeSchedule(
+            stop_value(self.csr, self.packing), self.stack, self.arrays, cap
+        )
+
     def rooted_tree(self, index: int) -> RootedTree:
         """Packed tree ``index`` over node indices, rooted at the session
         root (built on first use; the oracle roots only its winning tree)."""
@@ -350,6 +361,7 @@ class GraphPacking:
             with obs_trace.span(
                 "session.solve", solver=name, seed=self.seed, n=self.csr.n
             ) as root:
+                ctx.span = root
                 result = entry.fn(self, ctx)
             # Everything this thread recorded during the solve (the pack
             # subtree is a sibling of the root span, not a child).
@@ -384,13 +396,15 @@ class GraphPacking:
     # ------------------------------------------------------------------
     def finalize(
         self,
-        candidates: Sequence[CutCandidate],
+        candidates: "Sequence[tuple[int, CutCandidate]]",
         ctx: "SolveContext",
         solve_stats=None,
     ) -> MinCutResult:
         """Select the best per-tree candidate and materialise the witness.
 
-        ``solve_stats`` (a dict) becomes ``result.stats["general_solver"]``.
+        ``candidates`` pairs each solved tree's packed index with its
+        candidate, in solve order.  ``solve_stats`` (a dict) becomes
+        ``result.stats["general_solver"]``.
         """
         return _finalize_candidates(
             csr=self.csr,
@@ -452,6 +466,8 @@ class SolveContext:
     accountant: RoundAccountant
     compute_congest: bool
     solver: str
+    #: the ``session.solve`` span of a traced solve (attributes only).
+    span: object = obs_trace.NULL_SPAN
 
 
 class MinCutSolver:
@@ -558,7 +574,7 @@ def _finalize_candidates(
     arrays: GraphArrays,
     packing,
     rooted_for,
-    candidates: Sequence[CutCandidate],
+    candidates: "Sequence[tuple[int, CutCandidate]]",
     acct: RoundAccountant,
     compute_congest: bool,
     solver_name: str,
@@ -578,7 +594,7 @@ def _finalize_candidates_inner(
     arrays: GraphArrays,
     packing,
     rooted_for,
-    candidates: Sequence[CutCandidate],
+    candidates: "Sequence[tuple[int, CutCandidate]]",
     acct: RoundAccountant,
     compute_congest: bool,
     solver_name: str,
@@ -586,7 +602,7 @@ def _finalize_candidates_inner(
 ) -> MinCutResult:
     best: CutCandidate | None = None
     best_index = -1
-    for index, candidate in enumerate(candidates):
+    for index, candidate in candidates:
         if candidate.better_than(best):
             best = candidate
             best_index = index
@@ -717,7 +733,9 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
             )
             for candidate in candidates
         ]
-    return packed.finalize(candidates, ctx, solve_stats=solve_stats)
+    return packed.finalize(
+        list(enumerate(candidates)), ctx, solve_stats=solve_stats
+    )
 
 
 @register_solver(
@@ -727,10 +745,16 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
 def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     degraded = None
     started = time.perf_counter()
+    batch_bytes = packed.config.batch_bytes
     try:
-        # All Θ(log n) per-tree solves in one pass over the stacked forest.
-        candidates = batched_two_respecting_oracle(
-            packed.arrays, packed.stack, batch_bytes=packed.config.batch_bytes
+        # The packed trees in doubling batches over the stacked forest,
+        # until no later tree can change the winner.
+        arrays, stack = packed.arrays, packed.stack
+        schedule = run_schedule(
+            packed.schedule(_chunk_size(packed.csr.n, batch_bytes)),
+            lambda rows: batched_two_respecting_oracle(
+                arrays, stack, batch_bytes=batch_bytes, rows=rows
+            ),
         )
     except (BudgetExceeded, MemoryError) as exc:
         # Automatic degradation: the stacked tensor does not fit the
@@ -739,7 +763,7 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
         failed_phase = obs_trace.last_error_span() or "oracle.batched"
         obs_metrics.counter("session.degraded").inc()
         with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
-            candidates = _per_tree_oracle(packed)
+            schedule = _per_tree_oracle(packed)
         degraded = {
             "from": "batched-oracle",
             "to": "per-tree-oracle",
@@ -747,17 +771,33 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
             "phase": failed_phase,
             "seconds": time.perf_counter() - started,
         }
-    result = packed.finalize(candidates, ctx)
+    ctx.span.set(**_count_trees([schedule]))
+    result = packed.finalize(schedule.solved, ctx)
     if degraded is not None:
         result.stats["degraded"] = degraded
     return result
 
 
-def _per_tree_oracle(packed: GraphPacking) -> list[CutCandidate]:
-    return [
-        two_respecting_oracle(packed.csr, rooted, arrays=packed.arrays)
-        for rooted in packed.rooted_trees
-    ]
+def _per_tree_oracle(packed: GraphPacking) -> TreeSchedule:
+    """The same order and stop rule, one rooted tree at a time."""
+    return run_schedule(
+        packed.schedule(1),
+        lambda rows: [
+            two_respecting_oracle(
+                packed.csr, packed.rooted_tree(index), arrays=packed.arrays
+            )
+            for index in rows.tolist()
+        ],
+    )
+
+
+def _count_trees(schedules: "Sequence[TreeSchedule]") -> dict:
+    """Span attributes of solved and packed trees; the skipped ones also
+    go to the ``oracle.trees_skipped`` counter."""
+    solved = sum(len(schedule.solved) for schedule in schedules)
+    trees = sum(schedule.trees for schedule in schedules)
+    obs_metrics.counter("oracle.trees_skipped").inc(trees - solved)
+    return {"trees_solved": solved, "trees": trees}
 
 
 @register_solver(
@@ -1079,18 +1119,36 @@ def _solve_many_oracle(
             roots,
         )
 
-    # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
+    # Stage 3: chunked stacked-tensor oracle passes over the sweep.  Each
+    # round, every unsettled graph adds its next doubling batch of trees
+    # (all of them at once where the stop rule does not apply), and one
+    # many-graph pass solves the round.
     arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
-    jobs = [
-        OracleJob.from_arrays(
-            arrays_list[g], stacks[g].tin, stacks[g].tout, stacks[g].pos
-        )
-        for g in range(len(graphs))
-    ]
-    with obs_trace.span("sweep.oracle", graphs=len(graphs)):
-        solved = batched_two_respecting_oracle_many(
-            jobs, batch_bytes=cfg.batch_bytes
-        )
+    with obs_trace.span("sweep.oracle", graphs=len(graphs)) as sp:
+        schedules = [
+            TreeSchedule(
+                stop_value(graph, many.packings[g]), stacks[g], arrays_list[g],
+                _chunk_size(graph.n, cfg.batch_bytes),
+            )
+            for g, graph in enumerate(graphs)
+        ]
+        running = list(range(len(graphs)))
+        while running:
+            batches = []
+            for g in running:
+                rows = schedules[g].next_rows()
+                batches.append((g, rows, stacks[g].select(rows)))
+            solved = batched_two_respecting_oracle_many(
+                [
+                    OracleJob.from_arrays(arrays_list[g], sub.tin, sub.tout, sub.pos)
+                    for g, _rows, sub in batches
+                ],
+                batch_bytes=cfg.batch_bytes,
+            )
+            for (g, rows, sub), (values, flats) in zip(batches, solved):
+                schedules[g].absorb(rows, stack_candidates(values, flats, sub))
+            running = [g for g in running if not schedules[g].settled]
+        sp.set(**_count_trees(schedules))
 
     # Stage 4: per-graph candidate decode + witness extraction.
     results = []
@@ -1105,7 +1163,7 @@ def _solve_many_oracle(
                 rooted_for=lambda index, packing=packing, root=roots[g]: (
                     packing.rooted_tree(index, root)
                 ),
-                candidates=stack_candidates(*solved[g], stacks[g]),
+                candidates=schedules[g].solved,
                 acct=many.accountants[g],
                 compute_congest=cfg.compute_congest,
                 solver_name="oracle",

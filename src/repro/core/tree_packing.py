@@ -54,7 +54,7 @@ from repro.accounting import RoundAccountant, log2ceil
 from repro.graphs.csr import CSRGraph, _canonicalize, as_csr, merge_components
 from repro.ma.compiled import compiled_boruvka_rows
 from repro.obs import trace as obs_trace
-from repro.trees.rooted import Edge, Node, RootedTree, _node_sort_key, edge_key
+from repro.trees.rooted import Edge, Node, RootedTree, _node_sort_key
 
 
 @dataclass
@@ -65,7 +65,9 @@ class TreePacking:
     arrays per tree, in the exact insertion order the tree was built with
     -- what :func:`~repro.kernel.forest.stacked_tree_arrays` consumes and
     what fixes every BFS downstream.  ``nodes`` is the graph's label table
-    (``None``: the indices are the labels).
+    (``None``: the indices are the labels).  ``approx_cut_computed`` says
+    that ``approx_cut_value`` came from the packing's own contraction
+    (:func:`_contract_many`) rather than from the caller.
     """
 
     tree_edge_arrays: "list[tuple[np.ndarray, np.ndarray]]" = field(
@@ -77,6 +79,7 @@ class TreePacking:
     ma_rounds: float
     duplicates_removed: int = 0
     nodes: "list | None" = None
+    approx_cut_computed: bool = False
 
     @property
     def trees(self) -> "list[list[Edge]]":
@@ -121,8 +124,40 @@ class ManyPacking:
     accountants: list[RoundAccountant]
 
 
-def _edge_order_key(edge: Edge) -> tuple:
-    return (_node_sort_key(edge[0]), _node_sort_key(edge[1]))
+def _edge_ranks(
+    node_labels: list, eu: np.ndarray, ev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of the edge rows ``(eu, ev)`` in label space: by the string
+    of their ``edge_key`` (the Boruvka tie-break) and by the
+    ``_node_sort_key`` order of its endpoints (a tree's insertion order).
+
+    ``edge_key`` orders endpoints by ``(type name, str)``, not by index
+    -- ``edge_key(4, 10)`` is ``(10, 4)`` -- and ``str`` of a 2-tuple is
+    ``"(" + repr(a) + ", " + repr(b) + ")"``, so one ``_node_sort_key``
+    and one ``repr`` per node give every row's key by array operations.
+    """
+    count = len(node_labels)
+    keys = [_node_sort_key(label) for label in node_labels]
+    # Dense rank of every node's key: equal keys share a rank, and
+    # edge_key keeps (u, v) as given when the keys are equal.
+    node_rank = np.empty(count, dtype=np.int64)
+    rank, previous = -1, None
+    for node in sorted(range(count), key=keys.__getitem__):
+        if keys[node] != previous:
+            rank, previous = rank + 1, keys[node]
+        node_rank[node] = rank
+    swap = node_rank[eu] > node_rank[ev]
+    first = np.where(swap, ev, eu)
+    second = np.where(swap, eu, ev)
+    reprs = np.array([repr(label) for label in node_labels], dtype=np.str_)
+    add = np.strings.add
+    pairs = add(add(add("(", reprs[first]), ", "), add(reprs[second], ")"))
+    rows = np.arange(len(eu), dtype=np.int64)
+    str_rank = np.empty(len(eu), dtype=np.int64)
+    str_rank[np.argsort(pairs)] = rows
+    canon_rank = np.empty(len(eu), dtype=np.int64)
+    canon_rank[np.lexsort((node_rank[second], node_rank[first]))] = rows
+    return str_rank, canon_rank
 
 
 def _sample_multiplicities_csr(
@@ -386,6 +421,7 @@ def pack_trees_many(
     # The approximate min-cut of every graph without a given value: one
     # batched contraction, then each graph's kernel on its own.
     pending = [g for g, approx in enumerate(approx_values) if approx is None]
+    computed = set(pending)
     with obs_trace.span("pack.contract", graphs=len(pending)):
         contracted = _contract_many([graphs[g] for g in pending])
     for g, cut in zip(pending, contracted):
@@ -404,23 +440,7 @@ def pack_trees_many(
             graph, random.Random(seed), acct, approx
         )
         eu, ev = packing_graph.edge_u, packing_graph.edge_v
-        # Label-space canonical keys per edge row: the tie-break and the
-        # tree insertion order both live in edge_key space (endpoints
-        # ordered by string, not by index -- edge_key(4, 10) is (10, 4)).
-        node_labels = graph.node_labels()
-        canonical = [
-            edge_key(node_labels[u], node_labels[v])
-            for u, v in zip(eu.tolist(), ev.tolist())
-        ]
-        labels = np.array([str(pair) for pair in canonical], dtype=np.str_)
-        str_rank = np.empty(len(labels), dtype=np.int64)
-        str_rank[np.argsort(labels)] = np.arange(len(labels), dtype=np.int64)
-        # Rank of every row in the canonical edge-key order: a tree's
-        # insertion order.
-        canon_rank = np.empty(len(canonical), dtype=np.int64)
-        canon_rank[
-            sorted(range(len(canonical)), key=lambda e: _edge_order_key(canonical[e]))
-        ] = np.arange(len(canonical), dtype=np.int64)
+        str_rank, canon_rank = _edge_ranks(graph.node_labels(), eu, ev)
         states.append(
             dict(
                 n=n,
@@ -497,6 +517,7 @@ def pack_trees_many(
             ma_rounds=accts[g].total,
             duplicates_removed=st["duplicates"],
             nodes=graph.nodes,
+            approx_cut_computed=g in computed,
         )
         for g, (graph, st) in enumerate(zip(graphs, states))
     ]

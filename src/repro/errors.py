@@ -13,7 +13,8 @@ Hierarchy::
     ReproError
     ├── GraphValidationError (ValueError)   bad graph input
     ├── SolverError          (ValueError)   unknown/broken solver dispatch
-    │   └── NumericalRangeError             float error broke a cut witness
+    │   ├── NumericalRangeError             float error broke a cut witness
+    │   └── CandidateBelowMinCutError       an exact oracle cut fell below λ
     ├── FaultPlanError       (ValueError)   malformed fault-injection plan
     ├── PackingError         (RuntimeError) tree-packing stage failure
     ├── BudgetExceeded       (RuntimeError) scratch budget cannot fit a solve
@@ -39,6 +40,7 @@ __all__ = [
     "GraphValidationError",
     "SolverError",
     "NumericalRangeError",
+    "CandidateBelowMinCutError",
     "FaultPlanError",
     "PackingError",
     "BudgetExceeded",
@@ -82,6 +84,24 @@ class NumericalRangeError(SolverError):
         super().__init__(message)
         self.candidate_value = candidate_value
         self.partition_value = partition_value
+
+
+class CandidateBelowMinCutError(SolverError):
+    """An oracle candidate came out below the packing's exact min-cut
+    value λ on a graph whose arithmetic is exact (positive integer
+    weights, four times their total below 2**53).  Every candidate there
+    is the weight of a real cut, so this is a defect, not rounding; both
+    numbers are kept on the exception and in its message."""
+
+    def __init__(
+        self,
+        message: str,
+        candidate_value: float = 0.0,
+        min_cut_value: float = 0.0,
+    ):
+        super().__init__(message)
+        self.candidate_value = candidate_value
+        self.min_cut_value = min_cut_value
 
 
 class FaultPlanError(ReproError, ValueError):

@@ -567,21 +567,18 @@ class CSRGraph:
         return dist
 
     def connected_components(self) -> np.ndarray:
-        """Component id per index (ids are the minimum member index)."""
-        labels = np.full(self.n, -1, dtype=np.int64)
-        for start in range(self.n):
-            if labels[start] >= 0:
-                continue
-            reach = self.bfs_levels(start) >= 0
-            reach &= labels < 0
-            labels[reach] = start
-        return labels
+        """Component id per index (ids are the minimum member index): one
+        :func:`merge_components` pass over the edge table, whose
+        min-hooking leaves each component's least index as its label."""
+        return merge_components(
+            np.arange(self.n, dtype=np.int64), self.edge_u, self.edge_v
+        )
 
     def is_connected(self) -> bool:
-        """Whether every node reaches node 0 (one BFS, computed once per
+        """Whether every node is in node 0's component (computed once per
         graph)."""
         if self._connected is None:
-            self._connected = self.n > 0 and bool((self.bfs_levels(0) >= 0).all())
+            self._connected = self.n > 0 and not self.connected_components().any()
         return self._connected
 
     def diameter(self) -> int:

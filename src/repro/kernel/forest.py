@@ -69,6 +69,13 @@ class TreeStack:
         self.tout = tout
         self.trees, self.n = order.shape
 
+    def select(self, rows: np.ndarray) -> "TreeStack":
+        """The stack of trees ``rows`` only, in that order."""
+        return TreeStack(
+            self.order[rows], self.pos[rows], self.parent[rows],
+            self.tin[rows], self.tout[rows],
+        )
+
     def edge_at(self, t: int, i: int) -> tuple[int, int]:
         """The ``i``-th tree edge of tree ``t`` in BFS order.
 

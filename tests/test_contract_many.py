@@ -151,7 +151,7 @@ def test_each_graph_span_carries_kernel_n_and_passes():
         assert span.attrs["acct"] == "packing:approx-min-cut"
 
 
-def test_sweep_runs_one_connectivity_bfs_per_graph(monkeypatch):
+def test_sweep_runs_one_connectivity_search_per_graph(monkeypatch):
     """Validation's connectivity answer is kept on the graph, and the
     approximate min-cut reads it instead of searching again."""
     import repro
@@ -161,13 +161,13 @@ def test_sweep_runs_one_connectivity_bfs_per_graph(monkeypatch):
         for g in (CSR_FAMILY_BUILDERS[family](30, 2) for family in FAMILIES)
     ]
     searched = []
-    bfs_levels = CSRGraph.bfs_levels
+    components = CSRGraph.connected_components
 
-    def spy(self, source):
+    def spy(self):
         searched.append(id(self))
-        return bfs_levels(self, source)
+        return components(self)
 
-    monkeypatch.setattr(CSRGraph, "bfs_levels", spy)
+    monkeypatch.setattr(CSRGraph, "connected_components", spy)
     repro.minimum_cut_many(graphs, seeds=1, solver="oracle")
     assert [searched.count(id(graph)) for graph in graphs] == [1] * len(graphs)
 

@@ -321,6 +321,36 @@ class TestPrimitives:
         labels = csr.connected_components()
         assert labels.tolist() == [0, 0, 2, 2]
 
+    @pytest.mark.parametrize("family", sorted(CSR_FAMILY_BUILDERS))
+    def test_components_match_per_start_bfs(self, family):
+        """Component ids (least member index) and connectivity equal one
+        BFS per unreached start, on whole graphs and on graphs split by
+        dropping every third edge; isolated nodes and self-loops too."""
+        rng = np.random.default_rng(3)
+        for seed in (1, 2, 3):
+            whole = CSR_FAMILY_BUILDERS[family](40, seed)
+            keep = np.arange(whole.m) % 3 != 0
+            cases = [
+                whole,
+                CSRGraph(whole.n, whole.edge_u[keep], whole.edge_v[keep],
+                         whole.edge_w[keep]),
+                CSRGraph(whole.n + 2, np.r_[whole.edge_u, whole.n + 1],
+                         np.r_[whole.edge_v, whole.n + 1],
+                         np.r_[whole.edge_w, 1.0]),
+            ]
+            perm = rng.permutation(whole.n)
+            cases.append(
+                CSRGraph(whole.n, perm[whole.edge_u[keep]],
+                         perm[whole.edge_v[keep]], whole.edge_w[keep])
+            )
+            for csr in cases:
+                want = np.full(csr.n, -1, dtype=np.int64)
+                for start in range(csr.n):
+                    if want[start] < 0:
+                        want[(csr.bfs_levels(start) >= 0) & (want < 0)] = start
+                assert csr.connected_components().tolist() == want.tolist()
+                assert csr.is_connected() == (not want.any())
+
     def test_subgraph_matches_networkx(self):
         csr = csr_random_connected_gnm(20, 60, seed=4)
         keep = np.array([0, 3, 5, 7, 9, 11, 13])

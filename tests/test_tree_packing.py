@@ -118,3 +118,68 @@ class TestAccounting:
         b = pack_trees(graph, seed=9)
         sigs = lambda p: [frozenset(map(frozenset, t)) for t in p.trees]
         assert sigs(a) == sigs(b)
+
+
+class _Grouped:
+    """A label whose sort key ``(type name, str)`` is shared by every
+    fifth label, so ``edge_key`` meets equal keys."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def __str__(self):
+        return f"g{self.index % 5}"
+
+    def __repr__(self):
+        return f"G({self.index})"
+
+
+class TestEdgeRanks:
+    """The packing's label-space edge ranks (Boruvka tie-break and tree
+    insertion order), built from one ``repr`` and one sort key per node,
+    against the per-edge ``edge_key`` / ``str(pair)`` definition."""
+
+    @staticmethod
+    def _per_edge(labels, eu, ev):
+        import numpy as np
+
+        from repro.trees.rooted import _node_sort_key, edge_key
+
+        pairs = [edge_key(labels[u], labels[v]) for u, v in zip(eu.tolist(), ev.tolist())]
+        strings = np.array([str(pair) for pair in pairs], dtype=np.str_)
+        str_rank = np.empty(len(pairs), dtype=np.int64)
+        str_rank[np.argsort(strings)] = np.arange(len(pairs))
+        order = sorted(
+            range(len(pairs)),
+            key=lambda e: (_node_sort_key(pairs[e][0]), _node_sort_key(pairs[e][1])),
+        )
+        canon_rank = np.empty(len(pairs), dtype=np.int64)
+        canon_rank[order] = np.arange(len(pairs))
+        return str_rank, canon_rank
+
+    @pytest.mark.parametrize(
+        "labelling", ["index", "strings", "mixed types", "tuples", "equal keys"]
+    )
+    @pytest.mark.parametrize("n", [24, 100, 256])
+    def test_matches_per_edge_keys(self, labelling, n):
+        import numpy as np
+
+        from repro.core.tree_packing import _edge_ranks
+        from repro.graphs import CSR_FAMILY_BUILDERS
+
+        for family in sorted(CSR_FAMILY_BUILDERS):
+            graph = CSR_FAMILY_BUILDERS[family](n, 2)
+            count = graph.n
+            labels = {
+                "index": list(range(count)),
+                "strings": [f"n{(37 * i) % count}" for i in range(count)],
+                "mixed types": [
+                    i if i % 3 == 0 else f"s{i}" if i % 3 == 1 else i + 0.5
+                    for i in range(count)
+                ],
+                "tuples": [(i % 7, f"x'{i}") for i in range(count)],
+                "equal keys": [_Grouped(i) for i in range(count)],
+            }[labelling]
+            got = _edge_ranks(labels, graph.edge_u, graph.edge_v)
+            want = self._per_edge(labels, graph.edge_u, graph.edge_v)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), family

@@ -1,0 +1,248 @@
+"""The oracle's stop rule: solve packed trees in order, stop once no later
+tree can change finalize's winner (:mod:`repro.core.tree_schedule`).
+
+Every result must equal, byte for byte, the run that solves all packed
+trees (``stop_value`` patched to ``None``, so the same entry points run
+the whole stack through ``batched_two_respecting_oracle``): value,
+partition, cut edges, candidate, ``best_tree_index`` and ``stats``.
+Graphs outside the rule's conditions -- fractional weights, a total
+weight too large for exact sums, zero-weight edges, a caller-supplied
+``approx_cut_value`` -- solve every tree.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core import session
+from repro.core.tree_packing import pack_trees
+from repro.core.tree_schedule import TreeSchedule, stop_value
+from repro.errors import CandidateBelowMinCutError
+from repro.graphs import CSR_FAMILY_BUILDERS
+from repro.graphs.csr import CSRGraph
+from repro.kernel.batched import batched_two_respecting_oracle
+from repro.kernel.cut_kernel import stacked_covers
+from repro.obs import metrics, trace
+
+FAMILIES = sorted(CSR_FAMILY_BUILDERS)
+CONFIG = repro.SolverConfig(solver="oracle", compute_congest=False)
+
+
+def _signature(result) -> tuple:
+    stats = {
+        k: v for k, v in result.stats.items()
+        if k not in ("profile", "sweep_profile")
+    }
+    if "degraded" in stats:
+        stats["degraded"] = {
+            k: v for k, v in stats["degraded"].items() if k != "seconds"
+        }
+    return (
+        float(result.value).hex(),
+        result.partition,
+        repr(result.cut_edges),
+        repr(result.candidate),
+        result.best_tree_index,
+        repr(stats),
+        result.ma_rounds,
+    )
+
+
+def _labelled(graph):
+    labels = [f"v{(7 * i) % graph.n}" if i % 2 else (i, "t") for i in range(graph.n)]
+    return CSRGraph(
+        graph.n, graph.edge_u, graph.edge_v, graph.edge_w,
+        nodes=labels, canonical=True,
+    )
+
+
+def _all_trees(monkeypatch):
+    monkeypatch.setattr(session, "stop_value", lambda csr, packing: None)
+
+
+def _traced(run, name: str):
+    """``run()`` under tracing, and the attributes of its ``name`` span."""
+    with trace.tracing():
+        mark = trace.mark()
+        result = run()
+        spans = [r for r in trace.records_since(mark) if r.name == name]
+    return result, spans[-1].attrs
+
+
+def _solve(graph, seed, config=CONFIG):
+    return repro.MinCutSolver(config).solve(graph, seed=seed)
+
+
+def _corpus():
+    return [
+        (CSR_FAMILY_BUILDERS[family](24 + 8 * seed, seed), seed)
+        for family in FAMILIES
+        for seed in (1, 2, 3)
+    ]
+
+
+class TestSingleGraph:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_all_trees(self, family, seed, monkeypatch):
+        graph = CSR_FAMILY_BUILDERS[family](40 + 4 * seed, seed)
+        cases = [graph, _labelled(graph)]
+        stopped = [_signature(_solve(g, seed)) for g in cases]
+        _all_trees(monkeypatch)
+        full = [_signature(_solve(g, seed)) for g in cases]
+        assert stopped == full
+
+    def test_rule_solves_fewer_trees(self):
+        solved = packed = 0
+        for graph, seed in _corpus():
+            _result, attrs = _traced(lambda: _solve(graph, seed), "session.solve")
+            assert 1 <= attrs["trees_solved"] <= attrs["trees"]
+            solved += attrs["trees_solved"]
+            packed += attrs["trees"]
+        assert solved < packed / 2
+
+    def test_two_edge_candidate_then_one_edge_winner(self, monkeypatch):
+        """gnm n=12 seed 3: tree 0's candidate is (λ, 2 edges) and tree 3
+        is the first with (λ, 1 edge); the cover filter skips the trees
+        between that have no λ cover, and tree 3 wins."""
+        graph = CSR_FAMILY_BUILDERS["gnm"](12, 3)
+        packed = repro.MinCutSolver(CONFIG).pack(graph, seed=3)
+        lam = packed.packing.approx_cut_value
+        every = batched_two_respecting_oracle(packed.arrays, packed.stack)
+        assert every[0].value == lam and len(every[0].edges) == 2
+        first_single = next(
+            i for i, c in enumerate(every)
+            if c.value == lam and len(c.edges) == 1
+        )
+        assert first_single == 3
+        result, attrs = _traced(lambda: _solve(graph, 3), "session.solve")
+        assert result.best_tree_index == 3
+        assert attrs["trees_solved"] < attrs["trees"]
+        _all_trees(monkeypatch)
+        assert _signature(_solve(graph, 3)) == _signature(result)
+
+    def test_cover_filter_keeps_trees_with_a_lambda_cover(self):
+        """After a (λ, 2) candidate the schedule keeps only trees with a
+        1-respecting cover equal to λ, in packed order."""
+        graph = CSR_FAMILY_BUILDERS["gnm"](12, 3)
+        packed = repro.MinCutSolver(CONFIG).pack(graph, seed=3)
+        lam = packed.packing.approx_cut_value
+        every = batched_two_respecting_oracle(packed.arrays, packed.stack)
+        schedule = packed.schedule(cap=1)
+        rows = schedule.next_rows()
+        assert rows.tolist() == [0]
+        schedule.absorb(rows, [every[0]])
+        kept = schedule._left.tolist()
+        covers = stacked_covers(packed.stack, packed.arrays)
+        assert kept == [
+            t for t in range(1, packed.stack.trees)
+            if (covers[t, 1:] == lam).any()
+        ]
+
+    @pytest.mark.parametrize("regime", ["fractional", "huge", "zero"])
+    def test_outside_the_rule_every_tree_is_solved(self, regime, monkeypatch):
+        rng = np.random.default_rng(5)
+        graph = CSR_FAMILY_BUILDERS["gnm"](40, 5)
+        if regime == "fractional":
+            graph = graph.with_weights(rng.uniform(0.1, 0.3, graph.m))
+        elif regime == "huge":
+            # 4 * total >= 2**53: prefix sums are no longer exact.
+            graph = graph.with_weights(rng.integers(10**17, 10**18, graph.m).astype(float))
+            assert 4 * graph.edge_w.sum() >= 2.0 ** 53
+        else:
+            weights = graph.edge_w.copy()
+            weights[::4] = 0.0
+            graph = graph.with_weights(weights)
+        result, attrs = _traced(lambda: _solve(graph, 5), "session.solve")
+        assert attrs["trees_solved"] == attrs["trees"] == len(result.packing.trees)
+        _all_trees(monkeypatch)
+        assert _signature(_solve(graph, 5)) == _signature(result)
+
+    def test_caller_supplied_cut_value_solves_every_tree(self):
+        graph = CSR_FAMILY_BUILDERS["gnm"](40, 5)
+        own = pack_trees(graph, seed=5)
+        given = pack_trees(graph, seed=5, approx_cut_value=own.approx_cut_value)
+        assert own.approx_cut_computed and not given.approx_cut_computed
+        assert stop_value(graph, own) == own.approx_cut_value
+        assert stop_value(graph, given) is None
+        packed = repro.MinCutSolver(CONFIG).pack(graph, seed=5)
+        schedule = TreeSchedule(None, packed.stack, packed.arrays, cap=1)
+        assert schedule.next_rows().tolist() == list(range(packed.stack.trees))
+        assert schedule.settled
+
+    def test_budget_fallback_uses_the_stop_rule(self, monkeypatch):
+        tight = CONFIG.replace(batch_bytes=20_000)
+        results = []
+        for graph, seed in _corpus():
+            result, attrs = _traced(
+                lambda: _solve(graph, seed, tight), "session.solve"
+            )
+            assert result.stats["degraded"]["to"] == "per-tree-oracle"
+            results.append((_signature(result), attrs))
+        assert sum(a["trees_solved"] for _s, a in results) < sum(
+            a["trees"] for _s, a in results
+        )
+        _all_trees(monkeypatch)
+        for (graph, seed), (signature, _attrs) in zip(_corpus(), results):
+            assert _signature(_solve(graph, seed, tight)) == signature
+
+    def test_candidate_below_lambda_raises(self):
+        graph = CSR_FAMILY_BUILDERS["gnm"](30, 2)
+        packed = repro.MinCutSolver(CONFIG).pack(graph, seed=2)
+        true_value = packed.packing.approx_cut_value
+        packed.packing.approx_cut_value = true_value + 1
+        with pytest.raises(CandidateBelowMinCutError) as info:
+            packed.solve()
+        assert info.value.min_cut_value == true_value + 1
+        assert info.value.candidate_value == true_value
+        assert repr(true_value + 1) in str(info.value)
+
+    def test_skipped_trees_counter(self):
+        graph = CSR_FAMILY_BUILDERS["grid"](64, 1)
+        metrics.reset()
+        _result, attrs = _traced(lambda: _solve(graph, 1), "session.solve")
+        skipped = metrics.snapshot()["counters"]["oracle.trees_skipped"]
+        assert skipped == attrs["trees"] - attrs["trees_solved"] > 0
+
+
+class TestSweep:
+    def _mixed(self):
+        graphs, seeds = [], []
+        rng = np.random.default_rng(11)
+        for index, (graph, seed) in enumerate(_corpus()):
+            kind = index % 4
+            if kind == 1:
+                graph = _labelled(graph)
+            elif kind == 2:
+                graph = graph.with_weights(rng.uniform(0.1, 0.3, graph.m))
+            elif kind == 3 and index % 8 == 3:
+                weights = graph.edge_w.copy()
+                weights[::3] = 0.0
+                graph = graph.with_weights(weights)
+            graphs.append(graph)
+            seeds.append(seed)
+        return graphs, seeds
+
+    def test_matches_all_trees_and_single_solves(self, monkeypatch):
+        graphs, seeds = self._mixed()
+        results, attrs = _traced(
+            lambda: repro.minimum_cut_many(graphs, CONFIG, seeds=seeds),
+            "sweep.oracle",
+        )
+        single = [
+            _traced(lambda: _solve(g, s), "session.solve")[1]
+            for g, s in zip(graphs, seeds)
+        ]
+        # The same trees settle each graph alone and in the sweep.
+        assert attrs["trees_solved"] == sum(a["trees_solved"] for a in single)
+        assert attrs["trees"] == sum(a["trees"] for a in single)
+        assert attrs["trees_solved"] < attrs["trees"]
+        for graph, a in zip(graphs, single):
+            if not graph.int_weights or not (graph.edge_w > 0).all():
+                assert a["trees_solved"] == a["trees"]
+        stopped = [_signature(r) for r in results]
+        _all_trees(monkeypatch)
+        full = repro.minimum_cut_many(graphs, CONFIG, seeds=seeds)
+        assert stopped == [_signature(r) for r in full]
