@@ -91,6 +91,16 @@ all-trees ``batched_two_respecting_oracle`` pass picks (first least
 ``(value, edges)``: value, edges and tree index), or the run fails; the
 all-trees pass is timed once beside it.
 
+The ``pack_scale`` section times Theorem 12 packing alone:
+``pack_trees`` on unit-weight gnm m=4n (so no sampling) at n 256, 1024
+and 4096, median of traced runs.  It reports the whole call's seconds,
+then ms per tree, phases per tree and µs per phase from its
+``pack.boruvka`` spans (one per greedy iteration; the approximate
+min-cut is outside them).  The first packed trees must equal
+``scipy.sparse.csgraph.minimum_spanning_tree`` on 1-based (load,
+``str(edge_key)``) rank weights, iteration by iteration, or the run
+fails.
+
 The ``oracle_stack`` section times the stacked 2-respecting oracle
 (``batched_two_respecting_oracle``) on the seeded packed trees of every
 family at n=256, in ms per tree, next to the per-tree
@@ -175,6 +185,12 @@ APPROX_CUT_SPEEDUP_FLOOR = 5.0
 #: the stacked oracle row: every family's packed trees at this size.
 ORACLE_STACK_N = 256
 ORACLE_STACK_SEED = 1
+#: the packing scale row: pack_trees on unit-weight gnm m=4n at these
+#: sizes, and how many of its first trees must equal the rank-weight
+#: scipy MST.
+PACK_SCALE_NS = (256, 1024, 4096)
+PACK_SCALE_SEED = 1
+PACK_SCALE_CHECKED_TREES = 3
 #: the oracle scale row: full oracle solves of gnm m=4n at these sizes.
 ORACLE_SCALE_NS = (1024, 2048)
 ORACLE_SCALE_SEED = 1
@@ -771,6 +787,115 @@ def run_oracle_stack_bench(repeats: int) -> dict:
             f"  {family:<28} stacked {stacked_ms:7.3f} ms/tree"
             f"  per-tree {per_tree_ms:7.3f} ms/tree  ({trees} trees)"
             f"  identical={identical}"
+        )
+    rows["identical"] = all(row["identical"] for row in rows.values())
+    return rows
+
+
+def _rank_weight_trees(graph, count: int) -> list:
+    """The first ``count`` greedy packing trees, each the scipy minimum
+    spanning tree on 1-based rank weights of (load / multiplicity,
+    ``str(edge_key)``, the closure Boruvka's tie-break): distinct
+    edge-pair sets in packing order."""
+    import numpy as np
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    from repro.trees.rooted import edge_key
+
+    u, v = graph.edge_u.tolist(), graph.edge_v.tolist()
+    pairs = [(min(a, b), max(a, b)) for a, b in zip(u, v)]
+    row_of = {pair: row for row, pair in enumerate(pairs)}
+    labels = [str(edge_key(a, b)) for a, b in pairs]
+    tie = np.empty(len(pairs), dtype=np.int64)
+    tie[sorted(range(len(pairs)), key=labels.__getitem__)] = np.arange(
+        len(pairs)
+    )
+    multiplicity = np.maximum(graph.edge_w, 1e-12)
+    uses = np.zeros(len(pairs))
+    trees: list = []
+    while len(trees) < count:
+        weight = np.empty(len(pairs))
+        weight[np.lexsort((tie, uses / multiplicity))] = np.arange(
+            1, len(pairs) + 1
+        )
+        forest = minimum_spanning_tree(
+            coo_matrix((weight, (u, v)), shape=(graph.n, graph.n))
+        ).tocoo()
+        tree = frozenset(
+            (min(a, b), max(a, b))
+            for a, b in zip(forest.row.tolist(), forest.col.tolist())
+        )
+        uses[[row_of[pair] for pair in tree]] += 1
+        if tree not in trees:
+            trees.append(tree)
+    return trees
+
+
+def run_pack_scale_bench(repeats: int) -> dict:
+    """Theorem 12 packing alone at n 256/1024/4096: ms per tree, phases
+    per tree and µs per Boruvka phase, with the first trees checked
+    against the rank-weight scipy MST."""
+    from repro.accounting import RoundAccountant
+    from repro.core.tree_packing import pack_trees
+    from repro.graphs import csr_random_connected_gnm
+    from repro.obs import trace
+
+    def traced_pack(graph):
+        accountant = RoundAccountant()
+        with trace.tracing():
+            mark = trace.mark()
+            start = time.perf_counter()
+            packing = pack_trees(
+                graph, seed=PACK_SCALE_SEED, accountant=accountant
+            )
+            total_s = time.perf_counter() - start
+            boruvka_s = sum(
+                record.seconds for record in trace.records_since(mark)
+                if record.name == "pack.boruvka"
+            )
+        return total_s, boruvka_s, packing, accountant
+
+    # Warm-up: first-call costs stay out of the n=256 row.
+    traced_pack(csr_random_connected_gnm(64, 256, seed=PACK_SCALE_SEED))
+    rows: dict = {}
+    for n in PACK_SCALE_NS:
+        # Unit weights keep λ small, so the packing runs on the graph
+        # itself (regime A, no sampling) and the reference can follow it.
+        graph = csr_random_connected_gnm(
+            n, 4 * n, seed=PACK_SCALE_SEED, weight_high=1
+        )
+        runs = [traced_pack(graph) for _ in range(repeats)]
+        total_s = statistics.median(run[0] for run in runs)
+        boruvka_s = statistics.median(run[1] for run in runs)
+        _total, _boruvka, packing, accountant = runs[-1]
+        iterations = len(packing.tree_edge_arrays) + packing.duplicates_removed
+        phases = accountant.by_label()["packing:boruvka"]
+        packed = [
+            frozenset(
+                (min(a, b), max(a, b))
+                for a, b in zip(eu.tolist(), ev.tolist())
+            )
+            for eu, ev in packing.tree_edge_arrays[:PACK_SCALE_CHECKED_TREES]
+        ]
+        identical = not packing.sampled and packed == _rank_weight_trees(
+            graph, PACK_SCALE_CHECKED_TREES
+        )
+        row = rows[f"gnm_{n}"] = {
+            "n": n, "m": graph.m, "seed": PACK_SCALE_SEED,
+            "iterations": iterations,
+            "pack_median_s": round(total_s, 4),
+            "ms_per_tree": round(1e3 * boruvka_s / iterations, 3),
+            "phases_per_tree": round(phases / iterations, 2),
+            "us_per_phase": round(1e6 * boruvka_s / phases, 1),
+            "identical": identical,
+        }
+        print(
+            f"  gnm n={n:<5} m={graph.m:<6} pack {total_s:6.3f} s  "
+            f"{iterations} iterations  {row['ms_per_tree']:7.3f} ms/tree  "
+            f"{row['phases_per_tree']:5.2f} phases/tree  "
+            f"{row['us_per_phase']:8.1f} us/phase  "
+            f"identical={identical}"
         )
     rows["identical"] = all(row["identical"] for row in rows.values())
     return rows
@@ -1421,6 +1546,8 @@ def main() -> int:
     ma = run_ma_bench(args.repeats)
     print("packing min-cut value (contraction vs Stoer-Wagner):")
     approx_cut = run_approx_cut_bench(args.repeats)
+    print("packing scale (pack_trees, unit-weight gnm m=4n):")
+    pack_scale = run_pack_scale_bench(args.repeats)
     print("stacked 2-respecting oracle (stacked vs per-tree):")
     oracle_stack = run_oracle_stack_bench(args.repeats)
     print("oracle scale (stop rule vs all trees, gnm m=4n):")
@@ -1458,6 +1585,7 @@ def main() -> int:
         "ma": ma,
         "ma_scale": ma_scale,
         "approx_cut": approx_cut,
+        "pack_scale": pack_scale,
         "oracle_stack": oracle_stack,
         "oracle_scale": oracle_scale,
         "ma_vs_oracle": ma_vs_oracle,
@@ -1478,6 +1606,7 @@ def main() -> int:
     ok = ok and serve[f"sweep{MANY_COUNT}"]["bit_identical"]
     ok = ok and all(row["bit_identical"] for row in ma.values())
     ok = ok and approx_cut["identical"]
+    ok = ok and pack_scale["identical"]
     ok = ok and oracle_stack["identical"]
     ok = ok and oracle_scale["identical"]
     ok = ok and ma_vs_oracle["identical"]

@@ -32,7 +32,8 @@ One implementation: :func:`pack_trees_many` packs any number of CSR graphs
 over one concatenated edge table, and :func:`pack_trees` is a batch of one
 (a networkx input is converted with :meth:`CSRGraph.from_networkx` on the
 way in).  Every greedy iteration runs Boruvka's contraction sequence as
-array passes (:func:`~repro.ma.compiled.compiled_boruvka_rows`) with the
+array passes (:func:`~repro.ma.compiled.compiled_boruvka_rows`, which
+contracts each phase's winners by jumping their pointer graph) with the
 deterministic ``(cost, str(edge_key))`` tie-break and one
 Minor-Aggregation round charged per phase; the sampling regime draws one
 binomial over the canonical CSR edge order.  A networkx graph and its CSR

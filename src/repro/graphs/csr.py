@@ -105,8 +105,12 @@ def merge_components(
     up with is irrelevant to callers (only the partition matters), so
     this is decision-free with respect to the serial union-find.
 
-    Shared by the batched tree-packing Boruvka and the compiled
-    Minor-Aggregation engine's contraction step.
+    Started from ``np.arange(n)`` (every node its own least-index root),
+    a root is only ever hooked under a smaller root of its own
+    component, so each returned label is its component's least index:
+    :meth:`CSRGraph.connected_components` and the packing's contraction
+    passes (:func:`~repro.core.tree_packing._contract_many`) read that.
+    The compiled Minor-Aggregation engine's contraction step uses it too.
     """
     ru, rv = labels[u], labels[v]
     while True:

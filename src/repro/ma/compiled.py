@@ -31,8 +31,10 @@ that maps ``-0.0`` to ``+0.0``, which compares equal anyway.
 
 The Boruvka contraction sequence is lowered as a whole by
 :func:`compiled_boruvka_rows`, for one graph or a concatenated table of
-many: per phase one outgoing-edge mask, one scatter-min over (cost,
-str)-order positions, one vectorized union.  Tree packing (Theorem 12)
+many: the rows are sorted once into (cost, str) order, and per phase the
+still-outgoing rows are kept, one scatter-min picks each supernode's
+winner, and the winners' pointer graph is jumped to its roots (no
+:func:`~repro.graphs.csr.merge_components` union).  Tree packing (Theorem 12)
 runs every greedy iteration of every graph through it;
 :func:`~repro.ma.boruvka.boruvka_mst` charges the phases it reports
 through the engine's standard round scope, so ledgers and ``ma.round``
@@ -466,39 +468,67 @@ def compiled_boruvka_rows(
     :func:`~repro.ma.boruvka.boruvka_mst`, which charges that last phase
     too.
 
+    The rows are sorted once into (graph, cost, tie rank) order, and each
+    phase keeps only the rows that are still outgoing, so a row's index
+    in that list is its position.  Both endpoints offer it through one
+    scatter-min over the interleaved ``(u, v)`` endpoint list.  Each
+    winning supernode points at the partner across its winning edge; a
+    mutual pair (both chose the same edge) forms a 2-cycle, which one
+    ``min(ptr, ptr[ptr])`` step breaks by making the smaller id the root
+    (every other pointer moves to itself or an ancestor), and pointer
+    jumping then sends every supernode to its root.  Positions are
+    distinct, so each graph's tree is unique, and its phase count is
+    worked out after the loop: the index of the last phase that chose
+    one of its edges plus 2 (phases count from 0, and the empty phase
+    after it is charged too), capped by ``phase_caps``.
+
     Returns the chosen rows (sorted) and the phase count per graph.
     """
     graph_of = np.asarray(graph_of, dtype=np.int64)
     phase_caps = np.asarray(phase_caps, dtype=np.int64)
     m = len(edge_u)
-    if len(cost) != m:
-        raise SolverError(f"cost array has {len(cost)} entries for {m} edges")
-    order = np.lexsort((tie_rank, cost, graph_of))
-    position = np.empty(m, dtype=np.int64)
-    position[order] = np.arange(m, dtype=np.int64)
-
-    comp = np.arange(n_nodes, dtype=np.int64)
-    in_tree = np.zeros(m, dtype=bool)
-    running = phase_caps > 0
-    phases = np.zeros(len(phase_caps), dtype=np.int64)
+    for name, array in (
+        ("cost", cost), ("tie_rank", tie_rank), ("graph_of", graph_of)
+    ):
+        if len(array) != m:
+            raise SolverError(
+                f"{name} array has {len(array)} entries for {m} edges"
+            )
+    row = np.lexsort((tie_rank, cost, graph_of))
+    ends = np.column_stack((edge_u[row], edge_v[row]))
+    offer = np.arange(2 * m, dtype=np.int64)
+    ptr = np.arange(n_nodes, dtype=np.int64)
+    tree_phase = np.full(m, -1, dtype=np.int64)
+    cap_phases = set(phase_caps.tolist())
     for phase in range(int(phase_caps.max(initial=0))):
-        running &= phase < phase_caps
-        if not running.any():
+        live = ends[:, 0] != ends[:, 1]
+        if phase in cap_phases:  # some graph has run its last phase
+            live &= phase_caps[graph_of[row]] > phase
+        keep = live.nonzero()[0]
+        if not len(keep):
             break
-        phases += running
-        cu = comp[edge_u]
-        cv = comp[edge_v]
-        outgoing = (cu != cv) & running[graph_of]
-        running &= np.bincount(graph_of[outgoing], minlength=len(running)) > 0
-        if not outgoing.any():
-            break
-        offers = position[outgoing]
-        ends = np.concatenate((cu[outgoing], cv[outgoing]))
-        best = np.full(n_nodes, m, dtype=np.int64)
-        np.minimum.at(best, ends, np.concatenate((offers, offers)))
-        # An edge can win for both endpoint supernodes; the repeated row
-        # is harmless (idempotent mark, commutative union).
-        fresh = order[best[best < m]]
-        in_tree[fresh] = True
-        comp = merge_components(comp, edge_u[fresh], edge_v[fresh])
-    return np.flatnonzero(in_tree), phases
+        ends = np.take(ends, keep, axis=0)
+        row = row[keep]
+        flat = ends.ravel()
+        size = len(flat)
+        best = np.full(n_nodes, size, dtype=np.int64)
+        # Offer 2i / 2i + 1 is row i's u / v side: the minimum offer is the
+        # least row, and ``offer ^ 1`` is the partner's side of it.
+        np.minimum.at(best, flat, offer[:size])
+        winner = (best < size).nonzero()[0]
+        won = best[winner]
+        ptr[winner] = flat[won ^ 1]
+        ptr = np.minimum(ptr, ptr[ptr])
+        while True:
+            jumped = ptr[ptr]
+            # Byte equality: far cheaper than np.array_equal on the small
+            # arrays of a phase.
+            if jumped.tobytes() == ptr.tobytes():
+                break
+            ptr = jumped
+        tree_phase[row[won >> 1]] = phase
+        ends = ptr[ends]
+    rows = (tree_phase >= 0).nonzero()[0]
+    last = np.full(len(phase_caps), -1, dtype=np.int64)
+    np.maximum.at(last, graph_of[rows], tree_phase[rows])
+    return rows, np.minimum(last + 2, phase_caps)
