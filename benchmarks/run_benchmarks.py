@@ -101,6 +101,15 @@ min-cut is outside them).  The first packed trees must equal
 ``str(edge_key)``) rank weights, iteration by iteration, or the run
 fails.
 
+The ``forest_scale`` section times the stacked BFS/Euler forest build
+alone (``stacked_tree_arrays``) on the packed trees of gnm m=4n graphs
+and of cycles (path-shaped trees, depth about n/2) at n 256, 1024 and
+4096: median ms for the first tree (what an ``oracle`` solve that
+settles at once builds) and for every packed tree (what
+``minor-aggregation`` and graphs outside the stop rule build).  It is
+report-only, with no ceiling; tree 0 must equal its per-tree
+``TreeKernel``, or the run fails.
+
 The ``oracle_stack`` section times the stacked 2-respecting oracle
 (``batched_two_respecting_oracle``) on the seeded packed trees of every
 family at n=256, in ms per tree, next to the per-tree
@@ -192,6 +201,9 @@ PACK_SCALE_NS = (256, 1024, 4096)
 PACK_SCALE_SEED = 1
 PACK_SCALE_CHECKED_TREES = 3
 #: the oracle scale row: full oracle solves of gnm m=4n at these sizes.
+FOREST_SCALE_NS = (256, 1024, 4096)
+FOREST_SCALE_SEED = 1
+
 ORACLE_SCALE_NS = (1024, 2048)
 ORACLE_SCALE_SEED = 1
 #: the PR 8 acceptance bar: warm-cache served qps vs unbatched solves.
@@ -901,6 +913,53 @@ def run_pack_scale_bench(repeats: int) -> dict:
     return rows
 
 
+def run_forest_scale_bench(repeats: int) -> dict:
+    """The forest build alone at n 256/1024/4096, first tree and all
+    packed trees, with tree 0 checked against its ``TreeKernel``."""
+    from repro.core.tree_packing import pack_trees
+    from repro.graphs import csr_cycle_graph, csr_random_connected_gnm
+    from repro.kernel.forest import stacked_tree_arrays
+    from repro.kernel.tree_kernel import TreeKernel
+
+    builders = {
+        "gnm": lambda n: csr_random_connected_gnm(n, 4 * n, seed=FOREST_SCALE_SEED),
+        "cycle": lambda n: csr_cycle_graph(n, seed=FOREST_SCALE_SEED),
+    }
+    rows: dict = {}
+    for family, build in builders.items():
+        for n in FOREST_SCALE_NS:
+            packing = pack_trees(build(n), seed=FOREST_SCALE_SEED)
+            trees = packing.tree_edge_arrays
+            first_s, (stack,) = median_seconds(
+                lambda: stacked_tree_arrays([n], [trees[:1]], [0]), max(repeats, 5)
+            )
+            all_s, _ = median_seconds(
+                lambda: stacked_tree_arrays([n], [trees], [0]), repeats
+            )
+            kernel = TreeKernel(packing.rooted_tree(0, 0))
+            identical = (
+                stack.order[0].tolist() == kernel.nodes
+                and stack.parent[0].tolist() == kernel.parent.tolist()
+                and stack.tin[0].tolist() == kernel.tin.tolist()
+                and stack.tout[0].tolist() == kernel.tout.tolist()
+                and stack.pos[0].tolist() == [kernel.index[x] for x in range(n)]
+            )
+            rows[f"{family}_{n}"] = {
+                "n": n, "seed": FOREST_SCALE_SEED, "trees": len(trees),
+                "depth": int(kernel.depth.max()),
+                "first_tree_ms": round(1e3 * first_s, 3),
+                "all_trees_ms": round(1e3 * all_s, 3),
+                "identical": identical,
+            }
+            print(
+                f"  {family:<5} n={n:<5} {len(trees):3d} trees  depth "
+                f"{int(kernel.depth.max()):5d}  first tree {1e3 * first_s:7.3f} ms  "
+                f"all trees {1e3 * all_s:8.3f} ms  identical={identical}"
+            )
+    rows["identical"] = all(row["identical"] for row in rows.values())
+    return rows
+
+
 def run_oracle_scale_bench(repeats: int) -> dict:
     """Full oracle solves at n 1024/2048 under the stop rule, against the
     all-trees stacked oracle on the same packing."""
@@ -1548,6 +1607,8 @@ def main() -> int:
     approx_cut = run_approx_cut_bench(args.repeats)
     print("packing scale (pack_trees, unit-weight gnm m=4n):")
     pack_scale = run_pack_scale_bench(args.repeats)
+    print("forest scale (stacked_tree_arrays, first tree and all trees):")
+    forest_scale = run_forest_scale_bench(args.repeats)
     print("stacked 2-respecting oracle (stacked vs per-tree):")
     oracle_stack = run_oracle_stack_bench(args.repeats)
     print("oracle scale (stop rule vs all trees, gnm m=4n):")
@@ -1586,6 +1647,7 @@ def main() -> int:
         "ma_scale": ma_scale,
         "approx_cut": approx_cut,
         "pack_scale": pack_scale,
+        "forest_scale": forest_scale,
         "oracle_stack": oracle_stack,
         "oracle_scale": oracle_scale,
         "ma_vs_oracle": ma_vs_oracle,
@@ -1607,6 +1669,7 @@ def main() -> int:
     ok = ok and all(row["bit_identical"] for row in ma.values())
     ok = ok and approx_cut["identical"]
     ok = ok and pack_scale["identical"]
+    ok = ok and forest_scale["identical"]
     ok = ok and oracle_stack["identical"]
     ok = ok and oracle_scale["identical"]
     ok = ok and ma_vs_oracle["identical"]

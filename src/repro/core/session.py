@@ -24,14 +24,16 @@ compares.  This module is the redesigned public surface:
 * :func:`minimum_cut_many` -- the batched many-graph entrypoint.  For
   sweeps under the ``oracle`` solver it amortizes the whole
   pipeline across graphs: one concatenated-table tree packing
-  (:func:`~repro.core.tree_packing.pack_trees_many`), one stacked
-  BFS/Euler kernel build (:mod:`repro.kernel.forest`), and chunked
-  stacked-tensor oracle passes (:mod:`repro.kernel.batched`) -- with
-  results bit-identical to looping ``minimum_cut`` (asserted by the
-  test suite).  A single-graph ``oracle`` solve runs the same stages as
-  a batch of one and roots only its winning tree.  Either path solves
-  the packed trees in order and stops once no later tree can change
-  the winner (:mod:`repro.core.tree_schedule`).
+  (:func:`~repro.core.tree_packing.pack_trees_many`), then rounds of
+  one stacked BFS/Euler forest build (:mod:`repro.kernel.forest`) and
+  chunked stacked-tensor oracle passes (:mod:`repro.kernel.batched`)
+  over every graph's next batch of trees -- with results bit-identical
+  to looping ``minimum_cut`` (asserted by the test suite).  A
+  single-graph ``oracle`` solve runs the same stages as a batch of
+  one.  Either path solves the packed trees in order, roots only the
+  trees it reaches, stops once no later tree can change the winner
+  (:mod:`repro.core.tree_schedule`) and reads the witness off the
+  winning tree's stack row.
 
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
@@ -58,7 +60,6 @@ import numpy as np
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import (
     CutCandidate,
-    cut_partition,
     two_respecting_oracle,
 )
 from repro.core.mincut import (
@@ -290,26 +291,38 @@ class GraphPacking:
 
     @property
     def stack(self):
-        """The packed trees as one stacked BFS/Euler forest over node
-        indices, rooted at the session root (built on first use)."""
+        """Every packed tree as one stacked BFS/Euler forest over node
+        indices, rooted at the session root (built on first use; the
+        minor-aggregation solver's covers read it, the oracle builds its
+        batches with :meth:`build_stack`)."""
         if self._stack is None:
-            (self._stack,) = stacked_tree_arrays(
-                [self.csr.n],
-                [self.packing.tree_edge_arrays],
-                [self.root_position],
+            self._stack = self.build_stack(
+                np.arange(len(self.packing.tree_edge_arrays))
             )
         return self._stack
+
+    def build_stack(self, rows: np.ndarray):
+        """Packed trees ``rows``, in that order, as one stacked forest."""
+        edges = self.packing.tree_edge_arrays
+        (stack,) = stacked_tree_arrays(
+            [self.csr.n], [[edges[r] for r in rows.tolist()]], [self.root_position]
+        )
+        return stack
 
     def schedule(self, cap: int) -> TreeSchedule:
         """The oracle's solve order over the packed trees, in batches of
         at most ``cap`` trees (:mod:`repro.core.tree_schedule`)."""
         return TreeSchedule(
-            stop_value(self.csr, self.packing), self.stack, self.arrays, cap
+            stop_value(self.csr, self.packing),
+            len(self.packing.tree_edge_arrays),
+            self.arrays,
+            cap,
         )
 
     def rooted_tree(self, index: int) -> RootedTree:
         """Packed tree ``index`` over node indices, rooted at the session
-        root (built on first use; the oracle roots only its winning tree)."""
+        root (built on first use; the minor-aggregation recursion and the
+        oracle's per-tree fallback read it)."""
         if index not in self._rooted:
             self._rooted[index] = self.packing.rooted_tree(
                 index, self.root_position
@@ -399,18 +412,21 @@ class GraphPacking:
         candidates: "Sequence[tuple[int, CutCandidate]]",
         ctx: "SolveContext",
         solve_stats=None,
+        cut_side=None,
     ) -> MinCutResult:
         """Select the best per-tree candidate and materialise the witness.
 
         ``candidates`` pairs each solved tree's packed index with its
         candidate, in solve order.  ``solve_stats`` (a dict) becomes
-        ``result.stats["general_solver"]``.
+        ``result.stats["general_solver"]``.  ``cut_side(index, edges)``
+        gives the winner's side; by default it is read off the all-trees
+        :attr:`stack`.
         """
         return _finalize_candidates(
             csr=self.csr,
             arrays=self.arrays,
             packing=self.packing,
-            rooted_for=self.rooted_tree,
+            cut_side=cut_side or self.stack.cut_side,
             candidates=candidates,
             acct=ctx.accountant,
             compute_congest=ctx.compute_congest,
@@ -573,7 +589,7 @@ def _finalize_candidates(
     csr: CSRGraph,
     arrays: GraphArrays,
     packing,
-    rooted_for,
+    cut_side,
     candidates: "Sequence[tuple[int, CutCandidate]]",
     acct: RoundAccountant,
     compute_congest: bool,
@@ -584,7 +600,7 @@ def _finalize_candidates(
         "session.finalize", solver=solver_name, trees=len(candidates)
     ):
         return _finalize_candidates_inner(
-            csr, arrays, packing, rooted_for, candidates, acct,
+            csr, arrays, packing, cut_side, candidates, acct,
             compute_congest, solver_name, solve_stats,
         )
 
@@ -593,7 +609,7 @@ def _finalize_candidates_inner(
     csr: CSRGraph,
     arrays: GraphArrays,
     packing,
-    rooted_for,
+    cut_side,
     candidates: "Sequence[tuple[int, CutCandidate]]",
     acct: RoundAccountant,
     compute_congest: bool,
@@ -607,8 +623,7 @@ def _finalize_candidates_inner(
             best = candidate
             best_index = index
     assert best is not None
-    best_rooted = rooted_for(best_index)
-    side = cut_partition(best_rooted, best.edges)
+    side = cut_side(best_index, best.edges)
     value, crossing = partition_cut_weight_arrays(arrays, side)
     # Relative tolerance: candidate values come from prefix-sum/matrix
     # accumulation whose float error scales with total graph weight, while
@@ -747,13 +762,14 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     started = time.perf_counter()
     batch_bytes = packed.config.batch_bytes
     try:
-        # The packed trees in doubling batches over the stacked forest,
-        # until no later tree can change the winner.
-        arrays, stack = packed.arrays, packed.stack
+        # The packed trees in doubling batches, each rooted as one
+        # stacked forest, until no later tree can change the winner.
+        arrays = packed.arrays
         schedule = run_schedule(
             packed.schedule(_chunk_size(packed.csr.n, batch_bytes)),
-            lambda rows: batched_two_respecting_oracle(
-                arrays, stack, batch_bytes=batch_bytes, rows=rows
+            packed.build_stack,
+            lambda rows, stack: batched_two_respecting_oracle(
+                arrays, stack, batch_bytes=batch_bytes
             ),
         )
     except (BudgetExceeded, MemoryError) as exc:
@@ -772,7 +788,9 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
             "seconds": time.perf_counter() - started,
         }
     ctx.span.set(**_count_trees([schedule]))
-    result = packed.finalize(schedule.solved, ctx)
+    result = packed.finalize(
+        schedule.solved, ctx, cut_side=schedule.cut_side
+    )
     if degraded is not None:
         result.stats["degraded"] = degraded
     return result
@@ -782,7 +800,8 @@ def _per_tree_oracle(packed: GraphPacking) -> TreeSchedule:
     """The same order and stop rule, one rooted tree at a time."""
     return run_schedule(
         packed.schedule(1),
-        lambda rows: [
+        packed.build_stack,
+        lambda rows, _stack: [
             two_respecting_oracle(
                 packed.csr, packed.rooted_tree(index), arrays=packed.arrays
             )
@@ -792,12 +811,16 @@ def _per_tree_oracle(packed: GraphPacking) -> TreeSchedule:
 
 
 def _count_trees(schedules: "Sequence[TreeSchedule]") -> dict:
-    """Span attributes of solved and packed trees; the skipped ones also
-    go to the ``oracle.trees_skipped`` counter."""
+    """Span attributes of built (rooted), solved and packed trees; the
+    skipped ones also go to the ``oracle.trees_skipped`` counter."""
     solved = sum(len(schedule.solved) for schedule in schedules)
     trees = sum(schedule.trees for schedule in schedules)
     obs_metrics.counter("oracle.trees_skipped").inc(trees - solved)
-    return {"trees_solved": solved, "trees": trees}
+    return {
+        "trees_built": sum(schedule.built for schedule in schedules),
+        "trees_solved": solved,
+        "trees": trees,
+    }
 
 
 @register_solver(
@@ -906,9 +929,10 @@ def minimum_cut_many(
 
     Bit-identical (value, witness, partition, round ledger) to calling
     ``minimum_cut(graph, seed, ...)`` per graph, but under the ``oracle``
-    solver the whole sweep shares one batched tree packing, one stacked
-    BFS/Euler kernel build, and one chunked stacked-tensor oracle pass --
-    the per-graph numpy call overhead that dominates small instances is
+    solver the whole sweep shares one batched tree packing, then per
+    round one stacked BFS/Euler forest build and one chunked
+    stacked-tensor oracle pass over every unsettled graph's trees -- the
+    per-graph numpy call overhead that dominates small instances is
     paid once per sweep instead of once per graph.  Other solvers run the
     per-graph session path.  Each networkx input is converted once, with
     :meth:`CSRGraph.from_networkx`, before validation.
@@ -1109,35 +1133,39 @@ def _solve_many_oracle(
     ):
         many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
 
-    # Stage 2: stacked BFS/Euler arrays -- every tree of every graph in
-    # one level-synchronous build, whatever the node counts.
-    roots = [_root_position(graph.nodes) for graph in graphs]
-    with obs_trace.span("sweep.stacks", graphs=len(graphs)):
-        stacks = stacked_tree_arrays(
-            [graph.n for graph in graphs],
-            [packing.tree_edge_arrays for packing in many.packings],
-            roots,
-        )
-
-    # Stage 3: chunked stacked-tensor oracle passes over the sweep.  Each
+    # Stage 2: chunked stacked-tensor oracle passes over the sweep.  Each
     # round, every unsettled graph adds its next doubling batch of trees
-    # (all of them at once where the stop rule does not apply), and one
-    # many-graph pass solves the round.
+    # (all of them at once where the stop rule does not apply); one forest
+    # build roots every graph's batch, whatever the node counts, and one
+    # many-graph pass solves the trees the schedules keep.
+    roots = [_root_position(graph.nodes) for graph in graphs]
     arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
     with obs_trace.span("sweep.oracle", graphs=len(graphs)) as sp:
         schedules = [
             TreeSchedule(
-                stop_value(graph, many.packings[g]), stacks[g], arrays_list[g],
+                stop_value(graph, many.packings[g]),
+                len(many.packings[g].tree_edge_arrays),
+                arrays_list[g],
                 _chunk_size(graph.n, cfg.batch_bytes),
             )
             for g, graph in enumerate(graphs)
         ]
         running = list(range(len(graphs)))
         while running:
-            batches = []
-            for g in running:
-                rows = schedules[g].next_rows()
-                batches.append((g, rows, stacks[g].select(rows)))
+            rows = [schedules[g].next_rows() for g in running]
+            stacks = stacked_tree_arrays(
+                [graphs[g].n for g in running],
+                [
+                    [many.packings[g].tree_edge_arrays[r] for r in batch.tolist()]
+                    for g, batch in zip(running, rows)
+                ],
+                [roots[g] for g in running],
+            )
+            batches = [
+                (g, *schedules[g].keep(batch, stack))
+                for g, batch, stack in zip(running, rows, stacks)
+            ]
+            batches = [batch for batch in batches if len(batch[1])]
             solved = batched_two_respecting_oracle_many(
                 [
                     OracleJob.from_arrays(arrays_list[g], sub.tin, sub.tout, sub.pos)
@@ -1145,31 +1173,26 @@ def _solve_many_oracle(
                 ],
                 batch_bytes=cfg.batch_bytes,
             )
-            for (g, rows, sub), (values, flats) in zip(batches, solved):
-                schedules[g].absorb(rows, stack_candidates(values, flats, sub))
+            for (g, batch, sub), (values, flats) in zip(batches, solved):
+                schedules[g].absorb(batch, sub, stack_candidates(values, flats, sub))
             running = [g for g in running if not schedules[g].settled]
         sp.set(**_count_trees(schedules))
 
-    # Stage 4: per-graph candidate decode + witness extraction.
-    results = []
-    for g, graph in enumerate(graphs):
-        packing = many.packings[g]
-        results.append(
-            _finalize_candidates(
-                csr=graph,
-                arrays=arrays_list[g],
-                packing=packing,
-                # finalize roots only the winning tree
-                rooted_for=lambda index, packing=packing, root=roots[g]: (
-                    packing.rooted_tree(index, root)
-                ),
-                candidates=schedules[g].solved,
-                acct=many.accountants[g],
-                compute_congest=cfg.compute_congest,
-                solver_name="oracle",
-            )
+    # Stage 3: per-graph candidate decode + witness extraction, the
+    # witness read off the winning tree's batch stack.
+    return [
+        _finalize_candidates(
+            csr=graph,
+            arrays=arrays_list[g],
+            packing=many.packings[g],
+            cut_side=schedules[g].cut_side,
+            candidates=schedules[g].solved,
+            acct=many.accountants[g],
+            compute_congest=cfg.compute_congest,
+            solver_name="oracle",
         )
-    return results
+        for g, graph in enumerate(graphs)
+    ]
 
 
 def _root_position(labels: "list | None") -> int:

@@ -11,10 +11,11 @@ rule:
 
 * a ``(λ, 1 edge)`` candidate is the winner: no later tree is solved;
 * after a ``(λ, 2 edges)`` candidate only a later ``(λ, 1 edge)`` one can
-  win, and that needs a tree edge whose 1-respecting cover is λ.  The
-  trees left are filtered once by their stacked covers
-  (:func:`~repro.kernel.cut_kernel.stacked_covers`); the search stops
-  when none is left.
+  win, and that needs a tree edge whose 1-respecting cover is λ.  From
+  then on each batch is filtered by its own stacked covers
+  (:func:`~repro.kernel.cut_kernel.stacked_covers` over the batch's
+  :class:`~repro.kernel.forest.TreeStack`), and only the trees with a λ
+  cover are solved; the search stops when no tree is left.
 
 The rule applies when every weight is a positive integer (a Theorem 12
 multiplicity; a zero weight is packed at the 1e-12 floor), four times
@@ -25,9 +26,11 @@ every tree is solved, in one batch.  A candidate below λ under the rule
 raises :class:`~repro.errors.CandidateBelowMinCutError`.
 
 Trees run in doubling batches (1, 2, 4, ...), each at most ``cap``
-trees, so a graph that settles on its first tree solves one.  The
-solved trees' candidates keep their packed indices (``solved``), which
-is what finalize reads.
+trees, so a graph that settles on its first tree solves one.  The caller
+builds each batch's stacked forest -- only the trees the schedule
+reaches are ever rooted -- and the solved trees' candidates keep their
+packed indices (``solved``), which is what finalize reads; the winner's
+witness comes off its batch's stack row (:meth:`TreeSchedule.cut_side`).
 """
 
 from __future__ import annotations
@@ -58,36 +61,33 @@ def stop_value(csr, packing) -> "float | None":
 
 
 class TreeSchedule:
-    """One graph's packed trees in solve order, under the stop rule.
-
-    ``stack`` (the graph's :class:`~repro.kernel.forest.TreeStack`) and
-    ``arrays`` are read only for the cover filter.
-    """
+    """One graph's ``trees`` packed trees in solve order, under the stop
+    rule.  ``arrays`` is read only for the cover filter."""
 
     def __init__(
         self,
         min_cut: "float | None",
-        stack,
+        trees: int,
         arrays: GraphArrays,
         cap: int,
     ):
         self.min_cut = min_cut
-        self.trees = stack.trees
-        self.stack = stack
+        self.trees = trees
         self.arrays = arrays
         self.cap = cap
         self.solved: "list[tuple[int, CutCandidate]]" = []
+        self.built = 0
         self.best: "CutCandidate | None" = None
-        self._left = np.arange(self.trees, dtype=np.int64)
+        self._best_row = None  # (packed index, batch stack, row)
+        self._left = np.arange(trees, dtype=np.int64)
         self._batch = 1
-        self._filtered = False
 
     @property
     def settled(self) -> bool:
         return not len(self._left)
 
     def next_rows(self) -> np.ndarray:
-        """The packed indices of the next batch of trees to solve."""
+        """The packed indices of the next batch of trees to build."""
         if self.min_cut is None:
             take = len(self._left)
         else:
@@ -96,14 +96,30 @@ class TreeSchedule:
         rows, self._left = self._left[:take], self._left[take:]
         return rows
 
+    def keep(self, rows: np.ndarray, stack) -> tuple:
+        """The trees of a built batch (``rows`` and their ``stack``) that
+        can still change the winner: after a ``(λ, 2 edges)`` candidate,
+        only those with a 1-respecting cover of λ."""
+        self.built += len(rows)
+        lam = self.min_cut
+        if self.best is None or self.best.value != lam:
+            return rows, stack
+        covers = stacked_covers(stack, self.arrays)
+        kept = np.flatnonzero((covers[:, 1:] == lam).any(axis=1))
+        if len(kept) == len(rows):
+            return rows, stack
+        return rows[kept], stack.select(kept)
+
     def absorb(
-        self, rows: np.ndarray, candidates: "list[CutCandidate]"
+        self, rows: np.ndarray, stack, candidates: "list[CutCandidate]"
     ) -> None:
-        """Record the candidates of trees ``rows`` and apply the stop rule."""
-        for index, candidate in zip(rows.tolist(), candidates):
+        """Record the candidates of trees ``rows`` (``stack``'s rows, in
+        order) and apply the stop rule."""
+        for row, (index, candidate) in enumerate(zip(rows.tolist(), candidates)):
             self.solved.append((index, candidate))
             if candidate.better_than(self.best):
                 self.best = candidate
+                self._best_row = (index, stack, row)
         lam = self.min_cut
         if lam is None:
             return
@@ -114,21 +130,24 @@ class TreeSchedule:
                 candidate_value=self.best.value,
                 min_cut_value=lam,
             )
-        if self.best.value > lam:
-            return
-        if len(self.best.edges) == 1:
+        if self.best.value == lam and len(self.best.edges) == 1:
             self._left = self._left[:0]
-        elif not self._filtered:
-            self._filtered = True
-            if len(self._left):
-                covers = stacked_covers(self.stack.select(self._left), self.arrays)
-                self._left = self._left[(covers[:, 1:] == lam).any(axis=1)]
+
+    def cut_side(self, index: int, edges) -> frozenset:
+        """One side of the winning candidate's cut (tree ``index``,
+        ``edges``), read off its batch's stack row."""
+        best_index, stack, row = self._best_row
+        assert index == best_index
+        return stack.cut_side(row, edges)
 
 
-def run_schedule(schedule: TreeSchedule, solve) -> TreeSchedule:
-    """Solve ``schedule``'s batches with ``solve(rows) -> candidates``
-    until it settles."""
+def run_schedule(schedule: TreeSchedule, build, solve) -> TreeSchedule:
+    """Solve ``schedule``'s batches until it settles: ``build(rows)``
+    roots a batch's trees as one stack, ``solve(rows, stack) ->
+    candidates`` solves the ones :meth:`TreeSchedule.keep` keeps."""
     while not schedule.settled:
         rows = schedule.next_rows()
-        schedule.absorb(rows, solve(rows))
+        rows, stack = schedule.keep(rows, build(rows))
+        if len(rows):
+            schedule.absorb(rows, stack, solve(rows, stack))
     return schedule

@@ -232,14 +232,12 @@ def batched_two_respecting_oracle(
     arrays: GraphArrays,
     stack,
     batch_bytes: int | None = None,
-    rows: "np.ndarray | None" = None,
 ) -> "list[CutCandidate]":
     """Best 1-/2-respecting cut per tree of one graph's stacked forest.
 
     A one-graph delegate to :func:`batched_two_respecting_oracle_many`.
     ``stack`` is the graph's :class:`~repro.kernel.forest.TreeStack` over
-    the node positions of ``arrays``; ``rows`` selects (and orders) the
-    trees to solve, every tree when ``None``.
+    the node positions of ``arrays``.
     Returns one :class:`CutCandidate` per solved tree, equal (value,
     edges, and tie-break) to ``two_respecting_oracle(graph, tree,
     arrays=arrays)`` on the same tree with the same root; edges name the
@@ -247,8 +245,6 @@ def batched_two_respecting_oracle(
     for CSR).  A tree's candidate does not depend on the trees solved
     beside it.
     """
-    if rows is not None:
-        stack = stack.select(rows)
     if not len(stack.tin):
         return []
     job = OracleJob.from_arrays(arrays, stack.tin, stack.tout, stack.pos)

@@ -1,23 +1,41 @@
 """Stacked tree arrays: BFS + Euler intervals for many trees in one pass.
 
 :class:`~repro.kernel.tree_kernel.TreeKernel` builds one tree's arrays
-with a Python BFS and an explicit DFS stack -- fine per call, but a
-many-graph sweep packs *hundreds* of trees and the per-tree Python loops
-become the bottleneck once packing and the oracle are batched.  This
+with a Python BFS and an explicit DFS stack -- fine per call, but the
+oracle roots packed trees batch by batch, and a many-graph sweep packs
+*hundreds* of them, so the per-tree Python loops would dominate.  This
 module builds the same arrays for every tree of every graph of a batch,
-whatever the graphs' node counts, with level-synchronous numpy passes
-over one flat node space (tree ``j`` owns the slots ``offset[j] ..
-offset[j] + n_j - 1``; a graph's trees sit next to each other):
+whatever the graphs' node counts, in O(log n) numpy passes over one flat
+node space (tree ``j`` owns the slots ``offset[j] .. offset[j] + n_j -
+1``; a graph's trees sit next to each other), independent of the trees'
+depths (a level-by-level BFS pays a round of passes per level):
 
-* **BFS order / parents** -- one frontier expansion per level across all
-  trees at once (CSR adjacency over ``offset + node`` keys);
-* **subtree sizes** -- one segmented sum per level, deepest first;
-* **Euler ``tin``/``tout``** -- no DFS at all: children of a node occupy
-  a contiguous run of BFS positions, and the kernel's stack discipline
+* **Euler tour -> parents, subtree sizes** -- each tree edge is two
+  arcs; after arc ``(u -> v)`` the tour takes ``v``'s next arc after
+  ``(v -> u)`` in ``v``'s neighbour run, cyclically.  Cut at the root,
+  that is one list of ``2(n - 1)`` arcs per tree, ranked by pointer
+  jumping (Wyllie: ``ceil(log2(2(n - 1)))`` passes).  An arc ranked
+  before its twin points down, from a parent to its child, and the arcs
+  between the two are the child's subtree: ``size = (rank(up) -
+  rank(down) + 1) / 2``.  The tour visits children in a rotated order,
+  so it fixes parents and sizes but not the preorder.
+* **Ancestor sums -> depth, ``tin``** -- the kernel's stack discipline
   (children pushed in adjacency order, popped LIFO) visits them in
-  *reverse* adjacency order, so ``tin(child) = tin(parent) + 1 +
-  (sizes of later siblings)`` -- a run-segmented suffix sum over the
-  flat BFS order, resolved level by level.
+  *reverse* adjacency order, so ``tin(child) = tin(parent) + 1 + (sizes
+  of later siblings)``: a segmented suffix sum over each node's
+  neighbour run gives each node's step, and ``tin`` sums the steps of a
+  node and its ancestors.  Any Euler tour enters a node's subtree after
+  its ancestors' entries and before their exits, so that sum is one
+  prefix sum in tour order (``+step`` on the arc entering a subtree,
+  ``-step`` on the arc leaving it); the depth is the same with steps
+  of 1.
+* **BFS order** -- within a level, the kernel's BFS order (parents in
+  BFS order, children in adjacency order) is exactly the *reverse* of
+  the preorder.  Children of one parent come out of the DFS in reverse
+  adjacency order; nodes with different parents sit inside their
+  parents' disjoint Euler intervals, which (by induction on the level)
+  run in reverse BFS order.  So one sort by ``(tree, depth, -tin)``
+  gives ``order``.
 
 Each graph's :class:`TreeStack` is a ``(T, n)`` reshape of its block of
 the flat arrays.  The outputs are element-for-element equal to the
@@ -89,6 +107,35 @@ class TreeStack:
         parent_node = int(self.order[t, self.parent[t, i + 1]])
         return edge_key(node, parent_node)
 
+    def cut_side(self, t: int, edges: "tuple[tuple[int, int], ...]") -> frozenset:
+        """One side of the cut that tree ``t``'s edges ``edges`` (one or
+        two, node-index keys) determine: the same node list, in the same
+        order, as :func:`~repro.core.cut_values.cut_partition` reads off
+        the tree's ``RootedTree`` -- the bottom subtree, the middle of two
+        nested edges, or everything outside two disjoint subtrees."""
+        if len(edges) not in (1, 2):
+            raise ValueError("a respecting cut has one or two tree edges")
+        tin, tout = self.tin[t], self.tout[t]
+        preorder = np.empty(self.n, dtype=np.int64)
+        preorder[tin] = self.order[t]
+        pre = preorder.tolist()
+        # A tree edge's bottom node is the later of its ends in BFS order.
+        pos = self.pos[t]
+        intervals = [
+            (int(tin[b]), int(tout[b]))
+            for b in (max(int(pos[u]), int(pos[v])) for u, v in edges)
+        ]
+        if len(intervals) == 1:
+            ((lo, hi),) = intervals
+            return frozenset(pre[lo:hi])
+        (le, he), (lf, hf) = intervals
+        if le <= lf and hf <= he:  # f's subtree inside e's
+            return frozenset(pre[le:lf] + pre[hf:he])
+        if lf <= le and he <= hf:
+            return frozenset(pre[lf:le] + pre[he:hf])
+        (l1, h1), (l2, h2) = sorted(intervals)
+        return frozenset(pre[:l1] + pre[h1:l2] + pre[h2:])
+
 
 def stacked_tree_arrays(
     sizes: Sequence[int],
@@ -152,96 +199,91 @@ def _flat_forest(
     is key ``offset[j] + x`` (``pos`` is indexed by key), and its BFS
     index ``i`` is slot ``offset[j] + i`` (every other array).  Values
     stay tree-local: node ids and BFS indices."""
-    tree_count = len(roots)
     total = int(offset[-1])
-    start = offset[:-1]
-    tree_of = np.repeat(np.arange(tree_count, dtype=np.int64), np.diff(offset))
+    if not total:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(5))
+    tree_n = np.diff(offset)
+    n_of = np.repeat(tree_n, tree_n)  # per key (and per slot)
+    start_of = np.repeat(offset[:-1], tree_n)
 
-    # Directed adjacency in RootedTree insertion order: edge e appends
-    # u -> v first, v -> u second, so entry rank (e, direction) is the
-    # within-node enumeration order; a stable sort by source key
-    # reproduces each node's neighbor sequence exactly.
-    src = np.empty(2 * len(edge_u), dtype=np.int64)
+    # Arcs in RootedTree insertion order: edge e is arc 2e (u -> v) and
+    # arc 2e + 1 (v -> u), so an arc's twin is its id ^ 1.  Sorting by
+    # (source, id) puts each node's arcs in one run, in neighbour order,
+    # and each tree's 2(n - 1) arcs in one block.
+    arcs = 2 * len(edge_u)
+    src = np.empty(arcs, dtype=np.int64)
     dst = np.empty_like(src)
     src[0::2] = dst[1::2] = edge_u
     dst[0::2] = src[1::2] = edge_v
-    adj_dst = dst[np.argsort(src, kind="stable")]
+    by_src = np.argsort(src * arcs + np.arange(arcs, dtype=np.int64))
+    at = np.empty_like(by_src)
+    at[by_src] = np.arange(arcs, dtype=np.int64)
+    twin = at[by_src ^ 1]
+    tail, head = src[by_src], dst[by_src]
     indptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
-
-    # ------------------------------------------------------------------
-    # Level-synchronous BFS over all trees at once.  The frontier stays
-    # grouped by tree and ordered by BFS position inside each tree, so
-    # concatenated child expansions reproduce the serial queue order.
-    # ------------------------------------------------------------------
-    pos = np.full(total, -1, dtype=np.int64)
-    order = np.empty(total, dtype=np.int64)
-    parent = np.zeros(total, dtype=np.int64)
-    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (slots, parent slots)
-    frontier = start + roots
-    pos[frontier] = 0
-    order[start] = roots
-    next_index = np.ones(tree_count, dtype=np.int64)
-    while len(frontier):
-        counts = indptr[frontier + 1] - indptr[frontier]
-        # Expand every frontier node's adjacency slice, in frontier order.
-        ends = np.cumsum(counts)
-        take = np.arange(int(ends[-1]), dtype=np.int64)
-        take += np.repeat(indptr[frontier] - (ends - counts), counts)
-        targets = adj_dst[take]
-        new = pos[targets] < 0
-        children = targets[new]
-        if not len(children):
-            break
-        parent_pos = pos[np.repeat(frontier, counts)[new]]
-        t_of = tree_of[children]
-        # Sequential BFS positions per tree; `children` is grouped by
-        # tree (the frontier was), so a segmented arange suffices.
-        ccounts = np.bincount(t_of, minlength=tree_count)
-        group_start = np.cumsum(ccounts) - ccounts
-        bfs_pos = next_index[t_of] - group_start[t_of]
-        bfs_pos += np.arange(len(children), dtype=np.int64)
-        base = start[t_of]
-        slots = base + bfs_pos
-        pos[children] = bfs_pos
-        order[slots] = children - base
-        parent[slots] = parent_pos
-        next_index += ccounts
-        levels.append((slots, base + parent_pos))
-        frontier = children
-
-    if (pos < 0).any():
+    if ((indptr[1:] == indptr[:-1]) & (n_of > 1)).any():
         raise ValueError("input edges do not form spanning trees")
 
     # ------------------------------------------------------------------
-    # Subtree sizes, deepest level first (siblings may share a parent, so
-    # the accumulation is a scatter-add per level).
+    # Euler tour: after (u -> v) comes v's arc after (v -> u), cyclically
+    # in v's run.  Each tree's tour is cut where it would re-enter its
+    # root's first arc (after the arc in from the root's last neighbour)
+    # and ranked by pointer jumping: ``left[k]`` = arcs from k to the end.
     # ------------------------------------------------------------------
-    sizes = np.ones(total, dtype=np.int64)
-    for slots, parent_slots in reversed(levels):
-        np.add.at(sizes, parent_slots, sizes[slots])
+    link = np.empty(arcs + 1, dtype=np.int64)
+    link[:arcs] = twin + 1
+    wrap = np.flatnonzero(link[:arcs] == indptr[head + 1])
+    link[wrap] = indptr[head[wrap]]
+    root_keys = (offset[:-1] + roots)[tree_n > 1]
+    link[twin[indptr[root_keys + 1] - 1]] = link[arcs] = arcs
+    left = np.ones(arcs + 1, dtype=np.int64)
+    left[arcs] = 0
+    for _ in range(max(2 * int(tree_n.max()) - 3, 0).bit_length()):
+        left += left[link]
+        link = link[link]
+    # A tour that misses an arc (a cycle) leaves that arc's list unranked.
+    if (link != arcs).any():
+        raise ValueError("input edges do not form spanning trees")
+
+    # An arc ranked before its twin points from a parent to its child.
+    down = np.flatnonzero(left[:arcs] > left[twin])
+    up = twin[down]
+    child = head[down]
+    parent_key = np.arange(total, dtype=np.int64)
+    parent_key[child] = tail[down]
+    sizes = n_of.copy()  # the roots' entries stay n
+    sizes[child] = (left[down] - left[up] + 1) // 2
 
     # ------------------------------------------------------------------
-    # Euler tin/tout without a DFS.  BFS parents are non-decreasing along
-    # the BFS order, so sibling groups are contiguous runs; the DFS stack
-    # visits children in reverse adjacency order, hence
-    #   tin(child) = tin(parent) + 1 + sum(sizes of later siblings).
-    # The "later siblings" term is a run-segmented suffix sum; a run is
-    # keyed by its parent's BFS index, and the roots (key -1) part the
-    # trees, so no run crosses from one tree into the next.
+    # tin(c) = tin(p) + 1 + (sizes of c's later siblings): the step is a
+    # suffix sum over p's run, and tin sums the steps of c and all its
+    # ancestors.  Along the tour that is a prefix sum: +step where an arc
+    # enters a subtree, -step where its twin leaves it; depth likewise
+    # with steps of 1.  Tree j's tour fills its block of arc slots.
     # ------------------------------------------------------------------
-    run_key = parent.copy()
-    run_key[start] = -1
-    boundary = np.full(total, total + 1, dtype=np.int64)
-    boundary[-1:] = total
-    changes = np.flatnonzero(run_key[1:] != run_key[:-1])
-    boundary[changes] = changes + 1
-    run_end = np.minimum.accumulate(boundary[::-1])[::-1]
-    prefix = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(sizes, out=prefix[1:])
-    later_siblings = prefix[run_end] - prefix[1:]
+    weight = np.zeros(arcs, dtype=np.int64)
+    weight[down] = sizes[child]
+    prefix = np.cumsum(weight)
+    step = 1 + prefix[indptr[tail[down] + 1] - 1] - prefix[down]
+    tree_arcs = 2 * tree_n - 2
+    slot = np.repeat(np.cumsum(tree_arcs), tree_arcs) - left[:arcs]
+    enter, leave = slot[down], slot[up]
+    walk = np.zeros((2, arcs), dtype=np.int64)
+    walk[0, enter], walk[0, leave] = step, -step
+    walk[1, enter], walk[1, leave] = 1, -1
+    np.cumsum(walk, axis=1, out=walk)
+    tin_key = np.zeros(total, dtype=np.int64)
+    depth = np.zeros(total, dtype=np.int64)
+    tin_key[child], depth[child] = walk[:, enter]
 
-    tin = np.zeros(total, dtype=np.int64)
-    for slots, parent_slots in levels:
-        tin[slots] = tin[parent_slots] + 1 + later_siblings[slots]
-    return order, pos, parent, tin, tin + sizes
+    # Within a tree level, BFS order is descending tin.  Tree j's levels
+    # are keyed offset[j] + depth (< offset[j + 1]), each spanning n_max
+    # key values, so one argsort gives every tree's BFS order at once.
+    span = int(tree_n.max())
+    bfs = np.argsort((start_of + depth) * span - tin_key)
+    order = bfs - start_of
+    pos = np.empty(total, dtype=np.int64)
+    pos[bfs] = np.arange(total, dtype=np.int64) - start_of
+    tin = tin_key[bfs]
+    return order, pos, pos[parent_key[bfs]], tin, tin + sizes[bfs]

@@ -124,8 +124,9 @@ class TestSingleGraph:
         assert _signature(_solve(graph, 3)) == _signature(result)
 
     def test_cover_filter_keeps_trees_with_a_lambda_cover(self):
-        """After a (λ, 2) candidate the schedule keeps only trees with a
-        1-respecting cover equal to λ, in packed order."""
+        """After a (λ, 2) candidate the schedule keeps, from each batch it
+        builds, only the trees with a 1-respecting cover equal to λ, in
+        packed order, with their rows of the batch's stack."""
         graph = CSR_FAMILY_BUILDERS["gnm"](12, 3)
         packed = repro.MinCutSolver(CONFIG).pack(graph, seed=3)
         lam = packed.packing.approx_cut_value
@@ -133,13 +134,21 @@ class TestSingleGraph:
         schedule = packed.schedule(cap=1)
         rows = schedule.next_rows()
         assert rows.tolist() == [0]
-        schedule.absorb(rows, [every[0]])
-        kept = schedule._left.tolist()
+        rows, stack = schedule.keep(rows, packed.build_stack(rows))
+        assert rows.tolist() == [0]
+        schedule.absorb(rows, stack, [every[0]])
+        kept = []
+        while not schedule.settled:
+            batch = schedule.next_rows()
+            rows, stack = schedule.keep(batch, packed.build_stack(batch))
+            assert np.array_equal(stack.tin, packed.stack.tin[rows])
+            kept += rows.tolist()
         covers = stacked_covers(packed.stack, packed.arrays)
         assert kept == [
             t for t in range(1, packed.stack.trees)
             if (covers[t, 1:] == lam).any()
         ]
+        assert schedule.built == packed.stack.trees
 
     @pytest.mark.parametrize("regime", ["fractional", "huge", "zero"])
     def test_outside_the_rule_every_tree_is_solved(self, regime, monkeypatch):
@@ -168,7 +177,7 @@ class TestSingleGraph:
         assert stop_value(graph, own) == own.approx_cut_value
         assert stop_value(graph, given) is None
         packed = repro.MinCutSolver(CONFIG).pack(graph, seed=5)
-        schedule = TreeSchedule(None, packed.stack, packed.arrays, cap=1)
+        schedule = TreeSchedule(None, packed.stack.trees, packed.arrays, cap=1)
         assert schedule.next_rows().tolist() == list(range(packed.stack.trees))
         assert schedule.settled
 
@@ -246,3 +255,95 @@ class TestSweep:
         _all_trees(monkeypatch)
         full = repro.minimum_cut_many(graphs, CONFIG, seeds=seeds)
         assert stopped == [_signature(r) for r in full]
+
+
+def _spy_builds(monkeypatch) -> list:
+    """Every forest build the session makes: the tree count per graph."""
+    calls: list = []
+    original = session.stacked_tree_arrays
+
+    def spy(sizes, trees, roots):
+        calls.append([len(group) for group in trees])
+        return original(sizes, trees, roots)
+
+    monkeypatch.setattr(session, "stacked_tree_arrays", spy)
+    return calls
+
+
+class TestBuiltRows:
+    """The oracle roots only the trees its schedule reaches, one forest
+    build per batch (spied at ``repro.core.session.stacked_tree_arrays``,
+    the name the session calls)."""
+
+    def test_settling_on_the_first_tree_builds_one_row(self, monkeypatch):
+        graph, seed = _corpus()[0]  # barbell n=32: tree 0 is (λ, 1 edge)
+        calls = _spy_builds(monkeypatch)
+        result, attrs = _traced(lambda: _solve(graph, seed), "session.solve")
+        assert calls == [[1]]
+        assert result.best_tree_index == 0
+        assert attrs["trees_built"] == attrs["trees_solved"] == 1 < attrs["trees"]
+
+    def test_no_row_past_the_last_reached_batch(self, monkeypatch):
+        calls = _spy_builds(monkeypatch)
+        for graph, seed in _corpus():
+            calls.clear()
+            result, attrs = _traced(lambda: _solve(graph, seed), "session.solve")
+            batches = [group for (group,) in calls]
+            cap = session._chunk_size(graph.n, CONFIG.batch_bytes)
+            for k, size in enumerate(batches):
+                left = attrs["trees"] - sum(batches[:k])
+                assert size == min(2 ** k, cap, left)
+            built = sum(batches)
+            assert built == attrs["trees_built"] >= attrs["trees_solved"]
+            # Short of every tree, the last batch holds the winner.
+            assert built == attrs["trees"] or (
+                built - batches[-1] <= result.best_tree_index < built
+            )
+
+    def test_filtered_trees_are_built_but_not_solved(self, monkeypatch):
+        """gnm n=12 seed 3: after tree 0's (λ, 2 edges) candidate each
+        batch is filtered by its own covers, so fewer trees are solved
+        than built, and no all-trees stack is built."""
+        graph = CSR_FAMILY_BUILDERS["gnm"](12, 3)
+        calls = _spy_builds(monkeypatch)
+        result, attrs = _traced(lambda: _solve(graph, 3), "session.solve")
+        assert result.best_tree_index == 3
+        assert [group for (group,) in calls] == [1, 2, 4]
+        assert attrs["trees_solved"] < attrs["trees_built"] == 7 < attrs["trees"]
+
+    def test_budget_fallback_builds_no_all_trees_stack(self, monkeypatch):
+        tight = CONFIG.replace(batch_bytes=20_000)
+        calls = _spy_builds(monkeypatch)
+        built = packed = 0
+        for graph, seed in _corpus():
+            calls.clear()
+            result, attrs = _traced(
+                lambda: _solve(graph, seed, tight), "session.solve"
+            )
+            assert result.stats["degraded"]["to"] == "per-tree-oracle"
+            assert calls == [[1]] * attrs["trees_built"]
+            built += attrs["trees_built"]
+            packed += attrs["trees"]
+        assert built < packed
+
+    def test_outputs_equal_the_all_trees_run(self, monkeypatch):
+        """Per-batch builds change no output; with the rule off, each solve
+        makes one all-trees build."""
+        calls = _spy_builds(monkeypatch)
+        graphs = [graph for graph, _seed in _corpus()]
+        seeds = [seed for _graph, seed in _corpus()]
+        stopped = [_solve(g, s) for g, s in zip(graphs, seeds)]
+        calls.clear()
+        swept, attrs = _traced(
+            lambda: repro.minimum_cut_many(graphs, CONFIG, seeds=seeds),
+            "sweep.oracle",
+        )
+        assert sum(map(sum, calls)) == attrs["trees_built"]
+        assert attrs["trees_solved"] <= attrs["trees_built"] < attrs["trees"]
+        _all_trees(monkeypatch)
+        calls.clear()
+        full = [_signature(_solve(g, s)) for g, s in zip(graphs, seeds)]
+        assert calls == [[len(r.packing.tree_edge_arrays)] for r in stopped]
+        assert [_signature(r) for r in stopped] == full
+        full_sweep = repro.minimum_cut_many(graphs, CONFIG, seeds=seeds)
+        assert [_signature(r) for r in swept] == [_signature(r) for r in full_sweep]
