@@ -28,12 +28,16 @@ compares.  This module is the redesigned public surface:
   one stacked BFS/Euler forest build (:mod:`repro.kernel.forest`) and
   chunked stacked-tensor oracle passes (:mod:`repro.kernel.batched`)
   over every graph's next batch of trees -- with results bit-identical
-  to looping ``minimum_cut`` (asserted by the test suite).  A
-  single-graph ``oracle`` solve runs the same stages as a batch of
-  one.  Either path solves the packed trees in order, roots only the
-  trees it reaches, stops once no later tree can change the winner
-  (:mod:`repro.core.tree_schedule`) and reads the witness off the
-  winning tree's stack row.
+  to looping ``minimum_cut`` (asserted by the test suite).
+
+Every ``oracle`` solve -- ``MinCutSolver.solve``, a sweep, a serve
+re-solve of a cached packing, the sweep's per-graph retry and the
+per-tree budget fallback -- runs one loop, :func:`_oracle_schedules`
+(a single graph is a batch of one).  It solves the packed trees in
+order, roots only the trees it reaches, stops once no later tree can
+change the winner (:mod:`repro.core.tree_schedule`) and reads the
+witness off the winning tree's stack row; no oracle solve builds a
+:class:`~repro.trees.rooted.RootedTree`.
 
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
@@ -58,10 +62,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.accounting import RoundAccountant
-from repro.core.cut_values import (
-    CutCandidate,
-    two_respecting_oracle,
-)
+from repro.core.cut_values import CutCandidate
 from repro.core.mincut import (
     MinCutResult,
     _empty_packing,
@@ -70,7 +71,7 @@ from repro.core.mincut import (
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
 from repro.core.tree_packing import pack_trees, pack_trees_many
-from repro.core.tree_schedule import TreeSchedule, run_schedule, stop_value
+from repro.core.tree_schedule import TreeSchedule, stop_value
 from repro.errors import (
     BudgetExceeded,
     GraphValidationError,
@@ -120,7 +121,13 @@ class SolverConfig:
         Override for the Theorem 12 packing size (default Θ(log n)).
     batch_bytes:
         Scratch budget for the stacked-tensor batched oracle;
-        ``None`` inherits ``REPRO_BATCH_BYTES`` (default 256 MiB).
+        ``None`` inherits ``REPRO_BATCH_BYTES`` (default 256 MiB).  A
+        pinned budget is a hard cap: below one stacked tree's
+        ``32 * (n + 1)**2`` bytes the oracle degrades to per-tree
+        solves (recorded in ``stats["degraded"]``).  The inherited
+        budget is advisory and clamps to 1-tree chunks instead.
+        :meth:`from_env` turns the ``REPRO_BATCH_BYTES`` value into a
+        pinned budget.
     compute_congest:
         Whether results carry the Theorem 17 CONGEST estimates.  Only
         meaningful for solvers that execute Minor-Aggregation rounds;
@@ -292,37 +299,22 @@ class GraphPacking:
     @property
     def stack(self):
         """Every packed tree as one stacked BFS/Euler forest over node
-        indices, rooted at the session root (built on first use; the
-        minor-aggregation solver's covers read it, the oracle builds its
-        batches with :meth:`build_stack`)."""
+        indices, rooted at the session root (built on first use).  The
+        minor-aggregation solver's covers and witness read it; the oracle
+        builds only the trees its schedule reaches, batch by batch
+        (:func:`_oracle_schedules`)."""
         if self._stack is None:
-            self._stack = self.build_stack(
-                np.arange(len(self.packing.tree_edge_arrays))
+            (self._stack,) = stacked_tree_arrays(
+                [self.csr.n],
+                [self.packing.tree_edge_arrays],
+                [self.root_position],
             )
         return self._stack
 
-    def build_stack(self, rows: np.ndarray):
-        """Packed trees ``rows``, in that order, as one stacked forest."""
-        edges = self.packing.tree_edge_arrays
-        (stack,) = stacked_tree_arrays(
-            [self.csr.n], [[edges[r] for r in rows.tolist()]], [self.root_position]
-        )
-        return stack
-
-    def schedule(self, cap: int) -> TreeSchedule:
-        """The oracle's solve order over the packed trees, in batches of
-        at most ``cap`` trees (:mod:`repro.core.tree_schedule`)."""
-        return TreeSchedule(
-            stop_value(self.csr, self.packing),
-            len(self.packing.tree_edge_arrays),
-            self.arrays,
-            cap,
-        )
-
     def rooted_tree(self, index: int) -> RootedTree:
         """Packed tree ``index`` over node indices, rooted at the session
-        root (built on first use; the minor-aggregation recursion and the
-        oracle's per-tree fallback read it)."""
+        root (built on first use; only the minor-aggregation recursion
+        reads it -- no oracle solve roots a :class:`RootedTree`)."""
         if index not in self._rooted:
             self._rooted[index] = self.packing.rooted_tree(
                 index, self.root_position
@@ -599,77 +591,60 @@ def _finalize_candidates(
     with obs_trace.span(
         "session.finalize", solver=solver_name, trees=len(candidates)
     ):
-        return _finalize_candidates_inner(
-            csr, arrays, packing, cut_side, candidates, acct,
-            compute_congest, solver_name, solve_stats,
+        best: CutCandidate | None = None
+        best_index = -1
+        for index, candidate in candidates:
+            if candidate.better_than(best):
+                best = candidate
+                best_index = index
+        assert best is not None
+        side = cut_side(best_index, best.edges)
+        value, crossing = partition_cut_weight_arrays(arrays, side)
+        # Relative tolerance: candidate values come from prefix-sum/matrix
+        # accumulation whose float error scales with total graph weight,
+        # while the partition weight sums only the crossing edges.
+        if abs(value - best.value) > 1e-6 * max(1.0, abs(value)):
+            raise NumericalRangeError(
+                f"cut witness inconsistent: candidate {best.value}, partition "
+                f"{value} (float cancellation over the graph's weight range)",
+                candidate_value=best.value,
+                partition_value=value,
+            )
+        other = frozenset(set(range(csr.n)) - side)
+
+        congest = None
+        if compute_congest:
+            with obs_trace.span("finalize.diameter", n=csr.n):
+                diameter = csr.diameter()
+            congest = congest_estimates(acct.total, n=csr.n, diameter=diameter)
+
+        stats: dict = {
+            "accountant": acct.snapshot(),
+            "trees": len(packing.tree_edge_arrays),
+        }
+        if solve_stats is not None:
+            stats["general_solver"] = dict(solve_stats)
+
+        if csr.nodes is not None:
+            # Map the index-space witness back onto the graph's labels.
+            labels = csr.nodes
+            side = frozenset(labels[i] for i in side)
+            other = frozenset(labels[i] for i in other)
+            crossing = [edge_key(labels[u], labels[v]) for u, v in crossing]
+            best = _relabel(best, labels)
+
+        return MinCutResult(
+            value=value,
+            partition=(side, other),
+            cut_edges=crossing,
+            candidate=best,
+            best_tree_index=best_index,
+            packing=packing,
+            ma_rounds=acct.total,
+            congest=congest,
+            solver=solver_name,
+            stats=stats,
         )
-
-
-def _finalize_candidates_inner(
-    csr: CSRGraph,
-    arrays: GraphArrays,
-    packing,
-    cut_side,
-    candidates: "Sequence[tuple[int, CutCandidate]]",
-    acct: RoundAccountant,
-    compute_congest: bool,
-    solver_name: str,
-    solve_stats=None,
-) -> MinCutResult:
-    best: CutCandidate | None = None
-    best_index = -1
-    for index, candidate in candidates:
-        if candidate.better_than(best):
-            best = candidate
-            best_index = index
-    assert best is not None
-    side = cut_side(best_index, best.edges)
-    value, crossing = partition_cut_weight_arrays(arrays, side)
-    # Relative tolerance: candidate values come from prefix-sum/matrix
-    # accumulation whose float error scales with total graph weight, while
-    # the partition weight sums only the crossing edges.
-    if abs(value - best.value) > 1e-6 * max(1.0, abs(value)):
-        raise NumericalRangeError(
-            f"cut witness inconsistent: candidate {best.value}, partition "
-            f"{value} (float cancellation over the graph's weight range)",
-            candidate_value=best.value,
-            partition_value=value,
-        )
-    other = frozenset(set(range(csr.n)) - side)
-
-    congest = None
-    if compute_congest:
-        with obs_trace.span("finalize.diameter", n=csr.n):
-            diameter = csr.diameter()
-        congest = congest_estimates(acct.total, n=csr.n, diameter=diameter)
-
-    stats: dict = {
-        "accountant": acct.snapshot(),
-        "trees": len(packing.tree_edge_arrays),
-    }
-    if solve_stats is not None:
-        stats["general_solver"] = dict(solve_stats)
-
-    if csr.nodes is not None:
-        # Map the index-space witness back onto the graph's labels.
-        labels = csr.nodes
-        side = frozenset(labels[i] for i in side)
-        other = frozenset(labels[i] for i in other)
-        crossing = [edge_key(labels[u], labels[v]) for u, v in crossing]
-        best = _relabel(best, labels)
-
-    return MinCutResult(
-        value=value,
-        partition=(side, other),
-        cut_edges=crossing,
-        candidate=best,
-        best_tree_index=best_index,
-        packing=packing,
-        ma_rounds=acct.total,
-        congest=congest,
-        solver=solver_name,
-        stats=stats,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -760,18 +735,12 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
 def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     degraded = None
     started = time.perf_counter()
-    batch_bytes = packed.config.batch_bytes
+    # A batch of one through the sweep's loop.
+    one = (
+        [packed.csr], [packed.packing], [packed.arrays], [packed.root_position]
+    )
     try:
-        # The packed trees in doubling batches, each rooted as one
-        # stacked forest, until no later tree can change the winner.
-        arrays = packed.arrays
-        schedule = run_schedule(
-            packed.schedule(_chunk_size(packed.csr.n, batch_bytes)),
-            packed.build_stack,
-            lambda rows, stack: batched_two_respecting_oracle(
-                arrays, stack, batch_bytes=batch_bytes
-            ),
-        )
+        (schedule,) = _oracle_schedules(*one, packed.config.batch_bytes)
     except (BudgetExceeded, MemoryError) as exc:
         # Automatic degradation: the stacked tensor does not fit the
         # scratch budget (or the allocator), so give up on batching and
@@ -779,7 +748,7 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
         failed_phase = obs_trace.last_error_span() or "oracle.batched"
         obs_metrics.counter("session.degraded").inc()
         with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
-            schedule = _per_tree_oracle(packed)
+            (schedule,) = _oracle_schedules(*one, None, per_tree=True)
         degraded = {
             "from": "batched-oracle",
             "to": "per-tree-oracle",
@@ -796,18 +765,78 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     return result
 
 
-def _per_tree_oracle(packed: GraphPacking) -> TreeSchedule:
-    """The same order and stop rule, one rooted tree at a time."""
-    return run_schedule(
-        packed.schedule(1),
-        packed.build_stack,
-        lambda rows, _stack: [
-            two_respecting_oracle(
-                packed.csr, packed.rooted_tree(index), arrays=packed.arrays
+def _oracle_schedules(
+    graphs: "list[CSRGraph]",
+    packings: list,
+    arrays_list: "list[GraphArrays]",
+    roots: "list[int]",
+    batch_bytes: "int | None",
+    per_tree: bool = False,
+) -> "list[TreeSchedule]":
+    """Run every graph's :class:`TreeSchedule` until it settles: the one
+    oracle loop of single solves, sweeps and the budget fallback.
+
+    Each round, every unsettled graph adds its next batch of packed trees
+    (rooted at ``roots[g]``); one forest build roots every graph's batch,
+    whatever the node counts, each schedule keeps the trees that can
+    still change its winner, and one many-graph pass solves them under
+    ``batch_bytes``.  ``per_tree`` is the fallback for a budget too small
+    for one stacked tree: 1-tree batches, each kept tree solved alone
+    under the inherited budget.
+    """
+    schedules = [
+        TreeSchedule(
+            stop_value(graph, packing),
+            len(packing.tree_edge_arrays),
+            arrays,
+            1 if per_tree else _chunk_size(graph.n, batch_bytes),
+        )
+        for graph, packing, arrays in zip(graphs, packings, arrays_list)
+    ]
+    running = list(range(len(graphs)))
+    while running:
+        rows = [schedules[g].next_rows() for g in running]
+        stacks = stacked_tree_arrays(
+            [graphs[g].n for g in running],
+            [
+                [packings[g].tree_edge_arrays[r] for r in batch.tolist()]
+                for g, batch in zip(running, rows)
+            ],
+            [roots[g] for g in running],
+        )
+        batches = [
+            (g, *schedules[g].keep(batch, stack))
+            for g, batch, stack in zip(running, rows, stacks)
+        ]
+        batches = [batch for batch in batches if len(batch[1])]
+        if per_tree:
+            solved = [
+                [
+                    batched_two_respecting_oracle(
+                        arrays_list[g], stack.select([row])
+                    )[0]
+                    for row in range(len(kept))
+                ]
+                for g, kept, stack in batches
+            ]
+        else:
+            passes = batched_two_respecting_oracle_many(
+                [
+                    OracleJob.from_arrays(
+                        arrays_list[g], stack.tin, stack.tout, stack.pos
+                    )
+                    for g, _kept, stack in batches
+                ],
+                batch_bytes=batch_bytes,
             )
-            for index in rows.tolist()
-        ],
-    )
+            solved = [
+                stack_candidates(values, flats, stack)
+                for (_g, _kept, stack), (values, flats) in zip(batches, passes)
+            ]
+        for (g, kept, stack), candidates in zip(batches, solved):
+            schedules[g].absorb(kept, stack, candidates)
+        running = [g for g in running if not schedules[g].settled]
+    return schedules
 
 
 def _count_trees(schedules: "Sequence[TreeSchedule]") -> dict:
@@ -1133,49 +1162,14 @@ def _solve_many_oracle(
     ):
         many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
 
-    # Stage 2: chunked stacked-tensor oracle passes over the sweep.  Each
-    # round, every unsettled graph adds its next doubling batch of trees
-    # (all of them at once where the stop rule does not apply); one forest
-    # build roots every graph's batch, whatever the node counts, and one
-    # many-graph pass solves the trees the schedules keep.
+    # Stage 2: every graph's trees in schedule rounds, one forest build
+    # and one many-graph oracle pass per round (:func:`_oracle_schedules`).
     roots = [_root_position(graph.nodes) for graph in graphs]
     arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
     with obs_trace.span("sweep.oracle", graphs=len(graphs)) as sp:
-        schedules = [
-            TreeSchedule(
-                stop_value(graph, many.packings[g]),
-                len(many.packings[g].tree_edge_arrays),
-                arrays_list[g],
-                _chunk_size(graph.n, cfg.batch_bytes),
-            )
-            for g, graph in enumerate(graphs)
-        ]
-        running = list(range(len(graphs)))
-        while running:
-            rows = [schedules[g].next_rows() for g in running]
-            stacks = stacked_tree_arrays(
-                [graphs[g].n for g in running],
-                [
-                    [many.packings[g].tree_edge_arrays[r] for r in batch.tolist()]
-                    for g, batch in zip(running, rows)
-                ],
-                [roots[g] for g in running],
-            )
-            batches = [
-                (g, *schedules[g].keep(batch, stack))
-                for g, batch, stack in zip(running, rows, stacks)
-            ]
-            batches = [batch for batch in batches if len(batch[1])]
-            solved = batched_two_respecting_oracle_many(
-                [
-                    OracleJob.from_arrays(arrays_list[g], sub.tin, sub.tout, sub.pos)
-                    for g, _rows, sub in batches
-                ],
-                batch_bytes=cfg.batch_bytes,
-            )
-            for (g, batch, sub), (values, flats) in zip(batches, solved):
-                schedules[g].absorb(batch, sub, stack_candidates(values, flats, sub))
-            running = [g for g in running if not schedules[g].settled]
+        schedules = _oracle_schedules(
+            graphs, many.packings, arrays_list, roots, cfg.batch_bytes
+        )
         sp.set(**_count_trees(schedules))
 
     # Stage 3: per-graph candidate decode + witness extraction, the

@@ -173,17 +173,25 @@ def _sample_multiplicities_csr(
     Generator distribution streams change between numpy feature releases,
     so sampled-regime packings are reproducible per (seed, numpy
     version), not across numpy upgrades.
+
+    A multiplicity of 2**63 or more does not fit the sampler's int64
+    count; such an edge keeps its mean ``rint(w * p)`` (the exact draw
+    deviates from it by about ``sqrt(w * p)``).  Every other edge's draw
+    is the same as if no such edge were present.
     """
-    weights = np.rint(graph.edge_w).astype(np.int64)
-    positive = weights > 0
+    weights = np.rint(graph.edge_w)
+    huge = weights >= 2.0 ** 63
+    drawn = (weights > 0) & ~huge
     generator = np.random.default_rng(rng.getrandbits(64))
-    kept = generator.binomial(weights[positive], probability)
+    kept = np.zeros(len(weights))
+    kept[drawn] = generator.binomial(
+        weights[drawn].astype(np.int64), probability
+    )
+    kept[huge] = np.rint(weights[huge] * probability)
     survivors = kept > 0
-    u = graph.edge_u[positive][survivors]
-    v = graph.edge_v[positive][survivors]
     return CSRGraph(
-        graph.n, u, v, kept[survivors].astype(np.float64),
-        nodes=graph.nodes, canonical=True,
+        graph.n, graph.edge_u[survivors], graph.edge_v[survivors],
+        kept[survivors], nodes=graph.nodes, canonical=True,
     )
 
 

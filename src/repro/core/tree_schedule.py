@@ -26,11 +26,15 @@ every tree is solved, in one batch.  A candidate below λ under the rule
 raises :class:`~repro.errors.CandidateBelowMinCutError`.
 
 Trees run in doubling batches (1, 2, 4, ...), each at most ``cap``
-trees, so a graph that settles on its first tree solves one.  The caller
-builds each batch's stacked forest -- only the trees the schedule
-reaches are ever rooted -- and the solved trees' candidates keep their
-packed indices (``solved``), which is what finalize reads; the winner's
-witness comes off its batch's stack row (:meth:`TreeSchedule.cut_side`).
+trees, so a graph that settles on its first tree solves one.  One loop
+drives every schedule, :func:`repro.core.session._oracle_schedules`: a
+single-graph solve is a batch of one, a sweep runs every graph's
+schedule in the same rounds, and the budget fallback runs 1-tree
+batches.  It builds each batch's stacked forest -- only the trees the
+schedule reaches are ever rooted -- and the solved trees' candidates
+keep their packed indices (``solved``), which is what finalize reads;
+the winner's witness comes off its batch's stack row
+(:meth:`TreeSchedule.cut_side`).
 """
 
 from __future__ import annotations
@@ -140,14 +144,3 @@ class TreeSchedule:
         assert index == best_index
         return stack.cut_side(row, edges)
 
-
-def run_schedule(schedule: TreeSchedule, build, solve) -> TreeSchedule:
-    """Solve ``schedule``'s batches until it settles: ``build(rows)``
-    roots a batch's trees as one stack, ``solve(rows, stack) ->
-    candidates`` solves the ones :meth:`TreeSchedule.keep` keeps."""
-    while not schedule.settled:
-        rows = schedule.next_rows()
-        rows, stack = schedule.keep(rows, build(rows))
-        if len(rows):
-            schedule.absorb(rows, stack, solve(rows, stack))
-    return schedule

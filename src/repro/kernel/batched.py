@@ -11,17 +11,17 @@ pair matrices, and one row-major argmin per tree.
 
 One solver runs the low-level pass:
 :func:`batched_two_respecting_oracle_many` solves the trees of **many**
-graphs at once (the ``minimum_cut_many`` sweep path).  Jobs whose trees
-have the same node count share stacked tensors, so a 50-graph sweep costs
-a handful of numpy passes instead of 50; per-tree edge deposits arrive as
-flattened COO triples, which makes mixed edge counts across graphs exact
-no-ops for parity (``np.bincount`` adds the flattened cell ids in order:
-every ``(a, b)`` deposit in tree-major, edge-order sequence, then every
-``(b, a)`` one -- per cell, the order of the 2D kernel's two
-``np.add.at`` calls).
+graphs at once (every ``oracle`` solve: a sweep, or a single graph as a
+batch of one).  Jobs whose trees have the same node count share stacked
+tensors, so a 50-graph sweep costs a handful of numpy passes instead of
+50; per-tree edge deposits arrive as flattened COO triples, which makes
+mixed edge counts across graphs exact no-ops for parity (``np.bincount``
+adds the flattened cell ids in order: every ``(a, b)`` deposit in
+tree-major, edge-order sequence, then every ``(b, a)`` one -- per cell,
+the order of the 2D kernel's two ``np.add.at`` calls).
 :func:`batched_two_respecting_oracle` is its one-graph delegate (the
-single-graph ``minimum_cut`` path); both take the trees as a stacked
-BFS/Euler forest (:mod:`repro.kernel.forest`).
+oracle's per-tree budget fallback solves each tree with it); both take
+the trees as a stacked BFS/Euler forest (:mod:`repro.kernel.forest`).
 
 Bit-for-bit parity with the per-tree
 :func:`~repro.kernel.cut_kernel.pair_cover_matrix_kernel` path is a design

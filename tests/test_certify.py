@@ -239,6 +239,38 @@ class TestDegradation:
         ).solve(graph)
         assert "degraded" not in result.stats
 
+    def test_sweep_budget_chain(self):
+        """A pinned budget too small for the fused sweep: it raises
+        BudgetExceeded, each graph is re-solved by its own session, and
+        the graphs whose one stacked tree needs more than the budget
+        (32 * (n + 1)**2 bytes) fall back to per-tree solves."""
+        sizes = [12, 16, 20, 24, 28, 36, 48]
+        graphs = [
+            CSR_FAMILY_BUILDERS[family](n, seed)
+            for n in sizes
+            for seed, family in enumerate(("gnm", "cycle", "planted"))
+        ]
+        seeds = list(range(len(graphs)))
+        config = repro.SolverConfig(solver="oracle", compute_congest=False)
+        full = repro.minimum_cut_many(graphs, config, seeds=seeds)
+        tight = repro.minimum_cut_many(
+            graphs, config.replace(batch_bytes=20_000), seeds=seeds
+        )
+        for graph, a, b in zip(graphs, full, tight):
+            assert "degraded" not in a.stats
+            assert float(b.value).hex() == float(a.value).hex()
+            assert b.partition == a.partition
+            assert b.cut_edges == a.cut_edges
+            assert b.candidate == a.candidate
+            assert b.best_tree_index == a.best_tree_index
+            assert b.stats["accountant"] == a.stats["accountant"]
+            fits = 32 * (graph.n + 1) ** 2 <= 20_000
+            assert b.stats["degraded"]["to"] == (
+                "per-graph-session" if fits else "per-tree-oracle"
+            )
+        kinds = {result.stats["degraded"]["to"] for result in tight}
+        assert kinds == {"per-graph-session", "per-tree-oracle"}
+
 
 # ----------------------------------------------------------------------
 # minimum_cut_many: per-graph isolation

@@ -1,17 +1,29 @@
 """Tree packing (Theorem 12): spanning trees, the 2-respecting property,
 sampling regime, and round charging."""
 
+import random
+import warnings
+
 import networkx as nx
+import numpy as np
 import pytest
 
+import repro
 from repro.accounting import RoundAccountant
 from repro.baselines import stoer_wagner_min_cut
-from repro.core.tree_packing import default_tree_count, pack_trees
+from repro.baselines.stoer_wagner import csr_stoer_wagner
+from repro.core.tree_packing import (
+    _sample_multiplicities_csr,
+    default_tree_count,
+    pack_trees,
+)
 from repro.graphs import (
+    CSR_FAMILY_BUILDERS,
     grid_graph,
     planted_cut_graph,
     random_connected_gnm,
 )
+from repro.graphs.csr import CSRGraph
 
 
 def min_cut_crossings(tree, side):
@@ -101,6 +113,61 @@ class TestSamplingRegime:
         packing = pack_trees(graph, seed=3)
         assert not packing.sampled
         assert packing.sampling_probability is None
+
+
+class TestHugeMultiplicities:
+    """Weights of 2**63 or more do not fit the binomial sampler's int64
+    count: they are sampled without the cast, warning-free."""
+
+    @staticmethod
+    def _scaled_corpus():
+        return [
+            (CSR_FAMILY_BUILDERS[family](64, seed), seed)
+            for family in sorted(CSR_FAMILY_BUILDERS)
+            for seed in (1, 2, 3)
+        ]
+
+    def test_scaled_weights_solve_exactly_without_warnings(self):
+        config = repro.SolverConfig(solver="oracle", compute_congest=False)
+        for graph, seed in self._scaled_corpus():
+            graph = graph.with_weights(graph.edge_w * 1e17)
+            assert graph.edge_w.max() >= 2.0 ** 63
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = repro.MinCutSolver(config).solve(graph, seed=seed)
+            assert result.packing.sampled
+            assert result.value == csr_stoer_wagner(graph)[0]
+
+    def test_huge_edge_stays_in_the_sample(self):
+        graph = CSRGraph(3, [0, 1, 0], [1, 2, 2], [2.0 ** 64, 40.0, 7.0])
+        sample = _sample_multiplicities_csr(
+            graph, 2.0 ** -60, random.Random(1)
+        )
+        assert sample.edge_u.tolist() == [0]
+        assert sample.edge_v.tolist() == [1]
+        assert sample.edge_w.tolist() == [16.0]
+
+    def test_other_edges_draw_as_without_the_huge_one(self):
+        base = CSR_FAMILY_BUILDERS["gnm"](40, 2)
+        weights = base.edge_w * 1000
+        weights[5] = 2.0 ** 70
+        graph = base.with_weights(weights)
+        rest = np.ones(graph.m, dtype=bool)
+        rest[5] = False
+        without = CSRGraph(
+            graph.n, graph.edge_u[rest], graph.edge_v[rest], weights[rest]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = _sample_multiplicities_csr(graph, 0.01, random.Random(4))
+        reference = _sample_multiplicities_csr(without, 0.01, random.Random(4))
+        huge = (sample.edge_u == graph.edge_u[5]) & (
+            sample.edge_v == graph.edge_v[5]
+        )
+        assert sample.edge_w[huge].tolist() == [np.rint(2.0 ** 70 * 0.01)]
+        assert np.array_equal(sample.edge_u[~huge], reference.edge_u)
+        assert np.array_equal(sample.edge_v[~huge], reference.edge_v)
+        assert sample.edge_w[~huge].tobytes() == reference.edge_w.tobytes()
 
 
 class TestAccounting:

@@ -1,13 +1,16 @@
 """The oracle's stop rule: solve packed trees in order, stop once no later
 tree can change finalize's winner (:mod:`repro.core.tree_schedule`).
 
-Every result must equal, byte for byte, the run that solves all packed
-trees (``stop_value`` patched to ``None``, so the same entry points run
-the whole stack through ``batched_two_respecting_oracle``): value,
-partition, cut edges, candidate, ``best_tree_index`` and ``stats``.
-Graphs outside the rule's conditions -- fractional weights, a total
-weight too large for exact sums, zero-weight edges, a caller-supplied
-``approx_cut_value`` -- solve every tree.
+Single solves, sweeps and the per-tree budget fallback all run one loop,
+``repro.core.session._oracle_schedules`` (a single graph is a batch of
+one).  Every result must equal, byte for byte, the run that solves all
+packed trees (``stop_value`` patched to ``None``, so the same loop
+builds and solves every tree in one batch): value, partition, cut
+edges, candidate, ``best_tree_index`` and ``stats``; and a sweep's
+results must equal its graphs' single solves.  Graphs outside the
+rule's conditions -- fractional weights, a total weight too large for
+exact sums, zero-weight edges, a caller-supplied ``approx_cut_value``
+-- solve every tree.  No oracle solve roots a ``RootedTree``.
 """
 
 from __future__ import annotations
@@ -24,16 +27,18 @@ from repro.graphs import CSR_FAMILY_BUILDERS
 from repro.graphs.csr import CSRGraph
 from repro.kernel.batched import batched_two_respecting_oracle
 from repro.kernel.cut_kernel import stacked_covers
+from repro.kernel.forest import stacked_tree_arrays
 from repro.obs import metrics, trace
+from repro.trees.rooted import RootedTree
 
 FAMILIES = sorted(CSR_FAMILY_BUILDERS)
 CONFIG = repro.SolverConfig(solver="oracle", compute_congest=False)
 
 
-def _signature(result) -> tuple:
+def _signature(result, drop=()) -> tuple:
     stats = {
         k: v for k, v in result.stats.items()
-        if k not in ("profile", "sweep_profile")
+        if k not in ("profile", "sweep_profile", *drop)
     }
     if "degraded" in stats:
         stats["degraded"] = {
@@ -131,16 +136,27 @@ class TestSingleGraph:
         packed = repro.MinCutSolver(CONFIG).pack(graph, seed=3)
         lam = packed.packing.approx_cut_value
         every = batched_two_respecting_oracle(packed.arrays, packed.stack)
-        schedule = packed.schedule(cap=1)
+        edges = packed.packing.tree_edge_arrays
+
+        def build(rows):
+            (stack,) = stacked_tree_arrays(
+                [graph.n], [[edges[r] for r in rows.tolist()]],
+                [packed.root_position],
+            )
+            return stack
+
+        schedule = TreeSchedule(
+            stop_value(graph, packed.packing), len(edges), packed.arrays, cap=1
+        )
         rows = schedule.next_rows()
         assert rows.tolist() == [0]
-        rows, stack = schedule.keep(rows, packed.build_stack(rows))
+        rows, stack = schedule.keep(rows, build(rows))
         assert rows.tolist() == [0]
         schedule.absorb(rows, stack, [every[0]])
         kept = []
         while not schedule.settled:
             batch = schedule.next_rows()
-            rows, stack = schedule.keep(batch, packed.build_stack(batch))
+            rows, stack = schedule.keep(batch, build(batch))
             assert np.array_equal(stack.tin, packed.stack.tin[rows])
             kept += rows.tolist()
         covers = stacked_covers(packed.stack, packed.arrays)
@@ -240,10 +256,11 @@ class TestSweep:
             lambda: repro.minimum_cut_many(graphs, CONFIG, seeds=seeds),
             "sweep.oracle",
         )
-        single = [
-            _traced(lambda: _solve(g, s), "session.solve")[1]
+        solos = [
+            _traced(lambda: _solve(g, s), "session.solve")
             for g, s in zip(graphs, seeds)
         ]
+        single = [a for _r, a in solos]
         # The same trees settle each graph alone and in the sweep.
         assert attrs["trees_solved"] == sum(a["trees_solved"] for a in single)
         assert attrs["trees"] == sum(a["trees"] for a in single)
@@ -251,6 +268,10 @@ class TestSweep:
         for graph, a in zip(graphs, single):
             if not graph.int_weights or not (graph.edge_w > 0).all():
                 assert a["trees_solved"] == a["trees"]
+        # Byte-equal results too, inside and outside the stop rule.
+        assert [_signature(r, drop=("sweep",)) for r in results] == [
+            _signature(r) for r, _a in solos
+        ]
         stopped = [_signature(r) for r in results]
         _all_trees(monkeypatch)
         full = repro.minimum_cut_many(graphs, CONFIG, seeds=seeds)
@@ -347,3 +368,40 @@ class TestBuiltRows:
         assert [_signature(r) for r in stopped] == full
         full_sweep = repro.minimum_cut_many(graphs, CONFIG, seeds=seeds)
         assert [_signature(r) for r in swept] == [_signature(r) for r in full_sweep]
+
+
+class TestNoRootedTree:
+    """No ``oracle`` solve roots a :class:`RootedTree`: single, sweep,
+    the 20 KB-pinned per-tree fallback and the sweep's budget chain all
+    run on stacked forests (spied at ``RootedTree.__init__``)."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        calls: list = []
+        original = RootedTree.__init__
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RootedTree, "__init__", spy)
+        return calls
+
+    def test_oracle_solves_root_no_tree(self, monkeypatch):
+        graphs, seeds = TestSweep()._mixed()
+        small = CSR_FAMILY_BUILDERS["gnm"](20, 4)
+        calls = self._spy(monkeypatch)
+        tight = CONFIG.replace(batch_bytes=20_000)
+        for config in (CONFIG, tight):
+            for graph, seed in zip(graphs, seeds):
+                _solve(graph, seed, config)
+            swept = repro.minimum_cut_many(
+                [small, *graphs], config, seeds=[4, *seeds]
+            )
+            assert all(isinstance(r, repro.MinCutResult) for r in swept)
+        assert swept[0].stats["degraded"]["to"] == "per-graph-session"
+        assert swept[1].stats["degraded"]["to"] == "per-tree-oracle"
+        assert calls == []
+        # The spy sees the trees the minor-aggregation recursion roots.
+        _solve(small, 4, CONFIG.replace(solver="minor-aggregation"))
+        assert calls
