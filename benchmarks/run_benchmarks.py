@@ -92,11 +92,13 @@ all-trees ``batched_two_respecting_oracle`` pass picks (first least
 all-trees pass is timed once beside it.
 
 The ``pack_scale`` section times Theorem 12 packing alone:
-``pack_trees`` on unit-weight gnm m=4n (so no sampling) at n 256, 1024
-and 4096, median of traced runs.  It reports the whole call's seconds,
-then ms per tree, phases per tree and µs per phase from its
-``pack.boruvka`` spans (one per greedy iteration; the approximate
-min-cut is outside them).  The first packed trees must equal
+``pack_trees`` on unit-weight gnm m=4n (so no sampling) at n 256, 512,
+1024 and 4096, median of traced runs.  It reports the whole call's
+seconds, the approximate min-cut's ms (its ``pack.approx_min_cut``
+span: at n 256 and 512 the Padberg-Rinaldi passes stall and the
+CAPFOREST passes solve the kernel), then ms per tree, phases per tree
+and µs per phase from its ``pack.boruvka`` spans (one per greedy
+iteration; the approximate min-cut is outside them).  The first packed trees must equal
 ``scipy.sparse.csgraph.minimum_spanning_tree`` on 1-based (load,
 ``str(edge_key)``) rank weights, iteration by iteration, or the run
 fails.
@@ -197,7 +199,7 @@ ORACLE_STACK_SEED = 1
 #: the packing scale row: pack_trees on unit-weight gnm m=4n at these
 #: sizes, and how many of its first trees must equal the rank-weight
 #: scipy MST.
-PACK_SCALE_NS = (256, 1024, 4096)
+PACK_SCALE_NS = (256, 512, 1024, 4096)
 PACK_SCALE_SEED = 1
 PACK_SCALE_CHECKED_TREES = 3
 #: the oracle scale row: full oracle solves of gnm m=4n at these sizes.
@@ -845,9 +847,9 @@ def _rank_weight_trees(graph, count: int) -> list:
 
 
 def run_pack_scale_bench(repeats: int) -> dict:
-    """Theorem 12 packing alone at n 256/1024/4096: ms per tree, phases
-    per tree and µs per Boruvka phase, with the first trees checked
-    against the rank-weight scipy MST."""
+    """Theorem 12 packing alone at n 256/512/1024/4096: the approximate
+    min-cut's ms, ms per tree, phases per tree and µs per Boruvka phase,
+    with the first trees checked against the rank-weight scipy MST."""
     from repro.accounting import RoundAccountant
     from repro.core.tree_packing import pack_trees
     from repro.graphs import csr_random_connected_gnm
@@ -862,11 +864,16 @@ def run_pack_scale_bench(repeats: int) -> dict:
                 graph, seed=PACK_SCALE_SEED, accountant=accountant
             )
             total_s = time.perf_counter() - start
+            records = trace.records_since(mark)
             boruvka_s = sum(
-                record.seconds for record in trace.records_since(mark)
+                record.seconds for record in records
                 if record.name == "pack.boruvka"
             )
-        return total_s, boruvka_s, packing, accountant
+            approx_s = sum(
+                record.seconds for record in records
+                if record.name == "pack.approx_min_cut"
+            )
+        return total_s, boruvka_s, approx_s, packing, accountant
 
     # Warm-up: first-call costs stay out of the n=256 row.
     traced_pack(csr_random_connected_gnm(64, 256, seed=PACK_SCALE_SEED))
@@ -880,7 +887,8 @@ def run_pack_scale_bench(repeats: int) -> dict:
         runs = [traced_pack(graph) for _ in range(repeats)]
         total_s = statistics.median(run[0] for run in runs)
         boruvka_s = statistics.median(run[1] for run in runs)
-        _total, _boruvka, packing, accountant = runs[-1]
+        approx_s = statistics.median(run[2] for run in runs)
+        *_times, packing, accountant = runs[-1]
         iterations = len(packing.tree_edge_arrays) + packing.duplicates_removed
         phases = accountant.by_label()["packing:boruvka"]
         packed = [
@@ -897,6 +905,7 @@ def run_pack_scale_bench(repeats: int) -> dict:
             "n": n, "m": graph.m, "seed": PACK_SCALE_SEED,
             "iterations": iterations,
             "pack_median_s": round(total_s, 4),
+            "approx_min_cut_ms": round(1e3 * approx_s, 3),
             "ms_per_tree": round(1e3 * boruvka_s / iterations, 3),
             "phases_per_tree": round(phases / iterations, 2),
             "us_per_phase": round(1e6 * boruvka_s / phases, 1),
@@ -904,6 +913,7 @@ def run_pack_scale_bench(repeats: int) -> dict:
         }
         print(
             f"  gnm n={n:<5} m={graph.m:<6} pack {total_s:6.3f} s  "
+            f"approx_min_cut {row['approx_min_cut_ms']:7.3f} ms  "
             f"{iterations} iterations  {row['ms_per_tree']:7.3f} ms/tree  "
             f"{row['phases_per_tree']:5.2f} phases/tree  "
             f"{row['us_per_phase']:8.1f} us/phase  "

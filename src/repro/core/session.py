@@ -70,7 +70,7 @@ from repro.core.mincut import (
     _two_node_cut_csr,
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
-from repro.core.tree_packing import pack_trees, pack_trees_many
+from repro.core.tree_packing import ManyPacking, pack_trees, pack_trees_many
 from repro.core.tree_schedule import TreeSchedule, stop_value
 from repro.errors import (
     BudgetExceeded,
@@ -278,6 +278,23 @@ class GraphPacking:
                 if after[label] != before.get(label, 0.0)
             }
         return self._packing
+
+    def adopt_packing(self, packing, ledger: dict) -> None:
+        """Take a packing computed elsewhere (a fused sweep's) instead of
+        packing again, with the ``packing:*`` charges of ``ledger`` (a
+        :meth:`RoundAccountant.snapshot` that holds them), so solves
+        replay the ledger a cold end-to-end run reports."""
+        charges = {
+            label: rounds
+            for label, rounds in ledger["by_label"].items()
+            if label.startswith("packing:")
+        }
+        origin = RoundAccountant()
+        origin.absorb(charges)
+        origin.max_message_bits = ledger["max_message_bits"]
+        self._packing = packing
+        self._packing_charges = charges
+        self._origin_acct = origin
 
     @property
     def arrays(self) -> GraphArrays:
@@ -1070,13 +1087,20 @@ def _sweep_impl(
     session = MinCutSolver(cfg)
     batched_set = set(batched)
 
-    def solve_one(index: int, degraded: "dict | None" = None):
+    def solve_one(
+        index: int, degraded: "dict | None" = None, packed=None
+    ):
+        """Solve graph ``index`` in its own session; ``packed`` is a
+        ``(packing, ledger)`` pair it adopts instead of packing."""
         started = time.perf_counter()
         try:
-            result = session._packing(
+            handle = session._packing(
                 csrs[index], seed_list[index], num_trees=None,
                 accountant=None, trivial=trivials[index],
-            ).solve()
+            )
+            if packed is not None:
+                handle.adopt_packing(*packed)
+            result = handle.solve()
         except Exception as exc:
             if strict:
                 raise
@@ -1093,17 +1117,24 @@ def _sweep_impl(
             results[index] = solve_one(index)
     if batched:
         started = time.perf_counter()
+        graphs = [csrs[i] for i in batched]
+        many = None
         try:
-            sweep = _solve_many_oracle(
-                [csrs[i] for i in batched],
-                [seed_list[i] for i in batched],
-                cfg,
-            )
+            with obs_trace.span(
+                "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
+            ):
+                many = pack_trees_many(
+                    graphs,
+                    [seed_list[i] for i in batched],
+                    num_trees=cfg.num_trees,
+                )
+            sweep = _solve_many_oracle(graphs, many, cfg)
         except Exception as exc:
             if strict:
                 raise
             # The fused sweep shares arrays across graphs, so one bad
-            # graph can sink the batch; retry each member in isolation.
+            # graph can sink the batch; retry each member in isolation,
+            # on its own packing when the packing stage went through.
             obs_metrics.counter("sweep.fused_batch_failures").inc()
             degraded = {
                 "from": "fused-oracle-sweep",
@@ -1112,7 +1143,16 @@ def _sweep_impl(
                 "phase": obs_trace.last_error_span() or "sweep.oracle",
                 "seconds": time.perf_counter() - started,
             }
-            sweep = [solve_one(i, degraded=dict(degraded)) for i in batched]
+            packings = [None] * len(batched)
+            if many is not None:
+                packings = [
+                    (packing, acct.snapshot())
+                    for packing, acct in zip(many.packings, many.accountants)
+                ]
+            sweep = [
+                solve_one(i, degraded=dict(degraded), packed=packed)
+                for i, packed in zip(batched, packings)
+            ]
         for index, result in zip(batched, sweep):
             results[index] = result
 
@@ -1153,15 +1193,11 @@ def _sweep_impl(
 
 
 def _solve_many_oracle(
-    graphs: "list[CSRGraph]", seeds: "list[int]", cfg: SolverConfig
+    graphs: "list[CSRGraph]", many: ManyPacking, cfg: SolverConfig
 ) -> list[MinCutResult]:
-    """The fused oracle sweep over validated graphs: batch every stage
-    across graphs."""
-    with obs_trace.span(
-        "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
-    ):
-        many = pack_trees_many(graphs, seeds, num_trees=cfg.num_trees)
-
+    """The fused oracle sweep over validated graphs and their packings
+    (:func:`~repro.core.tree_packing.pack_trees_many`): batch every
+    stage across graphs."""
     # Stage 2: every graph's trees in schedule rounds, one forest build
     # and one many-graph oracle pass per round (:func:`_oracle_schedules`).
     roots = [_root_position(graph.nodes) for graph in graphs]

@@ -19,14 +19,15 @@ approximation of the min-cut value; the paper uses the Õ(1)-round
 the value is used, to pick the regime and the sampling probability.  It
 is computed centrally by Padberg-Rinaldi contraction (heavy edges and
 heavy-neighbour tests, a few array passes over the concatenated edge
-table of every graph of a batch, :func:`_contract_many`) and
-Stoer-Wagner on each kernel that is left, which is usually a single
-supernode.  Every contraction preserves the minimum of the running upper
-bound and the kernel's min-cut, so the value is exact; on integer
-weights every float sum is exact below 2**53 and the value equals full
-Stoer-Wagner's bit for bit, while on non-integral weights the two may
-differ by rounding only (Stoer-Wagner's own float value depends on its
-merge order).
+table of every graph of a batch, :func:`_contract_many`), usually down
+to a single supernode, and by Nagamochi-Ibaraki CAPFOREST passes
+(:func:`_capforest_value`, as in Henzinger, Noe, Schulz and Strash,
+"Practical Minimum Cut Algorithms") on each kernel that stalls.  Every
+contraction preserves the minimum of the running upper bound and the
+kernel's min-cut, so the value is exact; on integer weights every float
+sum is exact below 2**53 and the value equals Stoer-Wagner's bit for
+bit, while on non-integral weights the two may differ by rounding only
+(Stoer-Wagner's own float value depends on its merge order).
 
 One implementation: :func:`pack_trees_many` packs any number of CSR graphs
 over one concatenated edge table, and :func:`pack_trees` is a batch of one
@@ -35,8 +36,10 @@ way in).  Every greedy iteration runs Boruvka's contraction sequence as
 array passes (:func:`~repro.ma.compiled.compiled_boruvka_rows`, which
 contracts each phase's winners by jumping their pointer graph) with the
 deterministic ``(cost, str(edge_key))`` tie-break and one
-Minor-Aggregation round charged per phase; the sampling regime draws one
-binomial over the canonical CSR edge order.  A networkx graph and its CSR
+Minor-Aggregation round charged per phase; the edge table is put in
+``str(edge_key)`` order once per call, so each iteration sorts by cost
+alone.  The sampling regime draws one binomial over the canonical CSR
+edge order.  A networkx graph and its CSR
 conversion therefore pack identical trees with identical ledgers.  A
 packing stores its trees only as node-index edge arrays plus the graph's
 node labels; a tree's adjacency is derived when it is rooted
@@ -45,9 +48,11 @@ node labels; a tree's adjacency is derived when it is rooted
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,44 +131,72 @@ class ManyPacking:
 
 
 def _edge_ranks(
-    node_labels: list, eu: np.ndarray, ev: np.ndarray
+    nodes: "list | None", eu: np.ndarray, ev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ranks of the edge rows ``(eu, ev)`` in label space: by the string
     of their ``edge_key`` (the Boruvka tie-break) and by the
     ``_node_sort_key`` order of its endpoints (a tree's insertion order).
+    ``nodes`` is the label table (``None``: the indices are the labels).
 
     ``edge_key`` orders endpoints by ``(type name, str)``, not by index
     -- ``edge_key(4, 10)`` is ``(10, 4)`` -- and ``str`` of a 2-tuple is
     ``"(" + repr(a) + ", " + repr(b) + ")"``, so one ``_node_sort_key``
     and one ``repr`` per node give every row's key by array operations.
+    Index labels need no strings at all: ``,`` and ``)`` sort below
+    every digit, so ``str(edge_key(u, v))`` sorts like
+    ``(str(u), str(v))`` -- the canonical order -- and a decimal string
+    sorts by its digits padded with zeros to a common width, the shorter
+    string first among equal paddings.
     """
-    count = len(node_labels)
-    keys = [_node_sort_key(label) for label in node_labels]
-    # Dense rank of every node's key: equal keys share a rank, and
-    # edge_key keeps (u, v) as given when the keys are equal.
-    node_rank = np.empty(count, dtype=np.int64)
-    rank, previous = -1, None
-    for node in sorted(range(count), key=keys.__getitem__):
-        if keys[node] != previous:
-            rank, previous = rank + 1, keys[node]
-        node_rank[node] = rank
+    if nodes is None:
+        count = int(max(eu.max(initial=0), ev.max(initial=0))) + 1
+        index = np.arange(count, dtype=np.int64)
+        width = len(str(count - 1))
+        digits = 1 + np.searchsorted(
+            10 ** np.arange(1, width, dtype=np.int64), index, side="right"
+        )
+        padded = index * 10 ** (width - digits)
+        node_rank = np.empty(count, dtype=np.int64)
+        node_rank[np.lexsort((digits, padded))] = index
+    else:
+        count = len(nodes)
+        keys = [_node_sort_key(label) for label in nodes]
+        # Dense rank of every node's key: equal keys share a rank, and
+        # edge_key keeps (u, v) as given when the keys are equal.
+        node_rank = np.empty(count, dtype=np.int64)
+        rank, previous = -1, None
+        for node in sorted(range(count), key=keys.__getitem__):
+            if keys[node] != previous:
+                rank, previous = rank + 1, keys[node]
+            node_rank[node] = rank
     swap = node_rank[eu] > node_rank[ev]
     first = np.where(swap, ev, eu)
     second = np.where(swap, eu, ev)
-    reprs = np.array([repr(label) for label in node_labels], dtype=np.str_)
-    add = np.strings.add
-    pairs = add(add(add("(", reprs[first]), ", "), add(reprs[second], ")"))
     rows = np.arange(len(eu), dtype=np.int64)
-    str_rank = np.empty(len(eu), dtype=np.int64)
-    str_rank[np.argsort(pairs)] = rows
     canon_rank = np.empty(len(eu), dtype=np.int64)
     canon_rank[np.lexsort((node_rank[second], node_rank[first]))] = rows
+    if nodes is None:
+        return canon_rank, canon_rank
+    reprs = np.array([repr(label) for label in nodes], dtype=np.str_)
+    add = np.strings.add
+    pairs = add(add(add("(", reprs[first]), ", "), add(reprs[second], ")"))
+    str_rank = np.empty(len(eu), dtype=np.int64)
+    str_rank[np.argsort(pairs)] = rows
     return str_rank, canon_rank
+
+
+class EdgeSample(NamedTuple):
+    """The rows of a graph's canonical edge table that survive a regime
+    (B) sample, with their sampled multiplicities."""
+
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_w: np.ndarray
 
 
 def _sample_multiplicities_csr(
     graph: CSRGraph, probability: float, rng: random.Random
-) -> CSRGraph:
+) -> EdgeSample:
     """Binomially subsample each edge's weight-as-multiplicity.
 
     One vectorized exact binomial draw over the canonical edge order
@@ -189,9 +222,8 @@ def _sample_multiplicities_csr(
     )
     kept[huge] = np.rint(weights[huge] * probability)
     survivors = kept > 0
-    return CSRGraph(
-        graph.n, graph.edge_u[survivors], graph.edge_v[survivors],
-        kept[survivors], nodes=graph.nodes, canonical=True,
+    return EdgeSample(
+        graph.edge_u[survivors], graph.edge_v[survivors], kept[survivors]
     )
 
 
@@ -211,7 +243,7 @@ def pack_trees(
 
     A batch of one through :func:`pack_trees_many` (a networkx input is
     converted once with :meth:`CSRGraph.from_networkx`).  An explicit
-    ``approx_cut_value`` skips the Stoer-Wagner approximation and its
+    ``approx_cut_value`` skips the approximate min-cut and its
     ``log2ceil(n)**2`` round charge.
     """
     return pack_trees_many(
@@ -233,25 +265,103 @@ def _min_cut_value(graph: CSRGraph, span=obs_trace.NULL_SPAN) -> float:
 @dataclass
 class Contracted:
     """One graph after its Padberg-Rinaldi passes: the running upper
-    bound ``best``, the pass count, and the kernel left for
-    Stoer-Wagner (``None`` once one or two supernodes are left)."""
+    bound ``best``, the pass count, and the kernel left for CAPFOREST
+    passes (``None`` once one or two supernodes are left)."""
 
     best: float
     passes: int
     kernel: "CSRGraph | None" = None
 
     def value(self, span=obs_trace.NULL_SPAN) -> float:
-        """The exact min-cut value: ``best``, lowered by Stoer-Wagner on
-        the kernel when one is left.  ``span`` gets ``kernel_n`` (the
-        supernodes handed to Stoer-Wagner, or 1) and ``passes``."""
-        from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
-        best, kernel_n = self.best, 1
+        """The exact min-cut value: ``best``, lowered by
+        :func:`_capforest_value` on the kernel when one is left.
+        ``span`` gets ``kernel_n`` (the kernel's supernodes, or 1),
+        ``passes`` and ``capforest_passes``."""
+        best, kernel_n, capforest = self.best, 1, 0
         if self.kernel is not None:
             kernel_n = self.kernel.n
-            best = min(best, stoer_wagner_min_cut(self.kernel)[0])
-        span.set(kernel_n=kernel_n, passes=self.passes)
+            best, capforest = _capforest_value(self.kernel, best)
+        span.set(
+            kernel_n=kernel_n, passes=self.passes, capforest_passes=capforest
+        )
         return float(best)
+
+
+def _capforest_value(kernel: CSRGraph, bound: float) -> tuple[float, int]:
+    """``min(bound, λ(kernel))`` by Nagamochi-Ibaraki CAPFOREST passes,
+    and the number of passes.
+
+    Each pass lowers ``bound`` to the least weighted degree, runs one
+    maximum-adjacency scan (:func:`_max_adjacency_scan`), lowers
+    ``bound`` to the scan's cut of the phase ``r(t)``, and contracts
+    every edge with ``q(e) >= bound``: ``λ(v, w) >= q(e)`` for an edge
+    ``(v, w)``, so a cut that separates its ends weighs at least
+    ``bound``.  The last edge into ``t`` has ``q(e) = r(t) >= bound``,
+    so every pass contracts something, whatever the float rounding of
+    the degree sums.  The passes stop at two or fewer supernodes (the
+    worst case is Stoer-Wagner's n - 1 phases).
+    """
+    k = kernel.n
+    eu, ev, ew = kernel.edge_u, kernel.edge_v, kernel.edge_w
+    passes = 0
+    while k > 1:
+        degree = np.bincount(eu, ew, minlength=k)
+        degree += np.bincount(ev, ew, minlength=k)
+        bound = min(bound, float(degree.min()))
+        if k == 2:
+            break
+        passes += 1
+        scanned, cut = _max_adjacency_scan(k, eu, ev, ew)
+        bound = min(bound, cut)
+        heavy = scanned >= bound
+        labels = merge_components(np.arange(k), eu[heavy], ev[heavy])
+        roots, dense = np.unique(labels, return_inverse=True)
+        k = len(roots)
+        cu, cv = dense[eu], dense[ev]
+        cross = cu != cv
+        eu, ev, ew = _canonicalize(cu[cross], cv[cross], ew[cross])
+    return bound, passes
+
+
+def _max_adjacency_scan(
+    k: int, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """One maximum-adjacency scan of a connected graph on ``k`` nodes:
+    ``(q, r(t))``.
+
+    The scan starts at node 0 and repeatedly scans the unscanned node
+    ``x`` of greatest ``r(x)``, the weight between ``x`` and the nodes
+    scanned before it (heap ties to the least index).  ``q[e]`` is
+    ``r(w)`` just after edge ``e`` raised it from its scanned end ``v``
+    to its other end ``w``; ``r(t)`` of the last scanned node ``t`` is
+    the cut of the phase, ``t``'s weighted degree.
+    """
+    m = len(eu)
+    src = np.concatenate([eu, ev])
+    order = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[order], np.arange(k + 1)).tolist()
+    neighbour = np.concatenate([ev, eu])[order].tolist()
+    weight = np.concatenate([ew, ew])[order].tolist()
+    edge = (order % m).tolist()
+    reach = [0.0] * k
+    done = [False] * k
+    q = [0.0] * m
+    heap = [(-0.0, 0)]
+    cut = 0.0
+    while heap:
+        negative, x = heapq.heappop(heap)
+        if done[x] or -negative != reach[x]:
+            continue
+        done[x] = True
+        cut = reach[x]
+        for slot in range(start[x], start[x + 1]):
+            y = neighbour[slot]
+            if not done[y]:
+                r = reach[y] + weight[slot]
+                reach[y] = r
+                q[edge[slot]] = r
+                heapq.heappush(heap, (-r, y))
+    return np.array(q), cut
 
 
 def _contract_many(graphs: "list[CSRGraph]") -> "list[Contracted]":
@@ -339,7 +449,7 @@ def _contract_many(graphs: "list[CSRGraph]") -> "list[Contracted]":
                 continue
             kernel = None
             if k[block] > 2 and left[block] == k[block]:
-                # Nothing contracts: Stoer-Wagner solves the kernel.
+                # Nothing contracts: CAPFOREST passes solve the kernel.
                 lo, hi = edge_start[block], edge_start[block + 1]
                 base = int(start[block])
                 kernel = CSRGraph(
@@ -372,25 +482,29 @@ def _packing_graph(
     rng: random.Random,
     acct: RoundAccountant,
     approx_cut_value: float,
-) -> tuple[CSRGraph, bool, float | None]:
-    """The regime (B) sample of one graph: ``(packing graph, sampled,
-    sampling probability)``."""
+) -> "tuple[CSRGraph | EdgeSample, bool, float | None]":
+    """The regime (B) sample of one graph: ``(edge table to pack,
+    sampled, sampling probability)``; the table is the graph itself when
+    it is not sampled."""
     n = graph.n
     # Regime (B): sample down to a Θ(log n) min-cut when lambda is large.
     target = 24.0 * max(1.0, math.log(n))
     if approx_cut_value <= 2 * target:
         return graph, False, None
-    sampled_graph, sampled = graph, False
+    table, sampled = graph, False
     with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
         probability = min(1.0, target / approx_cut_value)
         for _attempt in range(6):
             candidate = _sample_multiplicities_csr(graph, probability, rng)
-            if candidate.is_connected():
-                sampled_graph, sampled = candidate, True
+            labels = merge_components(
+                np.arange(n, dtype=np.int64), candidate.edge_u, candidate.edge_v
+            )
+            if not labels.any():  # every node in node 0's component
+                table, sampled = candidate, True
                 break
             probability = min(1.0, 2 * probability)
     acct.charge(1, "packing:sampling")
-    return sampled_graph, sampled, probability
+    return table, sampled, probability
 
 
 def pack_trees_many(
@@ -445,16 +559,16 @@ def pack_trees_many(
     states: list[dict] = []
     for graph, seed, acct, approx in zip(graphs, seeds, accts, approx_values):
         n = graph.n
-        packing_graph, sampled, probability = _packing_graph(
+        table, sampled, probability = _packing_graph(
             graph, random.Random(seed), acct, approx
         )
-        eu, ev = packing_graph.edge_u, packing_graph.edge_v
-        str_rank, canon_rank = _edge_ranks(graph.node_labels(), eu, ev)
+        eu, ev = table.edge_u, table.edge_v
+        str_rank, canon_rank = _edge_ranks(graph.nodes, eu, ev)
         states.append(
             dict(
                 n=n,
                 count=num_trees if num_trees is not None else default_tree_count(n),
-                eu=eu, ev=ev, mult=np.maximum(packing_graph.edge_w, 1e-12),
+                eu=eu, ev=ev, mult=np.maximum(table.edge_w, 1e-12),
                 str_rank=str_rank, canon_rank=canon_rank,
                 approx=approx, sampled=sampled, probability=probability,
                 tree_edges=[], seen=set(), duplicates=0,
@@ -462,25 +576,28 @@ def pack_trees_many(
         )
 
     # Concatenated edge table (per-graph node blocks never interact: a
-    # component can only ever contain nodes of one graph).
+    # component can only ever contain nodes of one graph), put once in
+    # tie-rank order so every Boruvka call sorts by cost alone; rows of
+    # different graphs may interleave, as no supernode ever compares them.
     node_off = np.zeros(count_of + 1, dtype=np.int64)
     edge_off = np.zeros(count_of + 1, dtype=np.int64)
     for i, st in enumerate(states):
         node_off[i + 1] = node_off[i] + st["n"]
         edge_off[i + 1] = edge_off[i] + len(st["eu"])
-    all_eu = np.concatenate(
-        [st["eu"] + node_off[i] for i, st in enumerate(states)]
-    )
-    all_ev = np.concatenate(
-        [st["ev"] + node_off[i] for i, st in enumerate(states)]
-    )
-    all_mult = np.concatenate([st["mult"] for st in states])
+    sizes = np.diff(edge_off)
     all_rank = np.concatenate([st["str_rank"] for st in states])
+    order = np.argsort(all_rank, kind="stable")
+    shift = np.repeat(node_off[:-1], sizes)
+    all_eu = (np.concatenate([st["eu"] for st in states]) + shift)[order]
+    all_ev = (np.concatenate([st["ev"] for st in states]) + shift)[order]
+    all_mult = np.concatenate([st["mult"] for st in states])[order]
+    all_rank = all_rank[order]
     # Graph-major canonical order over the whole table.
-    all_canon = np.concatenate(
-        [st["canon_rank"] + edge_off[i] for i, st in enumerate(states)]
-    )
-    gid = np.repeat(np.arange(count_of), np.diff(edge_off))
+    all_canon = (
+        np.concatenate([st["canon_rank"] for st in states])
+        + np.repeat(edge_off[:-1], sizes)
+    )[order]
+    gid = np.repeat(np.arange(count_of), sizes)[order]
     uses = np.zeros(len(all_eu), dtype=np.int64)
     counts = np.array([st["count"] for st in states], dtype=np.int64)
     phase_caps = np.array(
@@ -500,10 +617,10 @@ def pack_trees_many(
                 np.where(active, phase_caps, 0), int(node_off[-1]),
             )
             uses[rows] += 1
-            bounds = np.searchsorted(rows, edge_off).tolist()
             # Each graph's tree rows in insertion order; that order is
             # canonical, so equal bytes <=> equal edge sets.
             rows = rows[np.argsort(all_canon[rows])]
+            bounds = np.searchsorted(all_canon[rows], edge_off).tolist()
             phases = phases.tolist()
             for g in np.flatnonzero(active).tolist():
                 accts[g].charge(phases[g], "packing:boruvka")
@@ -514,8 +631,10 @@ def pack_trees_many(
                     st["duplicates"] += 1
                     continue
                 st["seen"].add(signature)
-                local = tree - edge_off[g]
-                st["tree_edges"].append((st["eu"][local], st["ev"][local]))
+                base = node_off[g]
+                st["tree_edges"].append(
+                    (all_eu[tree] - base, all_ev[tree] - base)
+                )
 
     packings = [
         TreePacking(

@@ -54,14 +54,16 @@ def boruvka_mst(
     if isinstance(engine, CompiledMinorAggregationEngine):
         lowered = lower_edge_cost(engine, edge_cost)
         if lowered is not None:
+            # The table goes in str order, so the call sorts by cost alone.
+            order = engine.edge_str_order()
             rows, phases = compiled_boruvka_rows(
-                engine._eu, engine._ev, lowered, engine.edge_str_rank(),
-                np.zeros(len(lowered), dtype=np.int64),
+                engine._eu[order], engine._ev[order], lowered[order],
+                np.arange(len(order)), np.zeros(len(order), dtype=np.int64),
                 np.array([log2ceil(engine.n) + 1]), engine.n,
             )
             engine.charge_compiled_rounds(int(phases[0]), label)
             edge_list = engine.edge_list
-            return {edge_list[r][0] for r in rows.tolist()}
+            return {edge_list[r][0] for r in order[rows].tolist()}
 
     if edge_cost is None:
         cost = engine.edge_weight

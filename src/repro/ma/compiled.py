@@ -31,7 +31,8 @@ that maps ``-0.0`` to ``+0.0``, which compares equal anyway.
 
 The Boruvka contraction sequence is lowered as a whole by
 :func:`compiled_boruvka_rows`, for one graph or a concatenated table of
-many: the rows are sorted once into (cost, str) order, and per phase the
+many: the rows are sorted once into (cost, str) order (by cost alone
+when the caller keeps its table in str order), and per phase the
 still-outgoing rows are kept, one scatter-min picks each supernode's
 winner, and the winners' pointer graph is jumped to its roots (no
 :func:`~repro.graphs.csr.merge_components` union).  Tree packing (Theorem 12)
@@ -100,25 +101,23 @@ class CompiledMinorAggregationEngine(MinorAggregationEngine):
             self._rank_order = np.asarray(order, dtype=np.int64)
             self._node_rank = np.empty(n, dtype=np.int64)
             self._node_rank[self._rank_order] = np.arange(n, dtype=np.int64)
-        self._str_rank: np.ndarray | None = None
+        self._str_order: np.ndarray | None = None
         self.compiled_rounds = 0
         self.fallback_rounds = 0
 
     # ------------------------------------------------------------------
     # Cached edge-order structures
     # ------------------------------------------------------------------
-    def edge_str_rank(self) -> np.ndarray:
-        """Rank of ``str(edge_key)`` per engine edge (the closure tie-break
-        order), computed once per engine and shared by every MST call."""
-        if self._str_rank is None:
+    def edge_str_order(self) -> np.ndarray:
+        """The engine edges in ``str(edge_key)`` order (the closure
+        tie-break order), computed once per engine and shared by every
+        MST call."""
+        if self._str_order is None:
             labels = np.array(
                 [str(edge) for edge, _u, _v in self.edge_list], dtype=np.str_
             )
-            self._str_rank = np.empty(len(labels), dtype=np.int64)
-            self._str_rank[np.argsort(labels)] = np.arange(
-                len(labels), dtype=np.int64
-            )
-        return self._str_rank
+            self._str_order = np.argsort(labels)
+        return self._str_order
 
     def charge_compiled_rounds(self, rounds: int, label: str) -> None:
         """Book ``rounds`` rounds that ran as array passes outside
@@ -468,19 +467,24 @@ def compiled_boruvka_rows(
     :func:`~repro.ma.boruvka.boruvka_mst`, which charges that last phase
     too.
 
-    The rows are sorted once into (graph, cost, tie rank) order, and each
-    phase keeps only the rows that are still outgoing, so a row's index
-    in that list is its position.  Both endpoints offer it through one
-    scatter-min over the interleaved ``(u, v)`` endpoint list.  Each
+    The rows are put in (cost, tie rank) order by one stable argsort of
+    ``tie_rank`` -- a linear pass when the table already comes in
+    tie-rank order, as tree packing and
+    :func:`~repro.ma.boruvka.boruvka_mst` arrange once per packing call
+    and per engine -- and one stable argsort of cost over that order.
+    Rows of two graphs may interleave: they never meet at a supernode.
+    Each phase keeps only the rows that are still outgoing, so a row's
+    index in that list is its position.  Both endpoints offer it through
+    one scatter-min over the interleaved ``(u, v)`` endpoint list.  Each
     winning supernode points at the partner across its winning edge; a
     mutual pair (both chose the same edge) forms a 2-cycle, which one
     ``min(ptr, ptr[ptr])`` step breaks by making the smaller id the root
     (every other pointer moves to itself or an ancestor), and pointer
     jumping then sends every supernode to its root.  Positions are
-    distinct, so each graph's tree is unique, and its phase count is
-    worked out after the loop: the index of the last phase that chose
-    one of its edges plus 2 (phases count from 0, and the empty phase
-    after it is charged too), capped by ``phase_caps``.
+    distinct within a graph, so each graph's tree is unique, and its
+    phase count is worked out after the loop: the index of the last
+    phase that chose one of its edges plus 2 (phases count from 0, and
+    the empty phase after it is charged too), capped by ``phase_caps``.
 
     Returns the chosen rows (sorted) and the phase count per graph.
     """
@@ -494,7 +498,8 @@ def compiled_boruvka_rows(
             raise SolverError(
                 f"{name} array has {len(array)} entries for {m} edges"
             )
-    row = np.lexsort((tie_rank, cost, graph_of))
+    tie_order = np.argsort(tie_rank, kind="stable")
+    row = tie_order[np.argsort(cost[tie_order], kind="stable")]
     ends = np.column_stack((edge_u[row], edge_v[row]))
     offer = np.arange(2 * m, dtype=np.int64)
     ptr = np.arange(n_nodes, dtype=np.int64)

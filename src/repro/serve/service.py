@@ -75,7 +75,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 
-from repro.accounting import RoundAccountant
 from repro.core.mincut import MinCutResult
 from repro.core.registry import get_solver
 from repro.core.session import (
@@ -866,24 +865,13 @@ class MinCutService:
     ) -> GraphPacking:
         """Wrap a fused-sweep packing in a reusable session handle.
 
-        The handle gets the sweep's computed packing and its recorded
-        ``packing:*`` round charges, so later warm solves replay the same
-        ledger a cold end-to-end run reports (the same mechanism
-        ``GraphPacking`` itself uses for repeated solves).
+        The handle adopts the sweep's computed packing and its recorded
+        ``packing:*`` round charges (:meth:`GraphPacking.adopt_packing`),
+        so later warm solves replay the same ledger a cold end-to-end run
+        reports.
         """
         packed = session.pack(pending.csr, seed=pending.seed)
-        packed._packing = result.packing
-        accountant = result.stats["accountant"]
-        charges = {
-            label: rounds
-            for label, rounds in accountant["by_label"].items()
-            if label.startswith("packing:")
-        }
-        packed._packing_charges = charges
-        origin = RoundAccountant()
-        origin.absorb(charges)
-        origin.max_message_bits = accountant["max_message_bits"]
-        packed._origin_acct = origin
+        packed.adopt_packing(result.packing, result.stats["accountant"])
         return packed
 
     # ------------------------------------------------------------------

@@ -239,11 +239,14 @@ class TestDegradation:
         ).solve(graph)
         assert "degraded" not in result.stats
 
-    def test_sweep_budget_chain(self):
+    def test_sweep_budget_chain(self, monkeypatch):
         """A pinned budget too small for the fused sweep: it raises
-        BudgetExceeded, each graph is re-solved by its own session, and
-        the graphs whose one stacked tree needs more than the budget
-        (32 * (n + 1)**2 bytes) fall back to per-tree solves."""
+        BudgetExceeded, each graph is re-solved by its own session on the
+        sweep's packing (no graph is packed twice), and the graphs whose
+        one stacked tree needs more than the budget (32 * (n + 1)**2
+        bytes) fall back to per-tree solves."""
+        from repro.core import session as session_module
+
         sizes = [12, 16, 20, 24, 28, 36, 48]
         graphs = [
             CSR_FAMILY_BUILDERS[family](n, seed)
@@ -253,9 +256,19 @@ class TestDegradation:
         seeds = list(range(len(graphs)))
         config = repro.SolverConfig(solver="oracle", compute_congest=False)
         full = repro.minimum_cut_many(graphs, config, seeds=seeds)
+        calls = []
+        for name in ("pack_trees", "pack_trees_many"):
+            original = getattr(session_module, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(session_module, name, spy)
         tight = repro.minimum_cut_many(
             graphs, config.replace(batch_bytes=20_000), seeds=seeds
         )
+        assert calls == ["pack_trees_many"]
         for graph, a, b in zip(graphs, full, tight):
             assert "degraded" not in a.stats
             assert float(b.value).hex() == float(a.value).hex()

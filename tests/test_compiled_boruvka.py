@@ -7,7 +7,8 @@ here ``scipy.sparse.csgraph.minimum_spanning_tree`` on 1-based position
 weights -- and the phase count of a plain per-phase Boruvka written out
 below with a Python union-find.  Inputs are batches of mixed sizes with
 rows shuffled across graphs, heavy cost ties, parallel edges and loops,
-and path and star shapes whose pointer chains are long.  The
+and path and star shapes whose pointer chains are long, and graphs whose keys
+tie row for row across the table.  The
 ``merge_components`` property at the end is the contract its callers
 (``connected_components``, ``_contract_many``) read.
 """
@@ -178,6 +179,41 @@ def test_binding_caps_match_the_plain_loop(batch):
     want_rows, want_phases = plain_boruvka(*table)
     assert rows.tolist() == want_rows
     assert phases.tolist() == want_phases
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 60))
+def test_graphs_with_equal_keys_row_for_row_solve_as_alone(seed, count, m):
+    """Graphs whose cost and tie-rank arrays are equal row for row tie
+    on every key across the concatenated table; each graph's rows and
+    phases must still be those of its own call."""
+    rng = np.random.default_rng(seed)
+    cost = rng.integers(0, 3, size=m) / rng.integers(1, 3, size=m)
+    tie_rank = rng.permutation(m)
+    alone, blocks = [], []
+    offset = 0
+    for _g in range(count):
+        n = int(rng.integers(2, 30))
+        ends = rng.integers(0, n, size=(m, 2))
+        cap = int(rng.choice([0, 1, log2ceil(n) + 1, UNBOUNDED]))
+        rows, phases = compiled_boruvka_rows(
+            ends[:, 0], ends[:, 1], cost, tie_rank,
+            np.zeros(m, dtype=np.int64), np.array([cap]), n,
+        )
+        alone.append((rows.tolist(), phases.tolist()))
+        blocks.append((ends + offset, cap))
+        offset += n
+    rows, phases = compiled_boruvka_rows(
+        np.concatenate([ends[:, 0] for ends, _cap in blocks]),
+        np.concatenate([ends[:, 1] for ends, _cap in blocks]),
+        np.tile(cost, count), np.tile(tie_rank, count),
+        np.repeat(np.arange(count), m),
+        np.array([cap for _ends, cap in blocks]), offset,
+    )
+    for g, (want_rows, want_phases) in enumerate(alone):
+        mine = rows[(rows >= g * m) & (rows < (g + 1) * m)] - g * m
+        assert mine.tolist() == want_rows
+        assert [phases[g]] == want_phases
 
 
 @pytest.mark.parametrize("name", ["cost", "tie_rank", "graph_of"])

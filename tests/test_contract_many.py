@@ -2,7 +2,7 @@
 
 :func:`~repro.core.tree_packing._contract_many` runs the Padberg-Rinaldi
 passes of every graph of a batch over one concatenated edge table, each
-graph stopping on its own condition, and leaves Stoer-Wagner to the
+graph stopping on its own condition, and leaves CAPFOREST passes to the
 kernels that stall.  Each graph's outcome -- upper bound, pass count,
 kernel edge table and final value -- must equal, by ``float.hex``, its
 batch of one and the pass-by-pass contraction of the graph alone
@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-from repro.core.tree_packing import _contract_many, _min_cut_value, pack_trees_many
+from repro.core.tree_packing import (
+    _capforest_value,
+    _contract_many,
+    _min_cut_value,
+    pack_trees_many,
+)
 from repro.graphs import CSR_FAMILY_BUILDERS
 from repro.graphs.csr import CSRGraph, merge_components
 from repro.obs import trace
@@ -78,7 +83,7 @@ def _one_graph(graph):
         kernel, _dense = kernel.contract(labels)
     value = best
     if stalled is not None:
-        value = min(best, stoer_wagner_min_cut(stalled)[0])
+        value = _capforest_value(stalled, best)[0]
     return best, passes, stalled, float(value)
 
 
@@ -108,7 +113,7 @@ def test_batch_equals_one_graph_computation(kind):
 
 @pytest.mark.parametrize("kind", ["integer", "fractional", "mixed"])
 def test_batches_hold_stalled_kernels(kind):
-    """Some graphs of each batch stall and hand Stoer-Wagner a kernel."""
+    """Some graphs of each batch stall and hand CAPFOREST a kernel."""
     assert any(cut.kernel is not None for cut in _contract_many(_batch(kind)))
 
 

@@ -1,11 +1,12 @@
 """Differential tests of the packing's exact min-cut value.
 
 ``repro.core.tree_packing._min_cut_value`` contracts edges by the
-Padberg-Rinaldi tests and runs Stoer-Wagner only on the kernel that is
-left.  On integer weights its value must equal both Stoer-Wagner
-implementations exactly (the packing's regime, sampling probability and
-binomial draws depend on it bit for bit); on non-integral weights it may
-differ only by float rounding.
+Padberg-Rinaldi tests and runs CAPFOREST passes only on the kernel that
+is left; Stoer-Wagner is the independent reference.  On integer weights
+its value must equal both Stoer-Wagner implementations exactly (the
+packing's regime, sampling probability and binomial draws depend on it
+bit for bit); on non-integral weights it may differ only by float
+rounding.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.stoer_wagner import stoer_wagner_min_cut
+from repro.baselines.stoer_wagner import csr_stoer_wagner, stoer_wagner_min_cut
 from repro.core.tree_packing import _min_cut_value
-from repro.graphs import CSR_FAMILY_BUILDERS
+from repro.graphs import CSR_FAMILY_BUILDERS, csr_random_connected_gnm
 from repro.graphs.csr import CSRGraph
 from repro.obs.trace import Span
 
@@ -122,7 +123,7 @@ def test_family_sweep_matches_stoer_wagner_exactly(family, n):
 )
 def test_sweep_covers_kernel_and_full_contraction(family, n, seed, large_kernel):
     """One sweep graph stalls with more than n/2 supernodes, so the
-    kernel Stoer-Wagner runs; another contracts to one supernode."""
+    kernel's CAPFOREST passes run; another contracts to one supernode."""
     span = Span("pack.approx_min_cut", {})
     graph = CSR_FAMILY_BUILDERS[family](n, seed)
     assert _min_cut_value(graph, span) == stoer_wagner_min_cut(graph)[0]
@@ -141,3 +142,60 @@ def test_zero_weight_bridge_gives_zero():
         np.array([4, 4, 4, 0, 4, 4, 4], dtype=float),
     )
     assert _min_cut_value(graph) == 0.0 == stoer_wagner_min_cut(graph)[0]
+
+
+@pytest.mark.parametrize("n,kernel_n", [(256, 256), (512, 510)])
+def test_unit_weight_gnm_kernels_match_both_references(n, kernel_n):
+    """Unit-weight gnm with m = 4n stalls the Padberg-Rinaldi passes at
+    once, so nearly the whole graph is left to the CAPFOREST passes."""
+    graph = csr_random_connected_gnm(n, 4 * n, seed=1, weight_high=1)
+    span = Span("pack.approx_min_cut", {})
+    value = _min_cut_value(graph, span)
+    assert span.attrs["kernel_n"] == kernel_n
+    assert span.attrs["capforest_passes"] >= 1
+    assert value == csr_stoer_wagner(graph)[0]
+    assert value == _networkx_value(graph)
+
+
+def test_zero_weight_bridge_inside_a_stalled_kernel():
+    """Two unit-weight gnm graphs joined by one zero-weight edge: the
+    Padberg-Rinaldi passes stall on all 64 nodes, and the CAPFOREST
+    passes must find the zero cut that no degree shows."""
+    n = 32
+    left = csr_random_connected_gnm(n, 4 * n, seed=1, weight_high=1)
+    right = csr_random_connected_gnm(n, 4 * n, seed=2, weight_high=1)
+    graph = CSRGraph(
+        2 * n,
+        np.concatenate([left.edge_u, right.edge_u + n, [n - 1]]),
+        np.concatenate([left.edge_v, right.edge_v + n, [n]]),
+        np.concatenate([left.edge_w, right.edge_w, [0.0]]),
+    )
+    assert graph.weighted_degrees().min() > 0
+    span = Span("pack.approx_min_cut", {})
+    assert _min_cut_value(graph, span) == 0.0 == csr_stoer_wagner(graph)[0]
+    assert span.attrs["kernel_n"] == 2 * n
+    assert span.attrs["capforest_passes"] >= 1
+
+
+def test_oracle_solves_and_sweeps_call_no_stoer_wagner(monkeypatch):
+    """The packing's λ is CAPFOREST's: no ``oracle`` solve or sweep
+    reaches either Stoer-Wagner entry point, stalled kernels included."""
+    import repro
+    from repro.baselines import stoer_wagner
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("Stoer-Wagner called")
+
+    monkeypatch.setattr(stoer_wagner, "stoer_wagner_min_cut", refuse)
+    monkeypatch.setattr(stoer_wagner, "csr_stoer_wagner", refuse)
+    stalled = CSR_FAMILY_BUILDERS["delaunay"](128, 1)
+    span = Span("pack.approx_min_cut", {})
+    _min_cut_value(stalled, span)
+    assert span.attrs["kernel_n"] > 1
+    config = repro.SolverConfig(solver="oracle", compute_congest=False)
+    repro.MinCutSolver(config).solve(stalled, seed=1)
+    batch = [
+        CSR_FAMILY_BUILDERS[family](40, 3)
+        for family in sorted(CSR_FAMILY_BUILDERS)
+    ]
+    repro.minimum_cut_many(batch + [stalled], config, seeds=1, strict=True)

@@ -227,7 +227,9 @@ class TestEdgeRanks:
     @pytest.mark.parametrize(
         "labelling", ["index", "strings", "mixed types", "tuples", "equal keys"]
     )
-    @pytest.mark.parametrize("n", [24, 100, 256])
+    @pytest.mark.parametrize(
+        "n", [9, 10, 11, 24, 99, 100, 101, 256, 999, 1001]
+    )
     def test_matches_per_edge_keys(self, labelling, n):
         import numpy as np
 
@@ -247,6 +249,8 @@ class TestEdgeRanks:
                 "tuples": [(i % 7, f"x'{i}") for i in range(count)],
                 "equal keys": [_Grouped(i) for i in range(count)],
             }[labelling]
-            got = _edge_ranks(labels, graph.edge_u, graph.edge_v)
+            # Index labels are an unlabelled graph's (``nodes is None``).
+            nodes = None if labelling == "index" else labels
+            got = _edge_ranks(nodes, graph.edge_u, graph.edge_v)
             want = self._per_edge(labels, graph.edge_u, graph.edge_v)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), family
