@@ -101,7 +101,11 @@ and µs per phase from its ``pack.boruvka`` spans (one per greedy
 iteration; the approximate min-cut is outside them).  The first packed trees must equal
 ``scipy.sparse.csgraph.minimum_spanning_tree`` on 1-based (load,
 ``str(edge_key)``) rank weights, iteration by iteration, or the run
-fails.
+fails.  Its ``sweep_16`` case packs one sweep-size batch with
+``pack_trees_many`` (16 graphs, every family twice, n 24-48) and
+reports the median ms per call in the ``pack.contract``,
+``pack.approx_min_cut``, ``pack.sampling`` and ``pack.boruvka`` spans
+and in the rest of the call (report-only, no check).
 
 The ``forest_scale`` section times the stacked BFS/Euler forest build
 alone (``stacked_tree_arrays``) on the packed trees of gnm m=4n graphs
@@ -202,6 +206,12 @@ ORACLE_STACK_SEED = 1
 PACK_SCALE_NS = (256, 512, 1024, 4096)
 PACK_SCALE_SEED = 1
 PACK_SCALE_CHECKED_TREES = 3
+#: the packing scale row's sweep-size case: one pack_trees_many batch of
+#: these many graphs, every family alike, n spread over this range.
+PACK_SWEEP_GRAPHS = 16
+PACK_SWEEP_NS = (24, 48)
+#: the spans of one packing call, in call order.
+PACK_SPANS = ("pack.contract", "pack.approx_min_cut", "pack.sampling", "pack.boruvka")
 #: the oracle scale row: full oracle solves of gnm m=4n at these sizes.
 FOREST_SCALE_NS = (256, 1024, 4096)
 FOREST_SCALE_SEED = 1
@@ -920,7 +930,62 @@ def run_pack_scale_bench(repeats: int) -> dict:
             f"identical={identical}"
         )
     rows["identical"] = all(row["identical"] for row in rows.values())
+    rows["sweep_16"] = _pack_sweep_row(repeats)
     return rows
+
+
+def _pack_sweep_row(repeats: int) -> dict:
+    """One sweep-size ``pack_trees_many`` batch (16 graphs, every family
+    twice, n 24-48): median ms per call in each packing span and in the
+    rest of the call.  Report-only."""
+    from repro.core.tree_packing import pack_trees_many
+    from repro.graphs import CSR_FAMILY_BUILDERS
+    from repro.obs import trace
+
+    families = sorted(CSR_FAMILY_BUILDERS)
+    low, high = PACK_SWEEP_NS
+    graphs = [
+        CSR_FAMILY_BUILDERS[families[i % len(families)]](
+            low + (high - low) * i // (PACK_SWEEP_GRAPHS - 1), PACK_SCALE_SEED + i
+        )
+        for i in range(PACK_SWEEP_GRAPHS)
+    ]
+    seeds = list(range(PACK_SCALE_SEED, PACK_SCALE_SEED + PACK_SWEEP_GRAPHS))
+
+    def traced_batch():
+        with trace.tracing():
+            mark = trace.mark()
+            start = time.perf_counter()
+            pack_trees_many(graphs, seeds)
+            total_s = time.perf_counter() - start
+            records = trace.records_since(mark)
+        spans = {
+            name: sum(r.seconds for r in records if r.name == name)
+            for name in PACK_SPANS
+        }
+        return total_s, spans
+
+    traced_batch()  # warm-up
+    runs = [traced_batch() for _ in range(max(repeats, 5))]
+    row = {
+        "graphs": PACK_SWEEP_GRAPHS, "n": list(PACK_SWEEP_NS),
+        "seed": PACK_SCALE_SEED,
+        "call_ms": round(1e3 * statistics.median(run[0] for run in runs), 3),
+    }
+    for name in PACK_SPANS:
+        row[f"{name}_ms"] = round(
+            1e3 * statistics.median(run[1][name] for run in runs), 3
+        )
+    row["rest_ms"] = round(
+        1e3 * statistics.median(run[0] - sum(run[1].values()) for run in runs), 3
+    )
+    print(
+        f"  sweep {PACK_SWEEP_GRAPHS} graphs n={low}-{high}  call "
+        f"{row['call_ms']:.3f} ms  "
+        + "  ".join(f"{name} {row[f'{name}_ms']:.3f}" for name in PACK_SPANS)
+        + f"  rest {row['rest_ms']:.3f} ms"
+    )
+    return row
 
 
 def run_forest_scale_bench(repeats: int) -> dict:

@@ -32,14 +32,21 @@ bit, while on non-integral weights the two may differ by rounding only
 One implementation: :func:`pack_trees_many` packs any number of CSR graphs
 over one concatenated edge table, and :func:`pack_trees` is a batch of one
 (a networkx input is converted with :meth:`CSRGraph.from_networkx` on the
-way in).  Every greedy iteration runs Boruvka's contraction sequence as
-array passes (:func:`~repro.ma.compiled.compiled_boruvka_rows`, which
-contracts each phase's winners by jumping their pointer graph) with the
-deterministic ``(cost, str(edge_key))`` tie-break and one
-Minor-Aggregation round charged per phase; the edge table is put in
-``str(edge_key)`` order once per call, so each iteration sorts by cost
-alone.  The sampling regime draws one binomial over the canonical CSR
-edge order.  A networkx graph and its CSR
+way in).  The table is laid out graph-major, each graph's rows in its
+``str(edge_key)`` order, and a row's position is its Boruvka tie rank.
+Every greedy iteration is one call of
+:func:`~repro.ma.compiled.compiled_boruvka_rows` (Boruvka's contraction
+sequence as array passes, contracting each phase's winners by jumping
+their pointer graph, with the deterministic ``(cost, str(edge_key))``
+tie-break and one Minor-Aggregation round per phase) and one load
+increment; nothing else runs per graph between calls.  After the loop a
+few array passes group every tree's rows graph by graph (an
+index-labelled graph's rows already come in canonical order, a labelled
+graph's are re-sorted), drop repeated trees exactly (a fingerprint finds
+the candidates, row equality confirms them), and charge each iteration's
+phases.  The sampling regime draws one binomial over the canonical CSR
+edge order, and one connectivity pass checks every graph's draw.  A
+networkx graph and its CSR
 conversion therefore pack identical trees with identical ledgers.  A
 packing stores its trees only as node-index edge arrays plus the graph's
 node labels; a tree's adjacency is derived when it is rooted
@@ -130,6 +137,40 @@ class ManyPacking:
     accountants: list[RoundAccountant]
 
 
+def _index_node_rank(count: int) -> np.ndarray:
+    """The rank of every index label ``0 .. count - 1`` in ``str``
+    order.  A decimal string sorts by its digits padded with zeros to a
+    common width, the shorter string first among equal paddings; the
+    order of any ``0 .. n - 1`` is this one restricted."""
+    index = np.arange(count, dtype=np.int64)
+    width = len(str(count - 1))
+    digits = 1 + np.searchsorted(
+        10 ** np.arange(1, width, dtype=np.int64), index, side="right"
+    )
+    padded = index * 10 ** (width - digits)
+    node_rank = np.empty(count, dtype=np.int64)
+    node_rank[np.lexsort((digits, padded))] = index
+    return node_rank
+
+
+def _canonical_order(
+    node_rank: np.ndarray,
+    eu: np.ndarray,
+    ev: np.ndarray,
+    block: "np.ndarray | None" = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``(eu, ev)`` in canonical order -- by the node ranks of
+    their ``edge_key`` ends, within each ``block`` when given -- and the
+    ends ``(first, second)`` as ``edge_key`` orders them."""
+    swap = node_rank[eu] > node_rank[ev]
+    first = np.where(swap, ev, eu)
+    second = np.where(swap, eu, ev)
+    keys = (node_rank[second], node_rank[first])
+    if block is not None:
+        keys += (block,)
+    return np.lexsort(keys), first, second
+
+
 def _edge_ranks(
     nodes: "list | None", eu: np.ndarray, ev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,20 +185,13 @@ def _edge_ranks(
     and one ``repr`` per node give every row's key by array operations.
     Index labels need no strings at all: ``,`` and ``)`` sort below
     every digit, so ``str(edge_key(u, v))`` sorts like
-    ``(str(u), str(v))`` -- the canonical order -- and a decimal string
-    sorts by its digits padded with zeros to a common width, the shorter
-    string first among equal paddings.
+    ``(str(u), str(v))`` -- the canonical order
+    (:func:`_index_node_rank`).
     """
     if nodes is None:
-        count = int(max(eu.max(initial=0), ev.max(initial=0))) + 1
-        index = np.arange(count, dtype=np.int64)
-        width = len(str(count - 1))
-        digits = 1 + np.searchsorted(
-            10 ** np.arange(1, width, dtype=np.int64), index, side="right"
+        node_rank = _index_node_rank(
+            int(max(eu.max(initial=0), ev.max(initial=0))) + 1
         )
-        padded = index * 10 ** (width - digits)
-        node_rank = np.empty(count, dtype=np.int64)
-        node_rank[np.lexsort((digits, padded))] = index
     else:
         count = len(nodes)
         keys = [_node_sort_key(label) for label in nodes]
@@ -169,12 +203,10 @@ def _edge_ranks(
             if keys[node] != previous:
                 rank, previous = rank + 1, keys[node]
             node_rank[node] = rank
-    swap = node_rank[eu] > node_rank[ev]
-    first = np.where(swap, ev, eu)
-    second = np.where(swap, eu, ev)
+    by_edge, first, second = _canonical_order(node_rank, eu, ev)
     rows = np.arange(len(eu), dtype=np.int64)
     canon_rank = np.empty(len(eu), dtype=np.int64)
-    canon_rank[np.lexsort((node_rank[second], node_rank[first]))] = rows
+    canon_rank[by_edge] = rows
     if nodes is None:
         return canon_rank, canon_rank
     reprs = np.array([repr(label) for label in nodes], dtype=np.str_)
@@ -477,34 +509,134 @@ def _contract_many(graphs: "list[CSRGraph]") -> "list[Contracted]":
     return results
 
 
-def _packing_graph(
-    graph: CSRGraph,
-    rng: random.Random,
-    acct: RoundAccountant,
-    approx_cut_value: float,
-) -> "tuple[CSRGraph | EdgeSample, bool, float | None]":
-    """The regime (B) sample of one graph: ``(edge table to pack,
+def _connected_blocks(
+    sizes: "list[int]", samples: "list[EdgeSample]"
+) -> np.ndarray:
+    """Whether each sample connects its graph's ``sizes[i]`` nodes: one
+    :func:`~repro.graphs.csr.merge_components` call over the samples'
+    tables, node blocks side by side."""
+    start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    shift = np.repeat(start[:-1], [len(s.edge_u) for s in samples])
+    labels = merge_components(
+        np.arange(start[-1], dtype=np.int64),
+        np.concatenate([s.edge_u for s in samples]) + shift,
+        np.concatenate([s.edge_v for s in samples]) + shift,
+    )
+    # Labels are each component's least node, never below the block's
+    # first: a block is connected when none lies above it.
+    return np.maximum.reduceat(labels, start[:-1]) == start[:-1]
+
+
+def _packing_tables(
+    graphs: "list[CSRGraph]",
+    seeds: "list[int]",
+    accts: "list[RoundAccountant]",
+    approx_values: "list[float]",
+) -> "list[tuple[CSRGraph | EdgeSample, bool, float | None]]":
+    """The regime (B) sample of every graph: ``(edge table to pack,
     sampled, sampling probability)``; the table is the graph itself when
-    it is not sampled."""
-    n = graph.n
-    # Regime (B): sample down to a Θ(log n) min-cut when lambda is large.
-    target = 24.0 * max(1.0, math.log(n))
-    if approx_cut_value <= 2 * target:
-        return graph, False, None
-    table, sampled = graph, False
-    with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
-        probability = min(1.0, target / approx_cut_value)
+    it is not sampled.
+
+    A graph with a large min-cut draws from its own ``Random(seed)``
+    stream until a sample is connected (at most six draws, doubling the
+    probability after each disconnected one).  Each round of draws is
+    checked by one :func:`_connected_blocks` call, and only the graphs
+    whose sample came out disconnected draw again.
+    """
+    tables: list = [(graph, False, None) for graph in graphs]
+    probability: dict = {}
+    for g, graph in enumerate(graphs):
+        # Regime (B): sample down to a Θ(log n) min-cut when lambda is large.
+        target = 24.0 * max(1.0, math.log(graph.n))
+        if approx_values[g] > 2 * target:
+            probability[g] = min(1.0, target / approx_values[g])
+    if not probability:
+        return tables
+    pending = list(probability)
+    with obs_trace.span(
+        "pack.sampling", graphs=len(pending), acct="packing:sampling"
+    ):
+        rngs = {g: random.Random(seeds[g]) for g in pending}
         for _attempt in range(6):
-            candidate = _sample_multiplicities_csr(graph, probability, rng)
-            labels = merge_components(
-                np.arange(n, dtype=np.int64), candidate.edge_u, candidate.edge_v
-            )
-            if not labels.any():  # every node in node 0's component
-                table, sampled = candidate, True
+            samples = [
+                _sample_multiplicities_csr(graphs[g], probability[g], rngs[g])
+                for g in pending
+            ]
+            connected = _connected_blocks(
+                [graphs[g].n for g in pending], samples
+            ).tolist()
+            retry = []
+            for g, sample, ok in zip(pending, samples, connected):
+                if ok:
+                    tables[g] = (sample, True, probability[g])
+                else:
+                    probability[g] = min(1.0, 2 * probability[g])
+                    retry.append(g)
+            pending = retry
+            if not pending:
                 break
-            probability = min(1.0, 2 * probability)
-    acct.charge(1, "packing:sampling")
-    return table, sampled, probability
+        for g in pending:
+            tables[g] = (graphs[g], False, probability[g])
+    for g in probability:
+        accts[g].charge(1, "packing:sampling")
+    return tables
+
+
+def _row_hash(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit mix of each row index; a tree's fingerprint is the
+    wrapping sum over its rows."""
+    mixed = rows.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(29)
+    return mixed
+
+
+def _duplicate_trees(
+    rows: np.ndarray, start: np.ndarray, length: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Which trees repeat an earlier tree of the same graph.
+
+    Tree ``t`` is ``rows[start[t]:start[t] + length[t]]`` (canonical row
+    order, so equal edge sets have equal bytes) of graph ``owner[t]``,
+    the trees listed graph by graph in packing order.  A fingerprint
+    groups the candidates; each later member of a group is compared
+    with the group's first, and only one that differs from it (a
+    fingerprint collision) is compared byte by byte with every earlier
+    member.
+    """
+    count = len(start)
+    fingerprint = np.zeros(count, dtype=np.uint64)
+    filled = length > 0
+    if filled.any():
+        fingerprint[filled] = np.add.reduceat(_row_hash(rows), start[filled])
+    # lexsort is stable: a group's first entry is its earliest tree.
+    group = np.lexsort((fingerprint, length, owner))
+    first = np.zeros(count, dtype=bool)
+    first[:1] = True
+    for key in (owner, length, fingerprint):
+        ordered = key[group]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    head = np.empty(count, dtype=np.int64)
+    head[group] = group[
+        np.maximum.accumulate(np.where(first, np.arange(count), 0))
+    ]
+    duplicate = head != np.arange(count)
+    candidate = np.flatnonzero(duplicate)
+    size = length[candidate]
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    differs = rows[np.repeat(start[candidate], size) + offset] != rows[
+        np.repeat(start[head[candidate]], size) + offset
+    ]
+    mismatched = np.bincount(
+        np.repeat(np.arange(len(candidate)), size), differs, len(candidate)
+    )
+    for t in candidate[mismatched > 0].tolist():
+        tree = rows[start[t]:start[t] + length[t]].tobytes()
+        duplicate[t] = any(
+            rows[start[e]:start[e] + length[e]].tobytes() == tree
+            for e in np.flatnonzero(head[:t] == head[t]).tolist()
+        )
+    return duplicate
 
 
 def pack_trees_many(
@@ -521,9 +653,13 @@ def pack_trees_many(
     ranks) draws from the graph's own ``Random(seed)`` stream, and the
     greedy Boruvka iterations run over one concatenated edge table where
     every decision -- cost ties via the ``(cost, str)`` edge order,
-    winner selection per component, phase/charge bookkeeping,
-    duplicate-tree dedup -- compares edges of one graph only.  A sweep
-    therefore packs each graph exactly as ``pack_trees(graph, seed)``.
+    winner selection per component, phase counts, duplicate-tree dedup
+    -- compares edges of one graph only.  A sweep therefore packs each
+    graph exactly as ``pack_trees(graph, seed)``.
+
+    A greedy iteration is one :func:`compiled_boruvka_rows` call and one
+    ``uses`` increment; the trees, their dedup and the ``packing:boruvka``
+    charges are read off the recorded rows and phases after the loop.
     """
     if not graphs:
         return ManyPacking(packings=[], accountants=[])
@@ -556,97 +692,138 @@ def pack_trees_many(
         # The distributed stand-in: Õ(1) Minor-Aggregation rounds [GH16].
         accts[g].charge(log2ceil(n) ** 2, "packing:approx-min-cut")
 
-    states: list[dict] = []
-    for graph, seed, acct, approx in zip(graphs, seeds, accts, approx_values):
-        n = graph.n
-        table, sampled, probability = _packing_graph(
-            graph, random.Random(seed), acct, approx
-        )
-        eu, ev = table.edge_u, table.edge_v
-        str_rank, canon_rank = _edge_ranks(graph.nodes, eu, ev)
-        states.append(
-            dict(
-                n=n,
-                count=num_trees if num_trees is not None else default_tree_count(n),
-                eu=eu, ev=ev, mult=np.maximum(table.edge_w, 1e-12),
-                str_rank=str_rank, canon_rank=canon_rank,
-                approx=approx, sampled=sampled, probability=probability,
-                tree_edges=[], seen=set(), duplicates=0,
-            )
-        )
-
-    # Concatenated edge table (per-graph node blocks never interact: a
-    # component can only ever contain nodes of one graph), put once in
-    # tie-rank order so every Boruvka call sorts by cost alone; rows of
-    # different graphs may interleave, as no supernode ever compares them.
+    tables = _packing_tables(graphs, seeds, accts, approx_values)
+    sizes = np.array([len(table.edge_u) for table, _s, _p in tables])
     node_off = np.zeros(count_of + 1, dtype=np.int64)
     edge_off = np.zeros(count_of + 1, dtype=np.int64)
-    for i, st in enumerate(states):
-        node_off[i + 1] = node_off[i] + st["n"]
-        edge_off[i + 1] = edge_off[i] + len(st["eu"])
-    sizes = np.diff(edge_off)
-    all_rank = np.concatenate([st["str_rank"] for st in states])
-    order = np.argsort(all_rank, kind="stable")
-    shift = np.repeat(node_off[:-1], sizes)
-    all_eu = (np.concatenate([st["eu"] for st in states]) + shift)[order]
-    all_ev = (np.concatenate([st["ev"] for st in states]) + shift)[order]
-    all_mult = np.concatenate([st["mult"] for st in states])[order]
-    all_rank = all_rank[order]
-    # Graph-major canonical order over the whole table.
-    all_canon = (
-        np.concatenate([st["canon_rank"] for st in states])
-        + np.repeat(edge_off[:-1], sizes)
-    )[order]
-    gid = np.repeat(np.arange(count_of), sizes)[order]
-    uses = np.zeros(len(all_eu), dtype=np.int64)
-    counts = np.array([st["count"] for st in states], dtype=np.int64)
-    phase_caps = np.array(
-        [log2ceil(st["n"]) + 1 for st in states], dtype=np.int64
-    )
+    np.cumsum([graph.n for graph in graphs], out=node_off[1:])
+    np.cumsum(sizes, out=edge_off[1:])
+    total = int(edge_off[-1])
+    gid = np.repeat(np.arange(count_of), sizes)
+    eu = np.concatenate([table.edge_u for table, _s, _p in tables])
+    ev = np.concatenate([table.edge_v for table, _s, _p in tables])
+    mult = np.concatenate([table.edge_w for table, _s, _p in tables])
 
-    for iteration in range(int(counts.max(initial=0))):
+    # The concatenated table, graph-major and in each graph's tie-rank
+    # (``str(edge_key)``) order: position ``p`` holds row ``order[p]``,
+    # and the position itself is the tie rank every Boruvka call sorts
+    # by (stably, so the sort is linear).  Index labels tie-rank in
+    # canonical order, which one lexsort finds for all such graphs; a
+    # labelled graph's ranks come from its labels, and ``canon`` keeps
+    # each position's canonical position for its trees' insertion order.
+    order = np.arange(total, dtype=np.int64)
+    canon = np.arange(total, dtype=np.int64)
+    plain = np.flatnonzero(np.repeat([g.nodes is None for g in graphs], sizes))
+    if len(plain):
+        node_rank = _index_node_rank(max(g.n for g in graphs))
+        by_edge, _first, _second = _canonical_order(
+            node_rank, eu[plain], ev[plain], gid[plain]
+        )
+        order[plain] = plain[by_edge]
+    for g, graph in enumerate(graphs):
+        if graph.nodes is not None:
+            lo, hi = int(edge_off[g]), int(edge_off[g + 1])
+            str_rank, canon_rank = _edge_ranks(graph.nodes, eu[lo:hi], ev[lo:hi])
+            order[lo + str_rank] = np.arange(lo, hi)
+            canon[lo + str_rank] = lo + canon_rank
+    local_u, local_v = eu[order], ev[order]
+    shift = node_off[gid]
+    all_eu, all_ev = local_u + shift, local_v + shift
+    all_mult = np.maximum(mult, 1e-12)[order]
+    position = np.arange(total, dtype=np.int64)
+
+    uses = np.zeros(total, dtype=np.int64)
+    counts = [
+        num_trees if num_trees is not None else default_tree_count(graph.n)
+        for graph in graphs
+    ]
+    phase_caps = np.array([log2ceil(graph.n) + 1 for graph in graphs])
+    iterations = max(0, *counts)
+    tree_rows: "list[np.ndarray]" = []
+    tree_phases: "list[list[int]]" = []
+    for iteration in range(iterations):
         with obs_trace.span(
             "pack.boruvka",
             iteration=iteration,
             graphs=count_of,
             acct="packing:boruvka",
         ):
-            active = counts > iteration
+            caps = [
+                cap if count > iteration else 0
+                for cap, count in zip(phase_caps.tolist(), counts)
+            ]
             rows, phases = compiled_boruvka_rows(
-                all_eu, all_ev, uses / all_mult, all_rank, gid,
-                np.where(active, phase_caps, 0), int(node_off[-1]),
+                all_eu, all_ev, uses / all_mult, position, gid, caps,
+                int(node_off[-1]),
             )
             uses[rows] += 1
-            # Each graph's tree rows in insertion order; that order is
-            # canonical, so equal bytes <=> equal edge sets.
-            rows = rows[np.argsort(all_canon[rows])]
-            bounds = np.searchsorted(all_canon[rows], edge_off).tolist()
-            phases = phases.tolist()
-            for g in np.flatnonzero(active).tolist():
+            tree_rows.append(rows)
+            tree_phases.append(phases.tolist())
+
+    for iteration, phases in enumerate(tree_phases):
+        for g, count in enumerate(counts):
+            if count > iteration:
                 accts[g].charge(phases[g], "packing:boruvka")
-                st = states[g]
-                tree = rows[bounds[g]:bounds[g + 1]]
-                signature = tree.tobytes()
-                if signature in st["seen"]:
-                    st["duplicates"] += 1
-                    continue
-                st["seen"].add(signature)
-                base = node_off[g]
-                st["tree_edges"].append(
-                    (all_eu[tree] - base, all_ev[tree] - base)
-                )
+
+    # Every tree's rows, graph by graph in packing order, each tree in
+    # canonical order: an index-labelled graph's positions already are
+    # canonical, and sorting an iteration's rows by canonical position
+    # keeps its graph-major blocks.
+    tree_edges: "list[list]" = [[] for _ in graphs]
+    duplicates = np.zeros(count_of, dtype=np.int64)
+    if iterations:
+        bounds = np.array([np.searchsorted(r, edge_off) for r in tree_rows])
+        if len(plain) < total:
+            tree_rows = [r[np.argsort(canon[r])] for r in tree_rows]
+        rows = np.concatenate(tree_rows)
+        # Tree (g, i) is rows[source[g, i]:][:length[g, i]]; move the
+        # trees into graph-major order with one gather.
+        length = np.diff(bounds, axis=1).T.ravel()
+        offset = np.cumsum([0] + [len(r) for r in tree_rows[:-1]])
+        source = (offset[:, None] + bounds[:, :-1]).T.ravel()
+        start = np.cumsum(length) - length
+        rows = rows[
+            np.repeat(source - start, length) + np.arange(len(rows))
+        ]
+        packed = (
+            np.arange(iterations)[None, :] < np.array(counts)[:, None]
+        ).ravel()
+        owner = np.repeat(np.arange(count_of), iterations)[packed]
+        duplicate = _duplicate_trees(
+            rows, start[packed], length[packed], owner
+        )
+        duplicates = np.bincount(owner[duplicate], minlength=count_of)
+        kept = np.zeros(count_of * iterations, dtype=bool)
+        kept[np.flatnonzero(packed)[~duplicate]] = True
+        rows = rows[np.repeat(kept, length)]
+        # A graph's trees are spanning forests of one table, so all
+        # have the same edge count: its block reshapes to one tree a row
+        # (a gather per graph, so no packing holds another graph's rows).
+        per_graph = kept.reshape(count_of, iterations).sum(axis=1)
+        edges = length.reshape(count_of, iterations)[:, 0]
+        ends = np.concatenate([[0], np.cumsum(per_graph * edges)]).tolist()
+        for g, (trees, width) in enumerate(
+            zip(per_graph.tolist(), edges.tolist())
+        ):
+            block = rows[ends[g]:ends[g + 1]]
+            tree_edges[g] = list(zip(
+                local_u[block].reshape(trees, width),
+                local_v[block].reshape(trees, width),
+            ))
 
     packings = [
         TreePacking(
-            tree_edge_arrays=st["tree_edges"],
-            sampled=st["sampled"],
-            sampling_probability=st["probability"],
-            approx_cut_value=st["approx"],
+            tree_edge_arrays=tree_edges[g],
+            sampled=sampled,
+            sampling_probability=probability,
+            approx_cut_value=approx_values[g],
             ma_rounds=accts[g].total,
-            duplicates_removed=st["duplicates"],
+            duplicates_removed=int(duplicates[g]),
             nodes=graph.nodes,
             approx_cut_computed=g in computed,
         )
-        for g, (graph, st) in enumerate(zip(graphs, states))
+        for g, (graph, (_table, sampled, probability)) in enumerate(
+            zip(graphs, tables)
+        )
     ]
     return ManyPacking(packings=packings, accountants=accts)

@@ -4,7 +4,8 @@ Finalize's winner is the first packed tree whose candidate has the least
 ``(value, len(edges))`` (:meth:`~repro.core.cut_values.CutCandidate.better_than`).
 Theorem 12 packs Θ(log n) trees so that one of them 2-respects a minimum
 cut, but the packing already knows the min-cut value λ
-(``approx_cut_value``, exact by contraction plus Stoer-Wagner).  When the
+(``approx_cut_value``, exact by Padberg-Rinaldi contraction plus
+Nagamochi-Ibaraki CAPFOREST passes on a stalled kernel).  When the
 oracle's arithmetic is exact, every candidate is the weight of a real
 cut and so at least λ, and the trees can be solved in order under a stop
 rule:

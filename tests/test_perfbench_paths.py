@@ -46,6 +46,7 @@ RUNS = {
         [
             "session.solve",
             "tree_packing.pack_trees",
+            "ma.compiled.boruvka",
             "kernel.forest.stacked_tree_arrays",
             "kernel.batched.oracle_many",
         ],
@@ -57,6 +58,7 @@ RUNS = {
         [
             "session.minimum_cut_many",
             "tree_packing.pack_trees_many",
+            "ma.compiled.boruvka",
             "kernel.forest.stacked_tree_arrays",
             "kernel.batched.oracle_many",
         ],

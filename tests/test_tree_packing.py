@@ -1,6 +1,7 @@
 """Tree packing (Theorem 12): spanning trees, the 2-respecting property,
 sampling regime, and round charging."""
 
+import math
 import random
 import warnings
 
@@ -9,13 +10,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.accounting import RoundAccountant
+from repro.accounting import CostModel, RoundAccountant
 from repro.baselines import stoer_wagner_min_cut
 from repro.baselines.stoer_wagner import csr_stoer_wagner
+from repro.core import tree_packing
 from repro.core.tree_packing import (
     _sample_multiplicities_csr,
     default_tree_count,
     pack_trees,
+    pack_trees_many,
 )
 from repro.graphs import (
     CSR_FAMILY_BUILDERS,
@@ -254,3 +257,164 @@ class TestEdgeRanks:
             got = _edge_ranks(nodes, graph.edge_u, graph.edge_v)
             want = self._per_edge(labels, graph.edge_u, graph.edge_v)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), family
+
+
+def _relabelled(graph, labels):
+    return CSRGraph(graph.n, graph.edge_u, graph.edge_v, graph.edge_w, nodes=labels)
+
+
+def _parity_batch():
+    """Index-labelled, string-labelled, non-contiguously integer-labelled,
+    mixed-type-labelled, sampled and duplicate-prone graphs, each with
+    its seed."""
+    gnm = CSR_FAMILY_BUILDERS["gnm"](30, 4)
+    grid = CSR_FAMILY_BUILDERS["grid"](25, 2)
+    heavy = CSR_FAMILY_BUILDERS["expander"](28, 5)
+    graphs = [
+        gnm,
+        CSR_FAMILY_BUILDERS["delaunay"](40, 1),
+        _relabelled(grid, [f"v{(11 * v) % grid.n}" for v in range(grid.n)]),
+        _relabelled(gnm, [(7 * v) % 1000 + 3 for v in range(gnm.n)]),
+        heavy.with_weights(heavy.edge_w * 5000),
+        CSR_FAMILY_BUILDERS["cycle"](24, 3),
+        CSR_FAMILY_BUILDERS["tree-chords"](24, 3),
+        _relabelled(
+            CSR_FAMILY_BUILDERS["cycle"](33, 2),
+            [f"c{(5 * v) % 33}" for v in range(33)],
+        ),
+        CSR_FAMILY_BUILDERS["barbell"](36, 6),
+        # Mixed types: ``str(edge_key)`` order is not the canonical order.
+        _relabelled(
+            CSR_FAMILY_BUILDERS["tree-chords"](30, 4),
+            [v if v % 3 else f"s{v}" for v in range(30)],
+        ),
+    ]
+    return graphs, [3 * g + 1 for g in range(len(graphs))]
+
+
+def _accountant():
+    accountant = RoundAccountant(CostModel(scale=0.1))
+    accountant.charge(3, "prior")
+    return accountant
+
+
+def _assert_canonical(packing):
+    """Each tree lists its edges in canonical order: by the sort keys of
+    their ``edge_key`` ends, in label space."""
+    from repro.trees.rooted import _node_sort_key, edge_key
+
+    for tree in packing.trees:
+        keys = [tuple(map(_node_sort_key, edge_key(u, v))) for u, v in tree]
+        assert keys == sorted(keys)
+
+
+def _packing_bytes(packing):
+    return [
+        (eu.tobytes(), eu.dtype, ev.tobytes(), ev.dtype)
+        for eu, ev in packing.tree_edge_arrays
+    ]
+
+
+class TestBatchParity:
+    """A mixed batch packs every graph exactly as ``pack_trees`` packs it
+    alone: trees (bytes and dtype), dedup, regime and the whole ledger,
+    on a scaled cost model over a prior charge."""
+
+    @staticmethod
+    def _assert_alone(graphs, seeds, many, num_trees=None, approx=None):
+        approx = approx or [None] * len(graphs)
+        for graph, seed, packing, acct, cut in zip(
+            graphs, seeds, many.packings, many.accountants, approx
+        ):
+            alone_acct = _accountant()
+            alone = pack_trees(
+                graph, seed=seed, num_trees=num_trees,
+                accountant=alone_acct, approx_cut_value=cut,
+            )
+            assert _packing_bytes(packing) == _packing_bytes(alone)
+            assert packing.duplicates_removed == alone.duplicates_removed
+            assert packing.sampled == alone.sampled
+            assert packing.sampling_probability == alone.sampling_probability
+            assert packing.ma_rounds == alone.ma_rounds
+            assert acct.by_label() == alone_acct.by_label()
+            assert acct.total == alone_acct.total
+
+    @pytest.mark.parametrize("num_trees", [None, 5])
+    def test_mixed_batch_matches_each_graph_alone(self, num_trees):
+        graphs, seeds = _parity_batch()
+        many = pack_trees_many(
+            graphs, seeds, num_trees=num_trees,
+            accountants=[_accountant() for _ in graphs],
+        )
+        packings = many.packings
+        assert packings[4].sampled
+        assert any(p.nodes is not None for p in packings)
+        if num_trees is None:
+            assert packings[5].duplicates_removed > 0
+        else:
+            assert all(len(p.tree_edge_arrays) <= 5 for p in packings)
+        for packing in packings:
+            _assert_canonical(packing)
+        self._assert_alone(graphs, seeds, many, num_trees)
+
+    def test_boruvka_charges_follow_each_iteration(self):
+        """``packing:boruvka`` is charged one iteration at a time (under
+        ``scale=0.1`` a graph's summed phases round differently)."""
+        graphs, seeds = _parity_batch()
+        calls = []
+        kernel = tree_packing.compiled_boruvka_rows
+
+        def spy(*args):
+            rows, phases = kernel(*args)
+            calls.append((list(args[5]), phases.tolist()))
+            return rows, phases
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_packing, "compiled_boruvka_rows", spy)
+            many = pack_trees_many(
+                graphs, seeds, accountants=[_accountant() for _ in graphs]
+            )
+        for g, acct in enumerate(many.accountants):
+            reference = _accountant()
+            for caps, phases in calls:
+                if caps[g]:
+                    reference.charge(phases[g], "packing:boruvka")
+            assert (
+                acct.by_label()["packing:boruvka"]
+                == reference.by_label()["packing:boruvka"]
+            )
+
+    def test_fingerprint_collisions_keep_exact_dedup(self, monkeypatch):
+        """With every fingerprint equal, each tree is compared row by row
+        and the packings stay the same."""
+        graphs, seeds = _parity_batch()
+        want = pack_trees_many(graphs, seeds)
+        monkeypatch.setattr(
+            tree_packing, "_row_hash",
+            lambda rows: np.zeros(len(rows), dtype=np.uint64),
+        )
+        got = pack_trees_many(graphs, seeds)
+        for a, b in zip(got.packings, want.packings):
+            assert _packing_bytes(a) == _packing_bytes(b)
+            assert a.duplicates_removed == b.duplicates_removed
+
+    def test_disconnected_first_samples_retry_alone(self):
+        """A given λ far above the real one makes the first samples
+        disconnected: those graphs draw again from their own streams, and
+        each packing equals its graph's alone."""
+        graphs = [
+            CSR_FAMILY_BUILDERS[family](30, 2)
+            for family in ("gnm", "grid", "cycle", "expander")
+        ]
+        # Unit multiplicities; the sixth draw (probability 1) is the graph.
+        graphs[:3] = [g.with_weights(np.ones(g.m)) for g in graphs[:3]]
+        seeds = [5, 6, 7, 8]
+        approx = [2000.0, 2000.0, 2000.0, None]
+        first = 24.0 * math.log(30) / 2000.0
+        many = pack_trees_many(
+            graphs, seeds, approx_cut_values=approx,
+            accountants=[_accountant() for _ in graphs],
+        )
+        assert all(p.sampled for p in many.packings[:3])
+        assert all(p.sampling_probability > first for p in many.packings[:3])
+        self._assert_alone(graphs, seeds, many, approx=approx)
