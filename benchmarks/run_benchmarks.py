@@ -39,9 +39,9 @@ mixed batch must equal looped ``minimum_cut`` calls.
 
 The ``profile`` section (PR 7) records the per-phase breakdown of one
 traced end-to-end oracle solve (seconds + peak bytes + paper-rounds per
-phase), and the ``trace_overhead`` section proves the disabled-mode
-instrumentation overhead stays under 2% on the E10 and serving-tier
-workloads (same measurement as ``scripts/check_trace_overhead.py``;
+phase), and the ``trace_overhead`` section proves the instrumentation
+overhead with tracing off (disabled spans, always-on metrics) stays
+under 2% on the E10, serving-tier and minor-aggregation workloads (same measurement as ``scripts/check_trace_overhead.py``;
 enforced with ``--check``).
 
 The ``serve`` section (PR 8) pushes the same 50-graph sweep workload
@@ -1543,9 +1543,10 @@ def run_profile_bench() -> dict:
 
 
 def run_trace_overhead_bench(repeats: int) -> dict:
-    """Disabled-mode instrumentation overhead (the PR 7 acceptance row,
-    measured on every gate workload: E10, the serving tier and the
-    minor-aggregation solver)."""
+    """Instrumentation overhead with tracing off -- disabled spans plus
+    the always-on metrics (the PR 7 acceptance row, measured on every
+    gate workload: E10, the serving tier and the minor-aggregation
+    solver)."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
     from check_trace_overhead import WORKLOADS, measure_trace_overhead
 
@@ -1556,7 +1557,7 @@ def run_trace_overhead_bench(repeats: int) -> dict:
             row["implied_overhead_fraction"] <= row["budget_fraction"]
         )
         print(
-            f"  disabled tracing ({workload:<5})     "
+            f"  tracing off ({workload:<5})          "
             f"{row['span_calls']} spans @ {row['span_call_cost_ns']:.0f} ns, "
             f"{row['metric_ops']} metric ops @ {row['metric_op_cost_ns']:.0f} ns"
             f"  -> {row['implied_overhead_fraction']:.4%} of "

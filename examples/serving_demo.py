@@ -11,9 +11,9 @@ Starts an in-process :class:`repro.serve.MinCutService` (the same engine
   byte-budgeted packing cache: Theorem 12 is skipped, the 2-respecting
   oracle re-runs on the cached packing.
 
-The serving metrics are then read back out of the ``repro.obs`` metrics
-snapshot -- batch sizes, packing-cache hit rate and bytes, latency --
-and every served result is checked bit-identical to a direct
+The serving metrics are then read back out of the service's own
+``repro.obs`` registry (``service.metrics``, always on) -- batch sizes,
+packing-cache hit rate and bytes, latency -- and every served result is checked bit-identical to a direct
 ``repro.minimum_cut`` call before anything is reported.
 
 Run:  python examples/serving_demo.py
@@ -24,8 +24,6 @@ import time
 
 import repro
 from repro.graphs import csr_random_connected_gnm
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.serve import MinCutService, ServeConfig
 
 REQUESTS = 60
@@ -34,47 +32,41 @@ N = 24
 
 
 async def demo() -> None:
-    # The service mirrors its instruments into repro.obs whenever tracing
-    # is on -- turn it on so the snapshot at the bottom has data.
-    obs_trace.clear()
-    obs_metrics.reset()
-    with obs_trace.tracing():
-        uniques = [
-            (csr_random_connected_gnm(N, int(2.5 * N), seed=s), s)
-            for s in range(DISTINCT)
-        ]
-        repeats = [uniques[i % DISTINCT] for i in range(REQUESTS - DISTINCT)]
+    uniques = [
+        (csr_random_connected_gnm(N, int(2.5 * N), seed=s), s)
+        for s in range(DISTINCT)
+    ]
+    repeats = [uniques[i % DISTINCT] for i in range(REQUESTS - DISTINCT)]
 
-        serve = ServeConfig(batch_ms=2.0, result_cache_size=0)
-        async with MinCutService(serve=serve) as service:
-            start = time.perf_counter()
-            cold = await asyncio.gather(
-                *(service.submit(g, seed=s) for g, s in uniques)
-            )
-            cold_seconds = time.perf_counter() - start
+    serve = ServeConfig(batch_ms=2.0, result_cache_size=0)
+    async with MinCutService(serve=serve) as service:
+        start = time.perf_counter()
+        cold = await asyncio.gather(
+            *(service.submit(g, seed=s) for g, s in uniques)
+        )
+        cold_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            warm = await asyncio.gather(
-                *(service.submit(g, seed=s) for g, s in repeats)
-            )
-            warm_seconds = time.perf_counter() - start
-            stats = service.stats()
+        start = time.perf_counter()
+        warm = await asyncio.gather(
+            *(service.submit(g, seed=s) for g, s in repeats)
+        )
+        warm_seconds = time.perf_counter() - start
+        stats = service.stats()
+        # Every serving-tier count lives in the service's registry.
+        metrics = service.metrics.snapshot(prefix="serve.")
 
-        for (graph, seed), result in zip(uniques + repeats, cold + warm):
-            direct = repro.minimum_cut(
-                graph, seed=seed, solver="oracle", compute_congest=False
-            )
-            assert result.value == direct.value
-            assert result.partition == direct.partition
-            assert result.stats["accountant"] == direct.stats["accountant"]
-
-        metrics = obs_metrics.snapshot()
-    obs_trace.clear()
+    for (graph, seed), result in zip(uniques + repeats, cold + warm):
+        direct = repro.minimum_cut(
+            graph, seed=seed, solver="oracle", compute_congest=False
+        )
+        assert result.value == direct.value
+        assert result.partition == direct.partition
+        assert result.stats["accountant"] == direct.stats["accountant"]
 
     counters = metrics["counters"]
     batch_sizes = metrics["histograms"]["serve.batch_size"]
-    cache_hits = counters.get("serve.cache.hits", 0)
-    cache_lookups = cache_hits + counters.get("serve.cache.misses", 0)
+    cache_hits = counters["serve.cache.hits"]
+    cache_lookups = cache_hits + counters["serve.cache.misses"]
 
     print(f"serving demo: {REQUESTS} requests over {DISTINCT} distinct "
           f"gnm(n={N}) graphs, batch window {serve.batch_ms}ms")
@@ -85,9 +77,9 @@ async def demo() -> None:
           f"{warm_seconds:.3f}s ({len(warm) / warm_seconds:,.0f} qps), "
           f"{stats['warm_solves']} solved from cached packings")
     print("  packing cache        : "
-          f"{cache_hits:.0f}/{cache_lookups:.0f} hits "
+          f"{cache_hits}/{cache_lookups} hits "
           f"(hit rate {cache_hits / cache_lookups:.0%}, "
-          f"{counters.get('serve.cache.hit_bytes', 0):,.0f} B served warm)")
+          f"{counters['serve.cache.hit_bytes']:,} B served warm)")
     print(f"  in-flight dedup      : {stats['inflight_hits']} requests "
           "coalesced onto running solves")
     print(f"  latency (service)    : p50 {stats['latency']['p50_ms']}ms  "

@@ -405,7 +405,7 @@ def cmd_loadgen(args) -> int:
             summary["chaos"] = {
                 "plan": plan.describe(),
                 "injected": server.chaos.stats(),
-                "resets": server.resets,
+                "resets": server.stats()["tcp"]["resets"],
                 "resilience": server.service.stats()["resilience"],
             }
         return summary

@@ -6,14 +6,15 @@ Three pieces, all stdlib-only and import-cycle-free:
   attributes, a bounded thread-safe buffer, NDJSON and Chrome Trace
   Event Format exporters;
 * :mod:`repro.obs.metrics` -- counters, gauges, and fixed-bucket
-  histograms behind the same on/off switch;
+  histograms, always on (the serving tier's counts live there too);
 * :mod:`repro.obs.profile` -- per-phase reports joining span seconds,
   peak array bytes, and ``RoundAccountant`` paper-rounds.
 
-Everything is gated on ``REPRO_TRACE`` (or ``SolverConfig(trace=True)``
-/ :func:`trace.tracing`): disabled, every call site degrades to a
-shared no-op and the pipeline stays bit-identical and overhead-free
-(<2%, enforced by ``scripts/check_trace_overhead.py``).
+Spans are gated on ``REPRO_TRACE`` (or ``SolverConfig(trace=True)``
+/ :func:`trace.tracing`): disabled, every span degrades to a shared
+no-op.  Either way the pipeline stays bit-identical, and the cost of
+the disabled spans plus the always-on metrics stays under 2% (enforced
+by ``scripts/check_trace_overhead.py``).
 """
 
 from repro.obs import metrics, profile, trace

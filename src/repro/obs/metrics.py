@@ -3,18 +3,24 @@
 Complement to the span tracer (:mod:`repro.obs.trace`): spans answer
 *where time went*, metrics answer *how much of what happened* -- oracle
 chunk sizes, stacked-solve scratch bytes, CONGEST physical rounds and
-retransmit counts, degradation events, sweep failure rates.
+retransmit counts, degradation events, sweep failure rates, and every
+count of the serving tier.
 
-All instruments share the tracer's on/off switch: while tracing is
-disabled every mutating call returns immediately (one function call,
-one flag read), so the instrumented pipeline stays overhead-free and
-bit-identical.  While enabled, mutations are lock-protected and safe
-under the threaded batched sweep.
+Instruments are always on: they do not read the tracer's switch (spans
+do).  A mutation is one lock-protected update, about 0.3 us, and the
+pipeline makes only a few per solve, so leaving them on costs well
+under 0.1% of a solve; ``scripts/check_trace_overhead.py`` gates it.
+The lock keeps them safe under the threaded batched sweep and the
+serve tier's worker threads.
 
->>> from repro.obs import metrics, trace
->>> with trace.tracing():
-...     metrics.counter("congest.messages").inc(3)
-...     metrics.histogram("oracle.chunk_trees", (1, 8, 64)).observe(5)
+The pipeline reports to the process-wide :data:`REGISTRY`; each
+:class:`~repro.serve.service.MinCutService` owns a registry of its own
+(``service.metrics``) that its components record into, so its
+``stats()`` are a view of that registry.
+
+>>> from repro.obs import metrics
+>>> metrics.counter("congest.messages").inc(3)
+>>> metrics.histogram("oracle.chunk_trees", (1, 8, 64)).observe(5)
 >>> metrics.snapshot()["counters"]["congest.messages"]
 3
 """
@@ -24,8 +30,6 @@ from __future__ import annotations
 import bisect
 import threading
 from typing import Sequence
-
-from repro.obs.trace import enabled
 
 __all__ = [
     "Counter",
@@ -52,12 +56,10 @@ class Counter:
 
     def __init__(self, name: str, registry: "MetricsRegistry"):
         self.name = name
-        self.value = 0.0
+        self.value = 0
         self._registry = registry
 
-    def inc(self, amount: float = 1.0) -> None:
-        if not enabled():
-            return
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         with self._registry._lock:
@@ -81,8 +83,6 @@ class Gauge:
         self._registry = registry
 
     def set(self, value: float) -> None:
-        if not enabled():
-            return
         with self._registry._lock:
             self.value = value
             self.min = value if self.min is None else min(self.min, value)
@@ -118,13 +118,11 @@ class Histogram:
         self.boundaries = cleaned
         self.counts = [0] * (len(cleaned) + 1)  # last = +inf bucket
         self.count = 0
-        self.total = 0.0
+        self.total = 0
         self.max: float | None = None
         self._registry = registry
 
     def observe(self, value: float) -> None:
-        if not enabled():
-            return
         with self._registry._lock:
             self.counts[bisect.bisect_left(self.boundaries, value)] += 1
             self.count += 1
@@ -135,6 +133,23 @@ class Histogram:
     @property
     def mean(self) -> float | None:
         return self.total / self.count if self.count else None
+
+    def percentile(self, q: float) -> float | None:
+        """Upper-edge estimate of the ``q``-quantile (``0 < q <= 1``).
+
+        The boundary of the first bucket whose running count reaches
+        ``q * count``; past the last boundary, the largest observation.
+        """
+        with self._registry._lock:
+            if not self.count:
+                return None
+            target = q * self.count
+            seen = 0
+            for edge, bucket_count in zip(self.boundaries, self.counts):
+                seen += bucket_count
+                if seen >= target:
+                    return edge
+            return self.max
 
     def as_dict(self) -> dict:
         return {
@@ -148,7 +163,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name-keyed instrument store; one process-wide instance is enough.
+    """Name-keyed instrument store: the pipeline's :data:`REGISTRY`, or
+    one serving tier's ``service.metrics``.
 
     Instruments are created on first access and keep their identity for
     the registry's lifetime, so hot paths can prebind
@@ -170,6 +186,10 @@ class MetricsRegistry:
                     name, Counter(name, self)
                 )
         return instrument
+
+    def counters(self, prefix: str, names: Sequence[str]) -> dict[str, Counter]:
+        """The counter ``prefix + name`` of each of ``names``, by name."""
+        return {name: self.counter(prefix + name) for name in names}
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)

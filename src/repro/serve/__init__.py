@@ -28,7 +28,9 @@ into a serving tier for request-at-a-time traffic:
   drops, slow reads, worker-thread crashes, clock skew) driven through
   the server, in the PR 6 :class:`~repro.faults.FaultPlan` discipline.
 
-Everything is stdlib ``asyncio`` -- no new dependencies -- and every
+Every count of the tier lives in one :mod:`repro.obs` metrics registry
+per service (``service.metrics``); each component's ``stats()`` is a view
+of it.  Everything is stdlib ``asyncio`` -- no new dependencies -- and every
 served result is bit-identical to a direct
 :func:`~repro.core.mincut.minimum_cut` call; under overload or chaos
 every request terminates with that result or a typed
@@ -53,7 +55,7 @@ from repro.serve.server import (
     graph_to_wire,
     result_to_wire,
 )
-from repro.serve.service import LatencyHistogram, MinCutService, ServeConfig
+from repro.serve.service import MinCutService, ServeConfig
 
 __all__ = [
     "AdmissionController",
@@ -63,7 +65,6 @@ __all__ = [
     "ChaosWorkerError",
     "CircuitBreaker",
     "Deadline",
-    "LatencyHistogram",
     "MinCutServer",
     "MinCutService",
     "PackingCache",

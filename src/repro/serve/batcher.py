@@ -26,6 +26,10 @@ Shutdown drains: items enqueued before *and during* the drain are
 flushed before :meth:`Batcher.stop` returns, so no pending future is
 ever stranded; a hard stop (``flush=False``) instead hands the
 unflushed remainder back to the caller.
+
+Its counts live in a :class:`~repro.obs.metrics.MetricsRegistry` (its
+service's, or a fresh one): one ``serve.batch_size`` observation per
+flush, the ``serve.queue_depth`` gauge and ``serve.batcher.flush_errors``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import asyncio
 import os
 from typing import Awaitable, Callable, Sequence
 
-from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["Batcher", "env_batch_ms"]
 
@@ -70,6 +74,7 @@ class Batcher:
         batch_ms: float | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
         on_error: "Callable[[Sequence, BaseException], Awaitable[None]] | None" = None,
+        metrics: MetricsRegistry | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
@@ -79,10 +84,12 @@ class Batcher:
         self.max_batch = int(max_batch)
         self._queue: asyncio.Queue | None = None
         self._task: asyncio.Task | None = None
-        self.batches = 0
-        self.items = 0
-        self.max_batch_seen = 0
-        self.flush_errors = 0
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._sizes = self.metrics.histogram(
+            "serve.batch_size", (1, 2, 4, 8, 16, 32, 64, 128)
+        )
+        self._depth = self.metrics.gauge("serve.queue_depth")
+        self._flush_errors = self.metrics.counter("serve.batcher.flush_errors")
 
     async def start(self) -> None:
         if self._task is not None:
@@ -125,13 +132,14 @@ class Batcher:
                 if item is not _SHUTDOWN:
                     stranded.append(item)
         self._task = None
+        self._depth.set(0)
         return stranded
 
     async def put(self, item) -> None:
         if self._queue is None:
             raise RuntimeError("batcher not started (call start() first)")
         await self._queue.put(item)
-        obs_metrics.gauge("serve.queue_depth").set(self._queue.qsize())
+        self._depth.set(self._queue.qsize())
 
     # ------------------------------------------------------------------
     async def _run(self, queue: asyncio.Queue) -> None:
@@ -167,6 +175,7 @@ class Batcher:
                         shutting_down = True
                         break
                     batch.append(item)
+            self._depth.set(queue.qsize())
             if batch:
                 await self._flush_safely(batch)
         # Drain phase: anything that raced in behind the shutdown
@@ -182,29 +191,24 @@ class Batcher:
 
     async def _flush_safely(self, batch: list) -> None:
         """One accounted flush; a raising callback is contained, not fatal."""
-        self.batches += 1
-        self.items += len(batch)
-        self.max_batch_seen = max(self.max_batch_seen, len(batch))
-        obs_metrics.histogram(
-            "serve.batch_size", (1, 2, 4, 8, 16, 32, 64, 128)
-        ).observe(len(batch))
+        self._sizes.observe(len(batch))
         try:
             await self._flush(batch)
         except asyncio.CancelledError:  # hard stop: let stop() collect
             raise
         except BaseException as exc:
-            self.flush_errors += 1
-            obs_metrics.counter("serve.batcher.flush_errors").inc()
+            self._flush_errors.inc()
             if self._on_error is not None:
                 await self._on_error(batch, exc)
 
     def stats(self) -> dict:
+        sizes = self._sizes
         return {
-            "batches": self.batches,
-            "items": self.items,
-            "max_batch_seen": self.max_batch_seen,
-            "mean_batch": (self.items / self.batches) if self.batches else None,
+            "batches": sizes.count,
+            "items": sizes.total,
+            "max_batch_seen": sizes.max or 0,
+            "mean_batch": sizes.mean,
             "batch_ms": self.batch_ms,
             "max_batch": self.max_batch,
-            "flush_errors": self.flush_errors,
+            "flush_errors": self._flush_errors.value,
         }

@@ -21,6 +21,10 @@ and the packed trees + their lazily built Euler/LCA kernels are estimated
 per node per tree.  The estimate is deliberately coarse-but-monotone --
 budget enforcement needs ordering, not byte-exact sums.
 
+Its counts and the resident-bytes gauge live under ``serve.cache.*`` in
+a :class:`~repro.obs.metrics.MetricsRegistry` (its service's, or a fresh
+one).
+
 Thread-safe: the serve worker thread mutates it while the event-loop
 thread reads ``stats()``.
 """
@@ -33,7 +37,7 @@ from collections import OrderedDict
 from typing import Hashable
 
 from repro.core.session import GraphPacking
-from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["PackingCache", "packing_nbytes", "env_cache_bytes"]
 
@@ -47,6 +51,9 @@ DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
 #: binary-lifting tables -- roughly ``8 * (6 + log2 n)`` B/node).  Coarse
 #: on purpose; see module docstring.
 TREE_NODE_BYTES = 200
+
+#: the cache's counters, under ``serve.cache.``.
+COUNTS = ("hits", "misses", "hit_bytes", "miss_bytes", "evictions", "rejected")
 
 
 def env_cache_bytes() -> int:
@@ -73,7 +80,11 @@ def packing_nbytes(packed: GraphPacking) -> int:
 class PackingCache:
     """Byte-budgeted LRU cache of :class:`GraphPacking` handles."""
 
-    def __init__(self, budget_bytes: int | None = None):
+    def __init__(
+        self,
+        budget_bytes: int | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
         budget = env_cache_bytes() if budget_bytes is None else int(budget_bytes)
         if budget < 1:
             raise ValueError("cache byte budget must be positive")
@@ -83,12 +94,9 @@ class PackingCache:
             OrderedDict()
         )
         self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.hit_bytes = 0
-        self.miss_bytes = 0
-        self.rejected = 0
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._counts = self.metrics.counters("serve.cache.", COUNTS)
+        self._bytes_gauge = self.metrics.gauge("serve.cache.bytes")
 
     # ------------------------------------------------------------------
     # Core operations
@@ -98,14 +106,11 @@ class PackingCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
-                obs_metrics.counter("serve.cache.misses").inc()
+                self._counts["misses"].inc()
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
-            self.hit_bytes += entry[1]
-            obs_metrics.counter("serve.cache.hits").inc()
-            obs_metrics.counter("serve.cache.hit_bytes").inc(entry[1])
+            self._counts["hits"].inc()
+            self._counts["hit_bytes"].inc(entry[1])
             return entry[0]
 
     def put(self, key: Hashable, packed: GraphPacking) -> int:
@@ -119,24 +124,21 @@ class PackingCache:
         nbytes = packing_nbytes(packed)
         with self._lock:
             if nbytes > self.budget_bytes:
-                self.rejected += 1
-                obs_metrics.counter("serve.cache.rejected").inc()
+                self._counts["rejected"].inc()
                 return 0
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
             self._entries[key] = (packed, nbytes)
             self._bytes += nbytes
-            self.miss_bytes += nbytes
-            obs_metrics.counter("serve.cache.miss_bytes").inc(nbytes)
+            self._counts["miss_bytes"].inc(nbytes)
             while self._bytes > self.budget_bytes:
                 _evicted_key, (_packed, evicted_bytes) = (
                     self._entries.popitem(last=False)
                 )
                 self._bytes -= evicted_bytes
-                self.evictions += 1
-                obs_metrics.counter("serve.cache.evictions").inc()
-            obs_metrics.gauge("serve.cache.bytes").set(self._bytes)
+                self._counts["evictions"].inc()
+            self._bytes_gauge.set(self._bytes)
             return nbytes
 
     def __contains__(self, key: Hashable) -> bool:
@@ -162,21 +164,23 @@ class PackingCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+            self._bytes_gauge.set(0)
 
     def stats(self) -> dict:
-        """JSON-friendly counters (mirrored into ``repro.obs`` metrics
-        under ``serve.cache.*`` whenever tracing is enabled)."""
+        """JSON-friendly view: the resident entries and bytes plus the
+        ``serve.cache.*`` counts."""
+        counts = {name: c.value for name, c in self._counts.items()}
+        lookups = counts["hits"] + counts["misses"]
         with self._lock:
-            lookups = self.hits + self.misses
             return {
                 "entries": len(self._entries),
                 "bytes": self._bytes,
                 "budget_bytes": self.budget_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": (self.hits / lookups) if lookups else None,
-                "hit_bytes": self.hit_bytes,
-                "miss_bytes": self.miss_bytes,
-                "evictions": self.evictions,
-                "rejected": self.rejected,
+                "hits": counts["hits"],
+                "misses": counts["misses"],
+                "hit_rate": (counts["hits"] / lookups) if lookups else None,
+                "hit_bytes": counts["hit_bytes"],
+                "miss_bytes": counts["miss_bytes"],
+                "evictions": counts["evictions"],
+                "rejected": counts["rejected"],
             }

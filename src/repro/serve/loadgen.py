@@ -7,8 +7,9 @@ Two layers, so both the CLI and the tests can drive a server:
 * :func:`run_loadgen` -- open ``concurrency`` connections, fire a
   synthetic workload (``count`` requests drawn from ``distinct`` unique
   graphs of a CLI generator family), and report client-side qps plus
-  p50/p99 latency.  ``distinct < count`` repeats graphs, which is exactly
-  what exercises the server's result/packing caches; concurrent
+  p50/p99 latency (a :class:`repro.obs.metrics.Histogram` on the
+  service's latency buckets).  ``distinct < count`` repeats graphs, which
+  is exactly what exercises the server's result/packing caches; concurrent
   connections land in the same micro-batch window, which is what
   exercises the batcher.
 
@@ -33,9 +34,10 @@ import time
 from dataclasses import replace
 
 from repro.graphs import CSR_FAMILY_BUILDERS
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.resilience import RetryPolicy
 from repro.serve.server import graph_to_wire
-from repro.serve.service import LatencyHistogram
+from repro.serve.service import LATENCY_BUCKETS, latency_ms
 
 __all__ = ["ServeClient", "make_workload", "run_loadgen"]
 
@@ -216,7 +218,9 @@ async def run_loadgen(
     for index, (graph, seed) in enumerate(workload):
         queue.put_nowait((index, graph, seed))
 
-    latency = LatencyHistogram()
+    latency = MetricsRegistry().histogram(
+        "loadgen.latency_seconds", LATENCY_BUCKETS
+    )
     outcomes: list = [None] * len(workload)
     failures = 0
     retries = 0
@@ -297,6 +301,6 @@ async def run_loadgen(
         "deadline_ms": deadline_ms,
         "errors": dict(sorted(errors.items())),
         "sources": dict(sorted(sources.items())),
-        "latency": latency.as_dict(),
+        "latency": latency_ms(latency),
         "distinct_values": values[:10],
     }

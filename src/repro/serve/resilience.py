@@ -30,7 +30,10 @@ testable mechanisms the service composes:
   solve.
 
 Everything is stdlib, clock-injectable (the chaos harness skews time
-through the same seam), and deterministic under a fixed seed.
+through the same seam), and deterministic under a fixed seed.  The
+admission controller and the breakers count into a
+:class:`~repro.obs.metrics.MetricsRegistry` (their service's, or a
+fresh one).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
 )
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ResilienceConfig",
@@ -210,18 +214,22 @@ class AdmissionController:
     Accounting covers requests *in the system* -- admitted but not yet
     answered -- so a slow drain backs pressure up to the front door
     instead of hiding it in the batcher queue.  Thread-safe because
-    releases can arrive from watchdog-degraded completions.
+    releases can arrive from watchdog-degraded completions.  The
+    ``serve.admission.depth`` / ``.bytes`` gauges' maxima are the peaks.
     """
 
-    def __init__(self, config: ResilienceConfig):
+    def __init__(
+        self, config: ResilienceConfig, metrics: MetricsRegistry | None = None
+    ):
         self.config = config
         self.depth = 0
         self.bytes = 0
-        self.admitted = 0
-        self.shed = 0
-        self.peak_depth = 0
-        self.peak_bytes = 0
         self._lock = Lock()
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._admitted = self.metrics.counter("serve.admission.admitted")
+        self._shed = self.metrics.counter("serve.admission.shed")
+        self._depth = self.metrics.gauge("serve.admission.depth")
+        self._bytes = self.metrics.gauge("serve.admission.bytes")
 
     def admit(self, nbytes: int) -> None:
         """Admit one ``nbytes``-sized request or raise ``OverloadedError``."""
@@ -241,7 +249,7 @@ class AdmissionController:
                 and self.depth > 0
             )
             if over_depth or over_bytes:
-                self.shed += 1
+                self._shed.inc()
                 if config.max_queue:
                     pressure = max(1.0, self.depth / config.max_queue)
                 else:
@@ -256,24 +264,26 @@ class AdmissionController:
                 )
             self.depth += 1
             self.bytes += nbytes
-            self.admitted += 1
-            self.peak_depth = max(self.peak_depth, self.depth)
-            self.peak_bytes = max(self.peak_bytes, self.bytes)
+            self._admitted.inc()
+            self._depth.set(self.depth)
+            self._bytes.set(self.bytes)
 
     def release(self, nbytes: int) -> None:
         with self._lock:
             self.depth = max(0, self.depth - 1)
             self.bytes = max(0, self.bytes - nbytes)
+            self._depth.set(self.depth)
+            self._bytes.set(self.bytes)
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "depth": self.depth,
                 "bytes": self.bytes,
-                "admitted": self.admitted,
-                "shed": self.shed,
-                "peak_depth": self.peak_depth,
-                "peak_bytes": self.peak_bytes,
+                "admitted": self._admitted.value,
+                "shed": self._shed.value,
+                "peak_depth": self._depth.max or 0,
+                "peak_bytes": self._bytes.max or 0,
                 "max_queue": self.config.max_queue,
                 "max_queue_bytes": self.config.max_queue_bytes,
             }
@@ -292,12 +302,13 @@ class CircuitBreaker:
       cooldown.
 
     One breaker guards one solver config; the service keeps a board of
-    them so a poisoned graph family only opens *its* circuit.
+    them so a poisoned graph family only opens *its* circuit.  Opens,
+    rejections and probes count under ``<name>.*`` in ``metrics``.
     """
 
     __slots__ = (
         "threshold", "reset_ms", "clock", "state", "consecutive_failures",
-        "opened_at", "opens", "rejected", "probes", "_lock",
+        "opened_at", "metrics", "_counts", "_lock",
     )
 
     def __init__(
@@ -305,6 +316,8 @@ class CircuitBreaker:
         threshold: int = DEFAULT_BREAKER_THRESHOLD,
         reset_ms: float = DEFAULT_BREAKER_RESET_MS,
         clock=time.monotonic,
+        metrics: MetricsRegistry | None = None,
+        name: str = "serve.breaker",
     ):
         self.threshold = int(threshold)
         self.reset_ms = float(reset_ms)
@@ -312,9 +325,10 @@ class CircuitBreaker:
         self.state = "closed"
         self.consecutive_failures = 0
         self.opened_at: "float | None" = None
-        self.opens = 0
-        self.rejected = 0
-        self.probes = 0
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._counts = self.metrics.counters(
+            name + ".", ("opens", "rejected", "probes")
+        )
         self._lock = Lock()
 
     def allow(self, solver: str) -> None:
@@ -325,7 +339,7 @@ class CircuitBreaker:
             if self.state == "open":
                 elapsed_ms = (self.clock() - self.opened_at) * 1000.0
                 if elapsed_ms < self.reset_ms:
-                    self.rejected += 1
+                    self._counts["rejected"].inc()
                     raise CircuitOpenError(
                         f"circuit for solver {solver!r} is open "
                         f"({self.consecutive_failures} consecutive "
@@ -334,7 +348,7 @@ class CircuitBreaker:
                         retry_after_ms=round(self.reset_ms - elapsed_ms, 3),
                     )
                 self.state = "half-open"
-                self.probes += 1
+                self._counts["probes"].inc()
 
     def record_success(self) -> None:
         with self._lock:
@@ -354,7 +368,7 @@ class CircuitBreaker:
             if tripped and self.state != "open":
                 self.state = "open"
                 self.opened_at = self.clock()
-                self.opens += 1
+                self._counts["opens"].inc()
             elif self.state == "open":
                 # failures while open (in-flight stragglers) restart
                 # the cooldown -- the family is still poisoned.
@@ -365,9 +379,7 @@ class CircuitBreaker:
             return {
                 "state": self.state,
                 "consecutive_failures": self.consecutive_failures,
-                "opens": self.opens,
-                "rejected": self.rejected,
-                "probes": self.probes,
+                **{name: c.value for name, c in self._counts.items()},
                 "threshold": self.threshold,
                 "reset_ms": self.reset_ms,
             }

@@ -24,6 +24,9 @@ stays up (one bad line does not tear down a client's stream).
 Connections are served concurrently by the event loop; every in-flight
 ``solve`` funnels into the shared service, so simultaneous clients batch
 *together* -- that is the point of the tier.
+
+Connections, request lines, errors and resets are counted under
+``serve.tcp.*`` in the service's registry (the ``tcp`` stats block).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from repro.core.mincut import MinCutResult
 from repro.core.session import SolverConfig, SweepFailure
 from repro.errors import OverloadedError, ServeError
 from repro.graphs.csr import CSRGraph
-from repro.obs import metrics as obs_metrics
 from repro.serve.chaos import ChaosPlan
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.service import MinCutService, ServeConfig
@@ -161,10 +163,9 @@ class MinCutServer:
             )
         )
         self._server: asyncio.base_events.Server | None = None
-        self.connections = 0
-        self.requests = 0
-        self.errors = 0
-        self.resets = 0
+        self._counts = self.service.metrics.counters(
+            "serve.tcp.", ("connections", "requests", "errors", "resets")
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -208,14 +209,18 @@ class MinCutServer:
         await self.stop()
         return False
 
+    def stats(self) -> dict:
+        """The service's stats plus the ``tcp`` block (the ``stats`` verb)."""
+        tcp = {name: c.value for name, c in self._counts.items()}
+        return {**self.service.stats(), "tcp": tcp}
+
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections += 1
-        obs_metrics.counter("serve.tcp.connections").inc()
+        self._counts["connections"].inc()
         try:
             while True:
                 try:
@@ -231,8 +236,7 @@ class MinCutServer:
                 stripped = line.strip()
                 if not stripped:
                     continue
-                self.requests += 1
-                obs_metrics.counter("serve.tcp.requests").inc()
+                self._counts["requests"].inc()
                 if self.chaos is not None:
                     stall = self.chaos.slow_read_s()
                     if stall > 0:
@@ -241,15 +245,13 @@ class MinCutServer:
                     if fate == "drop-before":
                         # The request is never dispatched; the client
                         # sees a reset and must retry from scratch.
-                        self.resets += 1
-                        obs_metrics.counter("serve.tcp.resets").inc()
+                        self._counts["resets"].inc()
                         break
                     if fate == "drop-after":
                         # Solve (and cache) the result, then lose the
                         # response: the retry must be a cache hit.
                         await self._dispatch(stripped)
-                        self.resets += 1
-                        obs_metrics.counter("serve.tcp.resets").inc()
+                        self._counts["resets"].inc()
                         break
                 response = await self._dispatch(stripped)
                 try:
@@ -262,8 +264,7 @@ class MinCutServer:
                     # The client vanished mid-write.  The request itself
                     # already resolved (result cached or typed error);
                     # close this connection without disturbing others.
-                    self.resets += 1
-                    obs_metrics.counter("serve.tcp.resets").inc()
+                    self._counts["resets"].inc()
                     break
         finally:
             writer.close()
@@ -282,14 +283,7 @@ class MinCutServer:
             if op == "ping":
                 return {"ok": True, "op": "ping"}
             if op == "stats":
-                stats = self.service.stats()
-                stats["tcp"] = {
-                    "connections": self.connections,
-                    "requests": self.requests,
-                    "errors": self.errors,
-                    "resets": self.resets,
-                }
-                return {"ok": True, "op": "stats", "stats": stats}
+                return {"ok": True, "op": "stats", "stats": self.stats()}
             if op != "solve":
                 raise ValueError(f"unknown op {op!r}")
             graph = graph_from_wire(request.get("graph"))
@@ -301,8 +295,7 @@ class MinCutServer:
                 if deadline_ms <= 0:
                     raise ValueError("deadline_ms must be positive")
         except Exception as exc:
-            self.errors += 1
-            obs_metrics.counter("serve.tcp.bad_requests").inc()
+            self._counts["errors"].inc()
             return {
                 "ok": False,
                 "op": op,
@@ -316,13 +309,12 @@ class MinCutServer:
         except ServeError as exc:
             # Typed rejection (deadline, overload, breaker, shutdown):
             # structured, and flagged retryable where a retry can help.
-            self.errors += 1
-            obs_metrics.counter("serve.tcp.rejections").inc()
+            self._counts["errors"].inc()
             return error_to_wire(exc)
         except Exception as exc:
             # Defensive: per-graph failures come back as SweepFailure
             # records; anything escaping here is a service-level error.
-            self.errors += 1
+            self._counts["errors"].inc()
             return {
                 "ok": False,
                 "op": "solve",

@@ -58,11 +58,13 @@ seeded :class:`~repro.serve.chaos.ChaosPlan` harness
 (``pytest -m servechaos``) asserts the full contract: result-or-typed-
 error, never a hang, ledgers reconciling with the injected faults.
 
-Instrumentation rides on :mod:`repro.obs` (spans ``serve.batch`` /
-``serve.solve_warm``, counters/gauges/histograms under ``serve.*`` and
-``serve.resilience.*``) and on always-on plain counters surfaced by
-:meth:`MinCutService.stats`, including p50/p99 latency from a
-fixed-bucket histogram.
+Every count of the tier is recorded once, in the service's own always-on
+:class:`~repro.obs.metrics.MetricsRegistry` (``service.metrics``), which
+its packing cache, batcher, admission controller, breakers and a
+wrapping TCP server record into too (``serve.*``).
+:meth:`MinCutService.stats` is a view of it plus live state (queue
+depth, resident bytes, breaker states, config echoes).  Spans
+(``serve.batch`` / ``serve.solve_warm``) follow the tracer switch.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Lock
 
 from repro.core.mincut import MinCutResult
 from repro.core.registry import get_solver
@@ -86,14 +87,10 @@ from repro.core.session import (
 )
 from repro.errors import ServiceClosedError
 from repro.graphs.csr import CSRGraph, as_csr
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.serve.batcher import (
-    DEFAULT_MAX_BATCH,
-    Batcher,
-    env_batch_ms,
-)
-from repro.serve.cache import PackingCache, env_cache_bytes
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.serve.batcher import DEFAULT_MAX_BATCH, Batcher
+from repro.serve.cache import PackingCache
 from repro.serve.chaos import ChaosInjector, ChaosPlan, ChaosWorkerError
 from repro.serve.resilience import (
     AdmissionController,
@@ -102,7 +99,7 @@ from repro.serve.resilience import (
     ResilienceConfig,
 )
 
-__all__ = ["ServeConfig", "MinCutService", "LatencyHistogram"]
+__all__ = ["ServeConfig", "MinCutService", "latency_ms"]
 
 #: default bound on the result-dedup LRU (entries, not bytes -- results
 #: are small; the packing cache is the byte-governed store).
@@ -112,6 +109,13 @@ DEFAULT_RESULT_CACHE = 4096
 LATENCY_BUCKETS = (
     1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3,
     1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
+)
+
+#: the service's own counters, under ``serve.``.
+SERVICE_COUNTS = (
+    "requests", "solved", "failures", "result_cache.hits", "inflight.hits",
+    "warm_solves", "resilience.expired", "resilience.watchdog_trips",
+    "resilience.degraded", "resilience.closed_rejections",
 )
 
 
@@ -172,64 +176,19 @@ class ServeConfig:
         return cls(**fields)
 
 
-class LatencyHistogram:
-    """Always-on fixed-bucket latency histogram with percentile estimates.
+def latency_ms(histogram: Histogram) -> dict:
+    """The ``latency`` report block of a seconds histogram, in ms."""
 
-    Unlike the :mod:`repro.obs` instruments (gated on the tracer switch),
-    request latency is recorded unconditionally -- it is the service's
-    own product metric, and one bisect + three adds per request is noise
-    next to a solve.  Percentiles are bucket upper-edge estimates, the
-    standard trade of fixed-bucket histograms.
-    """
+    def ms(seconds):
+        return None if seconds is None else round(seconds * 1e3, 4)
 
-    __slots__ = ("boundaries", "counts", "count", "total", "max", "_lock")
-
-    def __init__(self, boundaries=LATENCY_BUCKETS):
-        self.boundaries = tuple(float(b) for b in boundaries)
-        self.counts = [0] * (len(self.boundaries) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self._lock = Lock()
-
-    def observe(self, seconds: float) -> None:
-        import bisect
-
-        with self._lock:
-            self.counts[bisect.bisect_left(self.boundaries, seconds)] += 1
-            self.count += 1
-            self.total += seconds
-            if seconds > self.max:
-                self.max = seconds
-
-    def percentile(self, q: float) -> float | None:
-        """Upper-edge estimate of the ``q``-quantile (``0 < q <= 1``)."""
-        with self._lock:
-            if not self.count:
-                return None
-            target = q * self.count
-            seen = 0
-            for i, bucket_count in enumerate(self.counts):
-                seen += bucket_count
-                if seen >= target:
-                    if i < len(self.boundaries):
-                        return self.boundaries[i]
-                    return self.max
-            return self.max
-
-    def as_dict(self) -> dict:
-        p50, p99 = self.percentile(0.50), self.percentile(0.99)
-        with self._lock:
-            return {
-                "count": self.count,
-                "mean_ms": (
-                    round(self.total / self.count * 1e3, 4)
-                    if self.count else None
-                ),
-                "p50_ms": None if p50 is None else round(p50 * 1e3, 4),
-                "p99_ms": None if p99 is None else round(p99 * 1e3, 4),
-                "max_ms": round(self.max * 1e3, 4) if self.count else None,
-            }
+    return {
+        "count": histogram.count,
+        "mean_ms": ms(histogram.mean),
+        "p50_ms": ms(histogram.percentile(0.50)),
+        "p99_ms": ms(histogram.percentile(0.99)),
+        "max_ms": ms(histogram.max),
+    }
 
 
 def _graph_nbytes(csr: CSRGraph) -> int:
@@ -291,10 +250,14 @@ class MinCutService:
             chaos.injector() if isinstance(chaos, ChaosPlan) else chaos
         )
         self._sessions: dict[SolverConfig, MinCutSolver] = {}
+        #: every serving-tier count of this service and its components.
+        self.metrics = MetricsRegistry()
+        self._counts = self.metrics.counters("serve.", SERVICE_COUNTS)
+        self._latency = self.metrics.histogram(
+            "serve.latency_seconds", LATENCY_BUCKETS
+        )
         self._packings = PackingCache(
-            env_cache_bytes()
-            if self.serve.cache_bytes is None
-            else self.serve.cache_bytes
+            self.serve.cache_bytes, metrics=self.metrics
         )
         self._results: "OrderedDict[tuple, MinCutResult] | None" = (
             OrderedDict() if self.serve.result_cache_size else None
@@ -302,15 +265,14 @@ class MinCutService:
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._batcher = Batcher(
             self._flush,
-            batch_ms=(
-                env_batch_ms()
-                if self.serve.batch_ms is None
-                else self.serve.batch_ms
-            ),
+            batch_ms=self.serve.batch_ms,
             max_batch=self.serve.max_batch,
             on_error=self._flush_failed,
+            metrics=self.metrics,
         )
-        self._admission = AdmissionController(self.resilience)
+        self._admission = AdmissionController(
+            self.resilience, metrics=self.metrics
+        )
         self._breakers: dict[SolverConfig, CircuitBreaker] = {}
         self._executor: ThreadPoolExecutor | None = None
         self._degrade_executor: ThreadPoolExecutor | None = None
@@ -319,17 +281,6 @@ class MinCutService:
         #: watchdog-abandoned batch solves still holding a worker thread
         #: (drives whether shutdown can afford to wait for the pool).
         self._abandoned = 0
-        self.latency = LatencyHistogram()
-        self.requests = 0
-        self.result_hits = 0
-        self.inflight_hits = 0
-        self.solved = 0
-        self.failures = 0
-        self.warm_solves = 0
-        self.expired = 0
-        self.watchdog_trips = 0
-        self.degraded = 0
-        self.closed_rejections = 0
 
     def _now(self) -> float:
         """The service's deadline clock (chaos-skewable)."""
@@ -372,7 +323,7 @@ class MinCutService:
             self._reject(pending, ServiceClosedError(
                 "service stopped before this request was solved"
             ))
-            self.closed_rejections += 1
+            self._counts["resilience.closed_rejections"].inc()
         # Any still-unresolved in-flight future lost its batch (hard
         # stop mid-solve, or a drain cut short by an abandoned worker):
         # reject it typed rather than leave a caller hanging.
@@ -381,7 +332,7 @@ class MinCutService:
                 future.set_exception(ServiceClosedError(
                     "service stopped before this request was solved"
                 ))
-                self.closed_rejections += 1
+                self._counts["resilience.closed_rejections"].inc()
             self._inflight.pop(key, None)
         wait = drain and self._abandoned == 0
         self._executor.shutdown(wait=wait, cancel_futures=not drain)
@@ -432,7 +383,7 @@ class MinCutService:
         ``"result-cache"``, ``"inflight"``, or ``"solved"``."""
         if self._executor is None or self._closing:
             if self._closing:
-                self.closed_rejections += 1
+                self._counts["resilience.closed_rejections"].inc()
                 raise ServiceClosedError(
                     "service is draining; not admitting new requests"
                 )
@@ -445,22 +396,19 @@ class MinCutService:
         name = solver if solver is not None else self.config.solver
         get_solver(name)  # unknown solver: raise here, not inside the batch
         key = (csr.canonical_hash(), int(seed), name)
-        self.requests += 1
-        obs_metrics.counter("serve.requests").inc()
+        self._counts["requests"].inc()
 
         if self._results is not None:
             cached = self._results.get(key)
             if cached is not None:
                 self._results.move_to_end(key)
-                self.result_hits += 1
-                obs_metrics.counter("serve.result_cache.hits").inc()
+                self._counts["result_cache.hits"].inc()
                 self._observe_latency(started)
                 return cached, "result-cache"
 
         shared = self._inflight.get(key)
         if shared is not None:
-            self.inflight_hits += 1
-            obs_metrics.counter("serve.inflight.hits").inc()
+            self._counts["inflight.hits"].inc()
             result = await asyncio.shield(shared)
             self._observe_latency(started)
             return result, "inflight"
@@ -475,22 +423,13 @@ class MinCutService:
         deadline = Deadline(budget_ms) if budget_ms else None
         if deadline is not None and deadline.expired(self._now()):
             # only possible under clock skew: the budget died in transit.
-            self.expired += 1
-            obs_metrics.counter("serve.resilience.expired").inc()
+            self._counts["resilience.expired"].inc()
             raise deadline.error(self._now(), "before batching")
         breaker = self._breaker_for(name)
         if breaker is not None:
-            try:
-                breaker.allow(name)
-            except Exception:
-                obs_metrics.counter("serve.resilience.breaker_open").inc()
-                raise
+            breaker.allow(name)
         nbytes = _graph_nbytes(csr)
-        try:
-            self._admission.admit(nbytes)
-        except Exception:
-            obs_metrics.counter("serve.resilience.shed").inc()
-            raise
+        self._admission.admit(nbytes)
 
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -504,7 +443,7 @@ class MinCutService:
         except RuntimeError:
             self._release(pending)
             self._inflight.pop(key, None)
-            self.closed_rejections += 1
+            self._counts["resilience.closed_rejections"].inc()
             raise ServiceClosedError(
                 "service is draining; not admitting new requests"
             ) from None
@@ -515,11 +454,7 @@ class MinCutService:
         return result, "solved"
 
     def _observe_latency(self, started: float) -> None:
-        elapsed = time.perf_counter() - started
-        self.latency.observe(elapsed)
-        obs_metrics.histogram(
-            "serve.latency_seconds", LATENCY_BUCKETS
-        ).observe(elapsed)
+        self._latency.observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -538,6 +473,8 @@ class MinCutService:
                 threshold=self.resilience.breaker_threshold,
                 reset_ms=self.resilience.breaker_reset_ms,
                 clock=self._now,
+                metrics=self.metrics,
+                name=f"serve.breaker.{solver}",
             )
             self._breakers[config] = breaker
         return breaker
@@ -560,13 +497,12 @@ class MinCutService:
         self._release(pending)
         breaker = self._breaker_for(pending.solver)
         if isinstance(result, MinCutResult):
-            self.solved += 1
+            self._counts["solved"].inc()
             self._result_put(pending.key, result)
             if breaker is not None:
                 breaker.record_success()
         else:
-            self.failures += 1
-            obs_metrics.counter("serve.failures").inc()
+            self._counts["failures"].inc()
             # Only solve-stage failures poison a circuit: validate-stage
             # rejections are the client's bad input, not the solver's.
             if breaker is not None and result.stage == "solve":
@@ -576,8 +512,7 @@ class MinCutService:
             pending.future.set_result(result)
 
     def _expire(self, pending: _Pending, where: str) -> None:
-        self.expired += 1
-        obs_metrics.counter("serve.resilience.expired").inc()
+        self._counts["resilience.expired"].inc()
         self._reject(
             pending, pending.deadline.error(self._now(), where)
         )
@@ -626,8 +561,7 @@ class MinCutService:
             # member budget.  The worker thread cannot be killed -- it is
             # abandoned (its late result is discarded by the future.done()
             # guards) and the batch degrades to individual solves.
-            self.watchdog_trips += 1
-            obs_metrics.counter("serve.resilience.watchdog_trips").inc()
+            self._counts["resilience.watchdog_trips"].inc()
             self._abandon(task)
             await self._degrade(live)
             return
@@ -706,8 +640,7 @@ class MinCutService:
                 graph_hash=pending.key[0],
             ))
             return
-        self.degraded += 1
-        obs_metrics.counter("serve.resilience.degraded").inc()
+        self._counts["resilience.degraded"].inc()
         for member, result in outcomes:
             if isinstance(result, MinCutResult):
                 result.stats["served_degraded"] = True
@@ -834,8 +767,7 @@ class MinCutService:
         self, packed: GraphPacking, pending: _Pending, solver: str
     ) -> "MinCutResult | SweepFailure":
         """Re-solve a cached packing (Theorem 12 skipped entirely)."""
-        self.warm_solves += 1
-        obs_metrics.counter("serve.warm_solves").inc()
+        self._counts["warm_solves"].inc()
         started = time.perf_counter()
         try:
             with obs_trace.span(
@@ -878,33 +810,36 @@ class MinCutService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """One JSON-friendly snapshot of every serving-layer metric."""
+        """One JSON-friendly view of every serving-layer metric: the
+        ``serve.*`` counts of :attr:`metrics` plus live state."""
+        counts = {name: c.value for name, c in self._counts.items()}
+        admission = self._admission.stats()
         uptime = (
             time.perf_counter() - self._started_at
             if self._started_at is not None
             else None
         )
         return {
-            "requests": self.requests,
-            "solved": self.solved,
-            "failures": self.failures,
+            "requests": counts["requests"],
+            "solved": counts["solved"],
+            "failures": counts["failures"],
             "result_cache": {
-                "hits": self.result_hits,
+                "hits": counts["result_cache.hits"],
                 "entries": len(self._results) if self._results is not None else 0,
                 "size_bound": self.serve.result_cache_size,
             },
-            "inflight_hits": self.inflight_hits,
-            "warm_solves": self.warm_solves,
-            "latency": self.latency.as_dict(),
+            "inflight_hits": counts["inflight.hits"],
+            "warm_solves": counts["warm_solves"],
+            "latency": latency_ms(self._latency),
             "batcher": self._batcher.stats(),
             "packing_cache": self._packings.stats(),
             "resilience": {
-                "shed": self._admission.shed,
-                "expired": self.expired,
-                "watchdog_trips": self.watchdog_trips,
-                "degraded": self.degraded,
-                "closed_rejections": self.closed_rejections,
-                "admission": self._admission.stats(),
+                "shed": admission["shed"],
+                "expired": counts["resilience.expired"],
+                "watchdog_trips": counts["resilience.watchdog_trips"],
+                "degraded": counts["resilience.degraded"],
+                "closed_rejections": counts["resilience.closed_rejections"],
+                "admission": admission,
                 "breakers": {
                     config.solver: breaker.stats()
                     for config, breaker in self._breakers.items()
@@ -916,8 +851,8 @@ class MinCutService:
             "sessions": len(self._sessions),
             "uptime_seconds": None if uptime is None else round(uptime, 6),
             "qps": (
-                round(self.requests / uptime, 2)
-                if uptime and self.requests
+                round(counts["requests"] / uptime, 2)
+                if uptime and counts["requests"]
                 else None
             ),
         }

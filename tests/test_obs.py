@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -169,15 +170,43 @@ class TestExporters:
 # Metrics
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_disabled_mutations_are_dropped(self):
+    def test_mutations_record_with_tracing_off(self):
+        assert not trace.enabled()
         metrics.counter("c").inc()
         metrics.gauge("g").set(3)
         metrics.histogram("h").observe(5)
         snap = metrics.snapshot()
-        assert snap["counters"]["c"] == 0
-        assert snap["gauges"]["g"] == {"value": None, "min": None, "max": None}
-        assert snap["histograms"]["h"]["count"] == 0
-        assert metrics.op_count() == 0
+        assert snap["counters"]["c"] == 1
+        assert snap["gauges"]["g"] == {"value": 3, "min": 3, "max": 3}
+        assert snap["histograms"]["h"]["count"] == 1
+        # A negative increment raises whether or not tracing is on, and
+        # records nothing.
+        with pytest.raises(ValueError):
+            metrics.counter("c").inc(-1)
+        with trace.tracing():
+            with pytest.raises(ValueError):
+                metrics.counter("c").inc(-1)
+        assert metrics.snapshot()["counters"]["c"] == 1
+        assert metrics.op_count() == 3
+
+    def test_histogram_percentiles(self):
+        histogram = metrics.MetricsRegistry().histogram(
+            "latency", (0.001, 0.01, 0.1)
+        )
+        assert histogram.percentile(0.5) is None
+        for _ in range(98):
+            histogram.observe(0.0005)
+        histogram.observe(0.05)
+        histogram.observe(0.2)
+        assert histogram.percentile(0.50) == 0.001
+        assert histogram.percentile(0.99) == 0.1
+        snapshot = histogram.as_dict()
+        assert snapshot["count"] == 100
+        assert snapshot["max"] == pytest.approx(0.2)
+        # Past the last boundary the estimate is the largest observation.
+        histogram.observe(5.0)
+        assert histogram.counts[-1] == 2
+        assert histogram.percentile(1.0) == 5.0
 
     def test_counter_gauge_histogram(self):
         with trace.tracing():
@@ -205,6 +234,37 @@ class TestMetrics:
 
     def test_instruments_keep_identity(self):
         assert metrics.counter("same") is metrics.counter("same")
+
+    def test_concurrent_mutations_are_not_lost(self):
+        # The serve tier's worker threads and event loop share one
+        # registry; a lost read-modify-write would show as a short count.
+        registry = metrics.MetricsRegistry()
+        counts = registry.counters("t.", ("a", "b"))
+        histogram = registry.histogram("t.h")
+        threads_n, per_thread = 8, 5000
+
+        def worker():
+            for _ in range(per_thread):
+                counts["a"].inc()
+                counts["b"].inc(2)
+            for i in range(per_thread):
+                histogram.observe(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = threads_n * per_thread
+        assert counts["a"].value == total and counts["b"].value == 2 * total
+        assert histogram.count == total and sum(histogram.counts) == total
+        assert registry.op_count() == 3 * total
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import repro
 from repro.core.mincut import MinCutResult
 from repro.core.session import SweepFailure
 from repro.graphs import CSR_FAMILY_BUILDERS, CSRGraph
+from repro.obs.metrics import MetricsRegistry
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -99,7 +100,7 @@ class TestPackingCache:
             cache.put(index, handle)
         assert cache.nbytes <= cache.budget_bytes
         assert cache.keys() == [1, 2, 3]  # 0 was LRU, evicted
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert cache.get(0) is None
 
     def test_get_refreshes_lru_order(self):
@@ -117,7 +118,17 @@ class TestPackingCache:
         handle = self.packed()
         cache = PackingCache(budget_bytes=packing_nbytes(handle) - 1)
         assert cache.put("big", handle) == 0
-        assert len(cache) == 0 and cache.rejected == 1
+        assert len(cache) == 0 and cache.stats()["rejected"] == 1
+
+    def test_clear_zeroes_the_bytes_gauge(self):
+        cache = PackingCache(budget_bytes=1 << 30)
+        nbytes = cache.put("k", self.packed())
+        gauges = cache.metrics.snapshot()["gauges"]
+        assert gauges["serve.cache.bytes"]["value"] == nbytes > 0
+        cache.clear()
+        gauges = cache.metrics.snapshot()["gauges"]
+        assert gauges["serve.cache.bytes"]["value"] == 0
+        assert cache.stats()["bytes"] == 0
 
     def test_hit_miss_metrics(self):
         cache = PackingCache(budget_bytes=1 << 30)
@@ -195,6 +206,27 @@ class TestBatcher:
         run(scenario())
         assert [len(b) for b in batches] == [3, 3, 1]
         assert [i for b in batches for i in b] == list(range(7))
+
+    def test_queue_depth_reads_zero_after_a_drained_flush(self):
+        metrics = MetricsRegistry()
+        flushed = []
+
+        async def flush(batch):
+            flushed.extend(batch)
+
+        async def scenario():
+            batcher = Batcher(flush, batch_ms=5.0, metrics=metrics)
+            await batcher.start()
+            await asyncio.gather(*(batcher.put(i) for i in range(8)))
+            while len(flushed) < 8:
+                await asyncio.sleep(0.001)
+            depth = metrics.snapshot()["gauges"]["serve.queue_depth"]
+            await batcher.stop()
+            return depth
+
+        depth = run(scenario())
+        assert flushed == list(range(8))
+        assert depth["value"] == 0 and depth["max"] == 8
 
     def test_zero_window_still_drains_backlog(self):
         batches = []
@@ -405,21 +437,6 @@ class TestMinCutService:
         assert ServeConfig.from_env(batch_ms=1.0).batch_ms == 1.0
         monkeypatch.setenv("REPRO_SERVE_BATCH_MS", "garbage")
         assert ServeConfig.from_env().batch_ms is None
-
-    def test_latency_histogram_percentiles(self):
-        from repro.serve import LatencyHistogram
-
-        histogram = LatencyHistogram(boundaries=(0.001, 0.01, 0.1))
-        assert histogram.percentile(0.5) is None
-        for _ in range(98):
-            histogram.observe(0.0005)
-        histogram.observe(0.05)
-        histogram.observe(0.2)
-        assert histogram.percentile(0.50) == 0.001
-        assert histogram.percentile(0.99) == 0.1
-        snapshot = histogram.as_dict()
-        assert snapshot["count"] == 100
-        assert snapshot["max_ms"] == pytest.approx(200.0)
 
 
 # ----------------------------------------------------------------------
@@ -1098,7 +1115,7 @@ class TestServerHardening:
                     response = await client.solve(graph, seed=0)
                 return (
                     response,
-                    server.resets,
+                    server.stats()["tcp"]["resets"],
                     dict(server.service._inflight),
                 )
 

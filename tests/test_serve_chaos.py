@@ -10,8 +10,8 @@ The contract under test, for every seeded :class:`ChaosPlan`:
 * retries are idempotent by construction: a response lost *after* the
   solve is recovered from the result cache on retry, never re-solved;
 * the ledgers reconcile: every injected fault shows up in
-  ``service.stats()`` / server counters, and the obs ``serve.resilience.*``
-  instruments agree with the always-on counters.
+  ``service.stats()`` / server counters, which read the service's own
+  ``repro.obs`` registry (``service.metrics``).
 
 Mirrors the PR 6 CONGEST fault suite (``pytest -m chaos``), one layer up.
 """
@@ -26,8 +26,6 @@ import repro
 from repro.core.mincut import MinCutResult
 from repro.errors import DeadlineExceededError, OverloadedError
 from repro.graphs import CSR_FAMILY_BUILDERS
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.serve import (
     ChaosPlan,
     MinCutServer,
@@ -131,7 +129,7 @@ class TestConnectionDrops:
                 )
                 return (
                     summary,
-                    server.resets,
+                    server.stats()["tcp"]["resets"],
                     server.chaos.stats(),
                     server.service.stats(),
                 )
@@ -328,26 +326,24 @@ class TestGrandMixedPlan:
         workload = make_workload(count=count, n=20, distinct=distinct)
 
         async def scenario():
-            with obs_trace.tracing():
-                obs_metrics.reset()
-                async with MinCutServer(
-                    port=0, serve=SERVE, chaos=self.PLAN
-                ) as server:
-                    summary = await run_loadgen(
-                        port=server.port, count=count, n=20,
-                        distinct=distinct, concurrency=6,
-                        deadline_ms=30_000.0,
-                        retry=RetryPolicy(
-                            attempts=12, base_ms=1.0, cap_ms=20.0
-                        ),
-                    )
-                    return (
-                        summary,
-                        server.resets,
-                        server.chaos.stats(),
-                        server.service.stats(),
-                        obs_metrics.snapshot(prefix="serve.resilience."),
-                    )
+            async with MinCutServer(
+                port=0, serve=SERVE, chaos=self.PLAN
+            ) as server:
+                summary = await run_loadgen(
+                    port=server.port, count=count, n=20,
+                    distinct=distinct, concurrency=6,
+                    deadline_ms=30_000.0,
+                    retry=RetryPolicy(
+                        attempts=12, base_ms=1.0, cap_ms=20.0
+                    ),
+                )
+                return (
+                    summary,
+                    server.stats()["tcp"]["resets"],
+                    server.chaos.stats(),
+                    server.service.stats(),
+                    server.service.metrics.snapshot(prefix="serve."),
+                )
 
         summary, resets, injected, stats, obs_snap = run(scenario())
         # Every request terminated; failures (if any) are typed.
@@ -366,11 +362,18 @@ class TestGrandMixedPlan:
         assert stats["chaos"] == injected
         assert stats["failures"] == 0  # crashes degraded, never surfaced
         assert stats["resilience"]["degraded"] >= injected["worker_errors"]
-        # The obs instruments agree with the always-on counters.
-        degraded_obs = obs_snap["counters"].get("serve.resilience.degraded", 0)
-        assert degraded_obs == stats["resilience"]["degraded"]
-        expired_obs = obs_snap["counters"].get("serve.resilience.expired", 0)
-        assert expired_obs == stats["resilience"]["expired"]
+        # The stats are a view of the service's registry.
+        counters = obs_snap["counters"]
+        assert counters["serve.resilience.degraded"] == (
+            stats["resilience"]["degraded"]
+        )
+        assert counters["serve.resilience.expired"] == (
+            stats["resilience"]["expired"]
+        )
+        assert counters["serve.solved"] == stats["solved"]
+        assert counters["serve.resilience.closed_rejections"] == (
+            stats["resilience"]["closed_rejections"]
+        )
 
     def test_same_plan_same_seed_same_fate_stream(self):
         a = self.PLAN.injector()
