@@ -113,8 +113,9 @@ and of cycles (path-shaped trees, depth about n/2) at n 256, 1024 and
 4096: median ms for the first tree (what an ``oracle`` solve that
 settles at once builds) and for every packed tree (what
 ``minor-aggregation`` and graphs outside the stop rule build).  It is
-report-only, with no ceiling; tree 0 must equal its per-tree
-``TreeKernel``, or the run fails.
+report-only, with no ceiling; tree 0's BFS order, parents and
+``tout - tin`` must equal its ``RootedTree``'s order, parents and
+subtree sizes, or the run fails.
 
 The ``oracle_stack`` section times the stacked 2-respecting oracle
 (``batched_two_respecting_oracle``) on the seeded packed trees of every
@@ -990,11 +991,12 @@ def _pack_sweep_row(repeats: int) -> dict:
 
 def run_forest_scale_bench(repeats: int) -> dict:
     """The forest build alone at n 256/1024/4096, first tree and all
-    packed trees, with tree 0 checked against its ``TreeKernel``."""
+    packed trees, with tree 0 checked against its ``RootedTree``: the
+    BFS order, the parents and ``tout - tin`` against the subtree sizes,
+    none of which array code builds."""
     from repro.core.tree_packing import pack_trees
     from repro.graphs import csr_cycle_graph, csr_random_connected_gnm
     from repro.kernel.forest import stacked_tree_arrays
-    from repro.kernel.tree_kernel import TreeKernel
 
     builders = {
         "gnm": lambda n: csr_random_connected_gnm(n, 4 * n, seed=FOREST_SCALE_SEED),
@@ -1011,24 +1013,27 @@ def run_forest_scale_bench(repeats: int) -> dict:
             all_s, _ = median_seconds(
                 lambda: stacked_tree_arrays([n], [trees], [0]), repeats
             )
-            kernel = TreeKernel(packing.rooted_tree(0, 0))
+            tree = packing.rooted_tree(0, 0)
+            order = stack.order[0].tolist()
+            sizes = tree.subtree_sizes()
+            depth = max(tree.depth.values())
             identical = (
-                stack.order[0].tolist() == kernel.nodes
-                and stack.parent[0].tolist() == kernel.parent.tolist()
-                and stack.tin[0].tolist() == kernel.tin.tolist()
-                and stack.tout[0].tolist() == kernel.tout.tolist()
-                and stack.pos[0].tolist() == [kernel.index[x] for x in range(n)]
+                order == tree.order
+                and [order[p] for p in stack.parent[0].tolist()[1:]]
+                == [tree.parent[node] for node in tree.order[1:]]
+                and (stack.tout[0] - stack.tin[0]).tolist()
+                == [sizes[node] for node in tree.order]
             )
             rows[f"{family}_{n}"] = {
                 "n": n, "seed": FOREST_SCALE_SEED, "trees": len(trees),
-                "depth": int(kernel.depth.max()),
+                "depth": depth,
                 "first_tree_ms": round(1e3 * first_s, 3),
                 "all_trees_ms": round(1e3 * all_s, 3),
                 "identical": identical,
             }
             print(
                 f"  {family:<5} n={n:<5} {len(trees):3d} trees  depth "
-                f"{int(kernel.depth.max()):5d}  first tree {1e3 * first_s:7.3f} ms  "
+                f"{depth:5d}  first tree {1e3 * first_s:7.3f} ms  "
                 f"all trees {1e3 * all_s:8.3f} ms  identical={identical}"
             )
     rows["identical"] = all(row["identical"] for row in rows.values())

@@ -17,10 +17,14 @@ it is the ground truth every distributed solver in this package is validated
 against, and doubles as the fast centralized baseline of [GMW20]-style
 2-respecting computations.
 
-Every public function runs on the array-backed kernel
-(:mod:`repro.kernel`): vectorized LCA differencing for ``Cov(e)`` and an
-O(n^2 + m) Euler prefix-sum formulation for the pair matrix.  Callers that
-evaluate many trees of one graph can pass a pre-extracted
+Every public function runs on the tree's one-row stack
+(:attr:`~repro.kernel.tree_kernel.TreeKernel.stack`) through the code the
+stacked oracle runs: :func:`~repro.kernel.cut_kernel.stacked_covers`
+(vectorized LCA differencing) for ``Cov(e)``,
+:func:`~repro.kernel.batched.stacked_pair_covers` (an O(n^2 + m) Euler
+prefix-sum formulation) for the pair matrix and
+:meth:`~repro.kernel.forest.TreeStack.cut_side` for the partition.
+Callers that evaluate many trees of one graph can pass a pre-extracted
 :class:`~repro.kernel.cut_kernel.GraphArrays` to skip the per-tree edge
 scan.  ``tests/test_kernel.py`` checks each of them against brute-force
 component cuts of the tree.
@@ -35,11 +39,10 @@ import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.kernel.batched import OracleJob, stacked_pair_covers
 from repro.kernel.cut_kernel import (
     GraphArrays,
     cover_values_kernel,
-    cut_partition_kernel,
-    pair_cover_matrix_kernel,
     partition_cut_weight_arrays,
 )
 from repro.trees.rooted import Edge, Node, RootedTree, edge_key
@@ -95,7 +98,21 @@ def pair_cover_matrix(
     matrix ``M`` with ``M[i, j] = Cov(e_i, e_j)`` and ``M[i, i] = Cov(e_i)``.
     O(n^2 + m) via 2D Euler prefix sums.
     """
-    return pair_cover_matrix_kernel(graph, tree, arrays=arrays)
+    kernel = tree.kernel
+    edges = list(tree.edges())
+    if kernel.n <= 1:
+        return edges, np.zeros((0, 0), dtype=np.float64)
+    if arrays is None:
+        arrays = GraphArrays.from_graph(graph)
+    stack = kernel.stack
+    job = OracleJob.from_arrays(
+        arrays.on_tree(kernel), stack.tin, stack.tout, stack.pos
+    )
+    (matrix,) = stacked_pair_covers(
+        job.tin, job.tout, np.zeros(job.ut.size, dtype=np.int64),
+        job.ut.ravel(), job.vt.ravel(), job.weights,
+    )
+    return edges, matrix
 
 
 def cut_matrix(
@@ -134,9 +151,13 @@ def cut_partition(tree: RootedTree, edges: tuple[Edge, ...]) -> frozenset[Node]:
     (between the two edges if nested, the root component otherwise -- in the
     non-nested case the returned side is the complement of the two bottom
     subtrees, which induces the same bipartition).  Computed from preorder
-    interval slices.
+    interval slices of the tree's one-row stack.
     """
-    return cut_partition_kernel(tree, edges)
+    kernel = tree.kernel
+    index = kernel.index
+    return kernel.stack.cut_side(
+        0, tuple((index[u], index[v]) for u, v in edges), kernel.nodes
+    )
 
 
 def partition_cut_weight(

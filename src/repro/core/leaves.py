@@ -17,10 +17,10 @@ each leaf into a :class:`LeafBatch` and returns a :data:`Deferred` -- its
 candidates and leaf ids in DFS order -- and the batch evaluates every
 recorded leaf at once with segment-id array passes:
 
-* all base-case trees get their Euler intervals in one level-by-level
-  pass (:class:`~repro.kernel.tree_kernel.TreeKernel`'s preorder), and
-  their pair-cover matrices come out of one zero-padded stack of 2D
-  prefix grids;
+* all base-case trees get their Euler intervals from one call of the
+  forest builder (:func:`~repro.kernel.forest._flat_forest`, the one
+  Euler-interval builder), and their pair-cover matrices come out of one
+  zero-padded stack of 2D prefix grids;
 * all Lemma 21 scans share one ragged bucket deposit and one reverse
   cumulative sum per row width;
 * a segmented first-minimum picks each leaf's winner.
@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.core.cut_values import CutCandidate
 from repro.graphs.csr import validate_weights
+from repro.kernel.forest import _flat_forest
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import Edge
 
@@ -138,7 +139,6 @@ class LeafBatch:
         self._grid_n = array("q")
         self._grid_pairs = array("q")
         self._node_parent = array("q")  # batch-global node ids
-        self._node_depth = array("q")
         self._dep_u = array("q")
         self._dep_v = array("q")
         self._dep_w = array("d")
@@ -184,14 +184,12 @@ class LeafBatch:
         leaf = self._new_leaf()
         nodes = tree.order
         parent = tree.parent
-        depth = tree.depth
         base = len(self._node_parent)
         index = {node: base + i for i, node in enumerate(nodes)}
         self._grid_leaf.append(leaf)
         self._grid_n.append(len(nodes))
         self._node_parent.append(base)
         self._node_parent.extend([index[parent[node]] for node in nodes[1:]])
-        self._node_depth.extend([depth[node] for node in nodes])
         self._dep_u.extend([index[u] for u, _v, _w in graph])
         self._dep_v.extend([index[v] for _u, v, _w in graph])
         self._dep_w.extend([w for _u, _v, w in graph])
@@ -269,11 +267,19 @@ class LeafBatch:
         parent = _ints(self._node_parent)
         grid_n = _ints(self._grid_n)
         grid_of = np.repeat(np.arange(len(grid_n)), grid_n)
-        tin, tout = _euler_intervals(parent, _ints(self._node_depth))
+        # Every grid's nodes are its BFS indices, root 0, in one flat slot
+        # space: the (parent, child) pairs in BFS order give the forest
+        # builder the RootedTree's child order.
+        offset = np.zeros(len(grid_n) + 1, dtype=np.int64)
+        np.cumsum(grid_n, out=offset[1:])
+        child = np.flatnonzero(parent != np.arange(len(parent)))
+        *_, tin, tout = _flat_forest(
+            parent[child], child, np.zeros(len(grid_n), dtype=np.int64), offset
+        )
 
         # One zero-padded (n + 1)^2 prefix grid per tree: deposit each edge
         # weight at (tin(u) + 1, tin(v) + 1), then (tin(v) + 1, tin(u) + 1),
-        # and integrate rows, then columns (pair_cover_matrix_kernel).
+        # and integrate rows, then columns (stacked_pair_covers).
         side = int(grid_n.max()) + 1
         cells = side * side
         weights = validate_weights(self._dep_w, context="LeafBatch")
@@ -418,36 +424,3 @@ class LeafBatch:
                 best = candidate
         return best
 
-
-def _euler_intervals(
-    parent: np.ndarray, depth: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Preorder ``[tin, tout)`` of every node of a forest of BFS-ordered
-    trees (a root is its own parent), all trees at once.
-
-    :class:`~repro.kernel.tree_kernel.TreeKernel`'s walk pushes children
-    in order and pops them LIFO, so a child starts one past its parent
-    plus the sizes of its *later* siblings; sizes come bottom-up and
-    starts top-down, one vectorized step per depth level.
-    """
-    n = len(parent)
-    size = np.ones(n, dtype=np.int64)
-    max_depth = int(depth.max()) if n else 0
-    for level in range(max_depth, 0, -1):
-        at = np.flatnonzero(depth == level)
-        np.add.at(size, parent[at], size[at])
-    # Later-sibling sums: BFS lists each parent's children contiguously.
-    child = np.flatnonzero(depth > 0)
-    sizes = size[child]
-    suffix = np.append(np.cumsum(sizes[::-1])[::-1], 0)
-    starts = np.ones(len(child), dtype=bool)
-    starts[1:] = parent[child[1:]] != parent[child[:-1]]
-    group = np.cumsum(starts) - 1
-    group_end = np.append(np.flatnonzero(starts)[1:], len(child))
-    later = np.zeros(n, dtype=np.int64)
-    later[child] = suffix[:-1] - sizes - suffix[group_end][group]
-    tin = np.zeros(n, dtype=np.int64)
-    for level in range(1, max_depth + 1):
-        at = np.flatnonzero(depth == level)
-        tin[at] = tin[parent[at]] + 1 + later[at]
-    return tin, tin + size

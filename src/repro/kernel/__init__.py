@@ -1,14 +1,15 @@
 """Array-backed tree kernel (flat indices, Euler tours, vectorized covers).
 
-``TreeKernel`` is the per-tree index structure; ``cut_kernel`` holds the
-vectorized cover/cut computations built on it; ``batched`` stacks many
-tree kernels and solves their 2-respecting oracles in one numpy pass --
-for the packed trees of one graph or, via ``OracleJob`` /
-``batched_two_respecting_oracle_many``, across a whole sweep of graphs;
-``forest`` builds BFS/Euler arrays for stacks of same-size trees without
-per-tree Python loops.  These are the only implementations of the tree
-and cut primitives; ``tests/test_kernel.py`` checks them against
-brute-force component cuts.
+``forest`` is the one Euler-interval builder: it builds BFS order,
+parents and ``tin``/``tout`` for any number of trees of any sizes in
+O(log n) numpy passes, as one :class:`TreeStack` per graph.
+``TreeKernel`` is one tree's one-row stack plus its node labels;
+``cut_kernel`` holds the edge arrays and the stacked ``Cov(e)`` pass;
+``batched`` solves the 2-respecting oracles of a stack's trees in one
+numpy pass -- for the packed trees of one graph or, via ``OracleJob`` /
+``batched_two_respecting_oracle_many``, across a whole sweep of graphs.
+These are the only implementations of the tree and cut primitives;
+``tests/test_kernel.py`` checks them against brute-force component cuts.
 """
 
 from repro.kernel.batched import (
@@ -20,8 +21,6 @@ from repro.kernel.batched import (
 from repro.kernel.cut_kernel import (
     GraphArrays,
     cover_values_kernel,
-    cut_partition_kernel,
-    pair_cover_matrix_kernel,
     partition_cut_weight_arrays,
 )
 from repro.kernel.forest import TreeStack, stacked_tree_arrays
@@ -37,7 +36,5 @@ __all__ = [
     "TreeStack",
     "stacked_tree_arrays",
     "cover_values_kernel",
-    "cut_partition_kernel",
-    "pair_cover_matrix_kernel",
     "partition_cut_weight_arrays",
 ]

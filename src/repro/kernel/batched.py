@@ -2,9 +2,10 @@
 
 The Θ(log n) packed trees in a min-cut run are independent, and with the
 array kernel each per-tree oracle is pure numpy (one O(n² + m) Euler
-prefix-sum pass).  This module stacks the per-tree kernel arrays
-(``tin``/``tout``/endpoint remaps) into ``(trees, ...)`` tensors and runs
-a chunk of trees through one vectorized pass: one ``np.bincount``
+prefix-sum pass).  This module takes the trees' ``tin``/``tout`` and
+endpoint positions as ``(trees, ...)`` tensors (a
+:class:`~repro.kernel.forest.TreeStack`) and runs a chunk of trees
+through one vectorized pass: one ``np.bincount``
 deposit into a 3D prefix tensor, cumulative sums along both Euler axes,
 whole-row gathers for the subtree rows, per-tree column gathers for the
 pair matrices, and one row-major argmin per tree.
@@ -17,18 +18,20 @@ tensors, so a 50-graph sweep costs a handful of numpy passes instead of
 50; per-tree edge deposits arrive as flattened COO triples, which makes
 mixed edge counts across graphs exact no-ops for parity (``np.bincount``
 adds the flattened cell ids in order: every ``(a, b)`` deposit in
-tree-major, edge-order sequence, then every ``(b, a)`` one -- per cell,
-the order of the 2D kernel's two ``np.add.at`` calls).
+tree-major, edge-order sequence, then every ``(b, a)`` one, so each
+cell sums its deposits in edge order).
 :func:`batched_two_respecting_oracle` is its one-graph delegate (the
 oracle's per-tree budget fallback solves each tree with it); both take
 the trees as a stacked BFS/Euler forest (:mod:`repro.kernel.forest`).
 
-Bit-for-bit parity with the per-tree
-:func:`~repro.kernel.cut_kernel.pair_cover_matrix_kernel` path is a design
-requirement (the equivalence suite asserts it): every float operation runs
-in the same order per tree slice as the 2D implementation -- integer- and
-float-weight inputs therefore produce identical candidates, values, and
-tie-breaks.
+The pair covers come from :func:`stacked_pair_covers`, which
+:func:`~repro.core.cut_values.pair_cover_matrix` also calls on a one-row
+stack: every float operation of a tree slice runs in the same order
+whatever the slices beside it, so a tree's candidate, value and
+tie-break equal the reference
+:func:`~repro.core.cut_values.two_respecting_oracle` on that tree bit
+for bit (the equivalence suite asserts it), for integer and float
+weights alike.
 
 Memory is bounded by chunking the tree axis: a chunk of ``c`` trees needs
 at most ``32 * c * n²`` bytes of scratch.  Chunks aim at an L2-resident
@@ -105,32 +108,45 @@ def _chunk_size(n: int, batch_bytes: int | None = None) -> int:
     return max(1, min(budget, _CACHE_TARGET) // per_tree)
 
 
-def _solve_stacked(
+def stacked_pair_covers(
     tin: np.ndarray,
     tout: np.ndarray,
     dep_t: np.ndarray,
     dep_a: np.ndarray,
     dep_b: np.ndarray,
     dep_w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best 1-/2-respecting cut per stacked tree slice.
+) -> np.ndarray:
+    """``Cov(e, f)`` for every pair of tree edges of every stacked tree,
+    in O(n^2 + m) per tree.
 
-    ``tin``/``tout`` are ``(c, n)`` Euler intervals (one row per tree);
-    the deposits are flattened ``(tree, tin(u), tin(v), weight)`` COO
-    triples in tree-major, per-tree edge order -- exactly the
-    accumulation sequence of the 2D kernel, so every slice reproduces
-    :func:`~repro.kernel.cut_kernel.pair_cover_matrix_kernel` bit for
-    bit.  Returns ``(values, flat)`` where ``flat[t]`` is the row-major
-    argmin of tree ``t``'s ``(n-1, n-1)`` cut matrix (``i == j`` on the
-    diagonal means a 1-respecting cut).
+    ``tin``/``tout`` are ``(c, n)`` Euler intervals (one row per tree,
+    ``n >= 2``); the deposits are flattened ``(tree, tin(u), tin(v),
+    weight)`` COO triples of the nonzero-weight edges in tree-major,
+    per-tree edge order.  ``out[t, i, j]`` is ``Cov(e_i, e_j)`` of tree
+    ``t``, edge ``i`` above BFS index ``i + 1``; the diagonal holds
+    ``Cov(e_i)``.  Every float operation of a tree slice runs in the
+    same order whatever the trees stacked beside it.
+
+    With ``P`` the 2D prefix sums of the deposits over the Euler order,
+    ``S(x, y)`` (the weight over ``subtree(x) x subtree(y)``) is a
+    four-corner difference of ``P``.  For tree edges ``e = (bot b_e)``:
+
+    - ``b_e``, ``b_f`` incomparable:  ``Cov(e, f) = S(b_e, b_f)`` (a path
+      covers both edges iff it has one endpoint under each bottom);
+    - ``b_e`` ancestor of ``b_f``:    ``Cov(e, f) = T(b_f) - S(b_f, b_e)``
+      where ``T(x) = S(x, V)`` -- edges leaving ``subtree(b_f)`` that
+      also leave ``subtree(b_e)``;
+    - diagonal: the ancestor formula degenerates to ``T(b_e) - S(b_e,
+      b_e)`` = ``Cov(e)`` exactly, so one vectorized formula covers
+      everything.
     """
     c, n = tin.shape
     side = n + 1
 
     # 3D deposit + prefix integration: P[t, a, b] = weight over the
     # preorder box [0, a) x [0, b) of tree t.  One bincount over the flat
-    # cell ids, the (a, b) orientation first and then (b, a): per cell
-    # the same summation sequence as the 2D kernel's two np.add.at calls.
+    # cell ids, the (a, b) orientation first and then (b, a), so each
+    # cell sums its deposits in edge order; then rows, then columns.
     cells = np.concatenate((
         (dep_t * side + dep_a + 1) * side + dep_b + 1,
         (dep_t * side + dep_b + 1) * side + dep_a + 1,
@@ -144,7 +160,8 @@ def _solve_stacked(
     prefix.cumsum(axis=2, out=prefix)
 
     # Tree edge i of tree t <-> bottom node index i + 1 (BFS order).  Rows
-    # are whole-row gathers from the (c * side, side) view of the prefix.
+    # are whole-row gathers from the (c * side, side) view of the prefix:
+    # rows[t, i, b] = weight of subtree(b_i) x (preorder positions < b).
     lo = tin[:, 1:]
     hi = tout[:, 1:]
     base = np.arange(0, c * side, side, dtype=np.int64)[:, None]
@@ -156,6 +173,8 @@ def _solve_stacked(
     # them alive measured ~1.4x slower on a solve pass).
     del prefix
     rows = rows.reshape(c, n - 1, side)
+    # Differencing the columns gives S; the last column is T(b_i):
+    # every edge leaving subtree(b_i) once, internal ones twice.
     totals = rows[:, :, n].copy()
     matrix = np.empty((c, n - 1, n - 1), dtype=np.float64)
     for t in range(c):
@@ -166,8 +185,9 @@ def _solve_stacked(
         )
     del rows
 
-    # Ancestor-related pairs: Cov = T(descendant) - S, exactly as in the
-    # 2D kernel (the diagonal degenerates to Cov(e_i) via either mask).
+    # Ancestor-related pairs: Cov = T(descendant) - S.  The two strict
+    # masks are disjoint and the diagonal belongs to either, so the
+    # fix-ups run in place over the incomparable-pair base values.
     ancestor = (lo[:, :, None] <= lo[:, None, :]) & (
         hi[:, None, :] <= hi[:, :, None]
     )
@@ -176,11 +196,31 @@ def _solve_stacked(
     descendant[:, diag, diag] = False
     np.subtract(totals[:, None, :], matrix, out=matrix, where=ancestor)
     np.subtract(totals[:, :, None], matrix, out=matrix, where=descendant)
-    del ancestor, descendant
+    return matrix
+
+
+def _solve_stacked(
+    tin: np.ndarray,
+    tout: np.ndarray,
+    dep_t: np.ndarray,
+    dep_a: np.ndarray,
+    dep_b: np.ndarray,
+    dep_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best 1-/2-respecting cut per stacked tree slice.
+
+    The arguments are those of :func:`stacked_pair_covers`.  Returns
+    ``(values, flat)`` where ``flat[t]`` is the row-major argmin of tree
+    ``t``'s ``(n-1, n-1)`` cut matrix (``i == j`` on the diagonal means a
+    1-respecting cut).
+    """
+    c, n = tin.shape
+    matrix = stacked_pair_covers(tin, tout, dep_t, dep_a, dep_b, dep_w)
 
     # Cut(e_i, e_j) = Cov(e_i) + Cov(e_j) - 2 Cov(e_i, e_j); diagonal =
     # the 1-respecting values.  Doubling in place is exact, so the
     # subtraction sees the same operands as ``cut_matrix``'s.
+    diag = np.arange(n - 1)
     covers = matrix[:, diag, diag].copy()
     matrix *= 2
     cuts = covers[:, :, None] + covers[:, None, :]
@@ -260,9 +300,9 @@ class OracleJob:
     """One graph's stacked-tree solve request for the many-graph path.
 
     ``tin``/``tout``/``pos`` are ``(T, n)`` stacks over the graph's packed
-    trees (``pos`` maps node index -> BFS index per tree, i.e. the
-    ``tree_remap`` row); ``u_pos``/``v_pos``/``weights`` are the graph's
-    zero-filtered edge arrays.  The per-tree Euler times of every edge
+    trees (``pos`` maps node index -> BFS index per tree, as in a
+    :class:`~repro.kernel.forest.TreeStack`); ``u_pos``/``v_pos``/
+    ``weights`` are the graph's zero-filtered edge arrays.  The per-tree Euler times of every edge
     endpoint are precomputed once here -- the chunked solver only
     concatenates slices of them.
     """

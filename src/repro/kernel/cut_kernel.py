@@ -1,31 +1,18 @@
-"""Vectorized cover/cut computations on top of :class:`TreeKernel`.
+"""Vectorized cover computations and the graph's edge arrays.
 
-Two algorithmic upgrades over walking each graph edge's tree path:
+:func:`stacked_covers` is the classic differencing trick for ``Cov(e)``:
+every graph edge ``{u, v}`` of weight ``w`` deposits ``+w`` at both
+endpoints and ``-2w`` at their LCA, and one subtree-sum pass turns the
+deposits into ``Cov(e)`` for every tree edge simultaneously.  With the
+vectorized LCA and the Euler prefix-sum this is O((n + m) log n) in numpy
+instead of O(m * pathlen) in Python, for every tree of a
+:class:`~repro.kernel.forest.TreeStack` in one pass.
+:func:`cover_values_kernel` is its one-row case: a
+:class:`~repro.kernel.tree_kernel.TreeKernel`'s ``stack``, with the edge
+arrays renamed onto the tree's BFS indices (:meth:`GraphArrays.on_tree`).
 
-* :func:`cover_values_kernel` -- the classic differencing trick: every graph
-  edge ``{u, v}`` of weight ``w`` deposits ``+w`` at both endpoints and
-  ``-2w`` at their LCA, and one subtree-sum pass turns the deposits into
-  ``Cov(e)`` for every tree edge simultaneously.  With the vectorized LCA
-  and the Euler prefix-sum this is O((n + m) log n) in numpy instead of
-  O(m * pathlen) in Python.  :func:`stacked_covers` runs it for every
-  tree of a packing in one pass; one tree is its one-row case.
-
-* :func:`pair_cover_matrix_kernel` -- ``Cov(e, f)`` for *all* pairs in
-  O(n^2 + m) instead of O(m * pathlen^2).  Write each graph edge's weight
-  at matrix position ``(tin(u), tin(v))`` (both orders) and take 2D prefix
-  sums ``P`` over the Euler order; then
-
-  ``S(x, y) = sum of weights over subtree(x) x subtree(y)``
-
-  is a four-corner difference of ``P``.  For tree edges ``e = (bot b_e)``:
-
-  - ``b_e``, ``b_f`` incomparable:  ``Cov(e, f) = S(b_e, b_f)`` (a path
-    covers both edges iff it has one endpoint under each bottom);
-  - ``b_e`` ancestor of ``b_f``:    ``Cov(e, f) = T(b_f) - S(b_f, b_e)``
-    where ``T(x) = S(x, V)`` -- edges leaving ``subtree(b_f)`` that also
-    leave ``subtree(b_e)``;
-  - diagonal: the ancestor formula degenerates to ``T(b_e) - S(b_e, b_e)``
-    = ``Cov(e)`` exactly, so one vectorized formula covers everything.
+``Cov(e, f)`` for all pairs lives with the stacked oracle
+(:func:`~repro.kernel.batched.stacked_pair_covers`).
 
 All sums are plain float64 additions of the original weights, so for
 integer weights the results are exact: ``tests/test_kernel.py`` matches
@@ -162,18 +149,18 @@ class GraphArrays:
             for a, b in zip(self.u_pos.tolist(), self.v_pos.tolist())
         ]
 
-    def tree_endpoints(
-        self, kernel: TreeKernel
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints re-mapped onto a tree kernel's dense indices."""
-        remap = self.tree_remap(kernel)
-        return remap[self.u_pos], remap[self.v_pos]
-
-    def tree_remap(self, kernel: TreeKernel) -> np.ndarray:
-        """Node position -> kernel index; inverse-permutation fast path."""
-        if self.identity_nodes:
-            return kernel.inverse_order(len(self.nodes))
-        return kernel.indices_of(self.nodes)
+    def on_tree(self, kernel: TreeKernel) -> "GraphArrays":
+        """The same edges with each endpoint renamed to its BFS index in
+        ``kernel``: the node ids of ``kernel.stack``."""
+        index = kernel.index
+        remap = np.fromiter(
+            (index[node] for node in self.nodes),
+            dtype=np.int64,
+            count=len(self.nodes),
+        )
+        return GraphArrays(
+            kernel.nodes, remap[self.u_pos], remap[self.v_pos], self.weights
+        )
 
 
 def _arrays_for(
@@ -187,16 +174,11 @@ def cover_values_kernel(
     tree: "RootedTree",
     arrays: GraphArrays | None = None,
 ) -> "dict[Edge, float]":
-    """``Cov(e)`` for every tree edge -- differencing + one subtree sum
-    (the one-tree case of :func:`stacked_covers`)."""
+    """``Cov(e)`` for every tree edge: :func:`stacked_covers` on the
+    tree's one-row stack."""
     kernel = tree.kernel
-    arrays = _arrays_for(graph, arrays)
-    u_idx, v_idx = arrays.tree_endpoints(kernel)
-    cover = _covers(
-        kernel.parent[None], kernel.tin[None], kernel.tout[None],
-        u_idx[None], v_idx[None], arrays.weights,
-    )
-    return cover_dict(tree, cover[0])
+    on_tree = _arrays_for(graph, arrays).on_tree(kernel)
+    return cover_dict(tree, stacked_covers(kernel.stack, on_tree)[0])
 
 
 def stacked_covers(stack: "TreeStack", arrays: GraphArrays) -> np.ndarray:
@@ -205,9 +187,9 @@ def stacked_covers(stack: "TreeStack", arrays: GraphArrays) -> np.ndarray:
     above BFS index ``i`` (column 0, the root, carries a residue).
 
     ``arrays`` positions must be the stack's node ids (true of
-    :meth:`GraphArrays.from_csr`, labelled or not).  Each row's floats
-    are those :func:`cover_values_kernel` computes for that tree alone,
-    bit for bit.
+    :meth:`GraphArrays.from_csr`, labelled or not; of
+    :meth:`GraphArrays.on_tree` for a kernel's one-row stack).  A row's
+    floats do not depend on the rows stacked beside it.
     """
     return _covers(
         stack.parent, stack.tin, stack.tout,
@@ -264,89 +246,6 @@ def _covers(
     np.cumsum(delta[preorder].reshape(trees, n), axis=1, out=prefix[:, 1:])
     return np.take_along_axis(prefix, tout, axis=1) - np.take_along_axis(
         prefix, tin, axis=1
-    )
-
-
-def pair_cover_matrix_kernel(
-    graph: nx.Graph,
-    tree: "RootedTree",
-    arrays: GraphArrays | None = None,
-) -> "tuple[list[Edge], np.ndarray]":
-    """``Cov(e, f)`` for every pair of tree edges in O(n^2 + m).
-
-    Returns the tree-edge list in ``tree.edges()`` order (BFS order of the
-    bottom nodes) and the symmetric matrix with ``M[i, i] = Cov(e_i)``.
-    """
-    kernel = tree.kernel
-    arrays = _arrays_for(graph, arrays)
-    n = kernel.n
-    edges = list(tree.edges())
-    if n <= 1:
-        return edges, np.zeros((0, 0), dtype=np.float64)
-
-    u_idx, v_idx = arrays.tree_endpoints(kernel)
-    weights = arrays.weights
-    nonzero = weights != 0
-    if not nonzero.all():
-        u_idx, v_idx, weights = u_idx[nonzero], v_idx[nonzero], weights[nonzero]
-
-    # Deposit each edge weight at (tin(u), tin(v)) in both orientations and
-    # integrate: P[a, b] = total weight over preorder box [0, a) x [0, b).
-    prefix = np.zeros((n + 1, n + 1), dtype=np.float64)
-    ut, vt = kernel.tin[u_idx], kernel.tin[v_idx]
-    np.add.at(prefix, (ut + 1, vt + 1), weights)
-    np.add.at(prefix, (vt + 1, ut + 1), weights)
-    prefix.cumsum(axis=0, out=prefix)
-    prefix.cumsum(axis=1, out=prefix)
-
-    # Tree edge i <-> bottom node index i + 1 (BFS order skips the root).
-    lo = kernel.tin[1:]
-    hi = kernel.tout[1:]
-    # rows[i, b] = weight of pairs subtree(b_i) x (preorder positions < b);
-    # differencing its columns gives S[i, j] = weight over
-    # subtree(b_i) x subtree(b_j), and its last column is
-    # T[i] = S(b_i, V): every edge leaving subtree(b_i) once, internal twice.
-    rows = prefix[hi] - prefix[lo]
-    totals = rows[:, n].copy()
-    matrix = rows[:, hi]
-    matrix -= rows[:, lo]
-
-    # Ancestor-related pairs need the leave-both-subtrees correction
-    # Cov = T(descendant) - S; the two strict masks are disjoint and the
-    # diagonal (T(b_i) - S(b_i, b_i) = Cov(e_i)) belongs to either, so the
-    # fixups can run in place over the incomparable-pair base values.
-    ancestor = (lo[:, None] <= lo[None, :]) & (hi[None, :] <= hi[:, None])
-    descendant = ancestor.T.copy()
-    np.fill_diagonal(descendant, False)
-    np.subtract(totals[None, :], matrix, out=matrix, where=ancestor)
-    np.subtract(totals[:, None], matrix, out=matrix, where=descendant)
-    return edges, matrix
-
-
-def cut_partition_kernel(
-    tree: "RootedTree", edges: "tuple[Edge, ...]"
-) -> frozenset:
-    """One side of the (1- or 2-)respecting cut, via preorder slices."""
-    kernel = tree.kernel
-    pre = kernel.preorder_nodes
-    tin, tout = kernel.tin, kernel.tout
-    if len(edges) == 1:
-        b = kernel.index[tree.bottom(edges[0])]
-        return frozenset(pre[tin[b] : tout[b]])
-    if len(edges) != 2:
-        raise ValueError("a respecting cut has one or two tree edges")
-    e, f = edges
-    be = kernel.index[tree.bottom(e)]
-    bf = kernel.index[tree.bottom(f)]
-    if kernel.is_ancestor_idx(be, bf):
-        return frozenset(pre[tin[be] : tin[bf]] + pre[tout[bf] : tout[be]])
-    if kernel.is_ancestor_idx(bf, be):
-        return frozenset(pre[tin[bf] : tin[be]] + pre[tout[be] : tout[bf]])
-    first, second = sorted((be, bf), key=lambda i: int(tin[i]))
-    return frozenset(
-        pre[: tin[first]]
-        + pre[tout[first] : tin[second]]
-        + pre[tout[second] :]
     )
 
 

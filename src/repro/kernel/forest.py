@@ -1,14 +1,15 @@
 """Stacked tree arrays: BFS + Euler intervals for many trees in one pass.
 
-:class:`~repro.kernel.tree_kernel.TreeKernel` builds one tree's arrays
-with a Python BFS and an explicit DFS stack -- fine per call, but the
-oracle roots packed trees batch by batch, and a many-graph sweep packs
-*hundreds* of them, so the per-tree Python loops would dominate.  This
-module builds the same arrays for every tree of every graph of a batch,
-whatever the graphs' node counts, in O(log n) numpy passes over one flat
-node space (tree ``j`` owns the slots ``offset[j] .. offset[j] + n_j -
-1``; a graph's trees sit next to each other), independent of the trees'
-depths (a level-by-level BFS pays a round of passes per level):
+This is the one builder of BFS order, parents and Euler intervals in the
+package.  The oracle roots packed trees batch by batch, a many-graph
+sweep packs *hundreds* of them, the recursion's leaves hold thousands of
+tiny base-case trees, and a :class:`~repro.kernel.tree_kernel.TreeKernel`
+is one tree's one-row stack -- so it builds the arrays for every tree of
+every graph of a batch, whatever the graphs' node counts, in O(log n)
+numpy passes over one flat node space (tree ``j`` owns the slots
+``offset[j] .. offset[j] + n_j - 1``; a graph's trees sit next to each
+other), independent of the trees' depths (a level-by-level BFS pays a
+round of passes per level):
 
 * **Euler tour -> parents, subtree sizes** -- each tree edge is two
   arcs; after arc ``(u -> v)`` the tour takes ``v``'s next arc after
@@ -19,18 +20,18 @@ depths (a level-by-level BFS pays a round of passes per level):
   between the two are the child's subtree: ``size = (rank(up) -
   rank(down) + 1) / 2``.  The tour visits children in a rotated order,
   so it fixes parents and sizes but not the preorder.
-* **Ancestor sums -> depth, ``tin``** -- the kernel's stack discipline
-  (children pushed in adjacency order, popped LIFO) visits them in
-  *reverse* adjacency order, so ``tin(child) = tin(parent) + 1 + (sizes
-  of later siblings)``: a segmented suffix sum over each node's
-  neighbour run gives each node's step, and ``tin`` sums the steps of a
-  node and its ancestors.  Any Euler tour enters a node's subtree after
+* **Ancestor sums -> depth, ``tin``** -- the preorder is that of a
+  stack walk (children pushed in adjacency order, popped LIFO), which
+  visits them in *reverse* adjacency order, so ``tin(child) =
+  tin(parent) + 1 + (sizes of later siblings)``: a segmented suffix
+  sum over each node's neighbour run gives each node's step, and
+  ``tin`` sums the steps of a node and its ancestors.  Any Euler tour enters a node's subtree after
   its ancestors' entries and before their exits, so that sum is one
   prefix sum in tour order (``+step`` on the arc entering a subtree,
   ``-step`` on the arc leaving it); the depth is the same with steps
   of 1.
-* **BFS order** -- within a level, the kernel's BFS order (parents in
-  BFS order, children in adjacency order) is exactly the *reverse* of
+* **BFS order** -- within a level, the BFS order (parents in BFS
+  order, children in adjacency order) is exactly the *reverse* of
   the preorder.  Children of one parent come out of the DFS in reverse
   adjacency order; nodes with different parents sit inside their
   parents' disjoint Euler intervals, which (by induction on the level)
@@ -38,14 +39,13 @@ depths (a level-by-level BFS pays a round of passes per level):
   gives ``order``.
 
 Each graph's :class:`TreeStack` is a ``(T, n)`` reshape of its block of
-the flat arrays.  The outputs are element-for-element equal to the
-per-tree :class:`TreeKernel` fields (asserted by the test suite):
-``order`` is the BFS order (``kernel.nodes``), ``pos`` its inverse
-(``tree_remap``), and ``tin``/``tout`` the Euler intervals.  Equality
-holds because the input edge lists are given in the exact insertion
-order the serial path feeds ``RootedTree`` (canonical edge-key order),
-so adjacency enumeration -- and hence every downstream order --
-coincides.
+the flat arrays: ``order`` is the BFS order (a
+:class:`~repro.trees.rooted.RootedTree`'s ``order``), ``pos`` its
+inverse, and ``tin``/``tout`` the Euler intervals.  Given the edge lists
+in the insertion order ``RootedTree`` sees (canonical edge-key order),
+adjacency enumeration -- and hence every downstream order -- is the
+``RootedTree``'s; ``tests/test_forest.py`` checks every array against a
+pure-Python BFS and stack walk.
 
 Only index-space trees (nodes ``0..n-1``) are supported; that is what
 every packing's ``tree_edge_arrays`` holds, for CSR and networkx input
@@ -68,9 +68,9 @@ class TreeStack:
     ----------
     order:
         ``(T, n)`` -- BFS index -> node id (row ``t`` is tree ``t``'s
-        ``kernel.nodes``).
+        ``RootedTree.order``).
     pos:
-        ``(T, n)`` -- node id -> BFS index (the ``tree_remap`` row).
+        ``(T, n)`` -- node id -> BFS index.
     parent:
         ``(T, n)`` -- BFS index -> parent's BFS index (root maps to 0).
     tin / tout:
@@ -107,18 +107,23 @@ class TreeStack:
         parent_node = int(self.order[t, self.parent[t, i + 1]])
         return edge_key(node, parent_node)
 
-    def cut_side(self, t: int, edges: "tuple[tuple[int, int], ...]") -> frozenset:
+    def cut_side(
+        self, t: int, edges: "tuple[tuple[int, int], ...]", nodes=None
+    ) -> frozenset:
         """One side of the cut that tree ``t``'s edges ``edges`` (one or
-        two, node-index keys) determine: the same node list, in the same
-        order, as :func:`~repro.core.cut_values.cut_partition` reads off
-        the tree's ``RootedTree`` -- the bottom subtree, the middle of two
-        nested edges, or everything outside two disjoint subtrees."""
+        two, node-index keys) determine, built in preorder: the bottom
+        subtree, the middle of two nested edges, or everything outside
+        two disjoint subtrees.  Node ids are relabelled through ``nodes``
+        when given (before the set is built, so its iteration order is
+        that of the labels inserted in preorder)."""
         if len(edges) not in (1, 2):
             raise ValueError("a respecting cut has one or two tree edges")
         tin, tout = self.tin[t], self.tout[t]
         preorder = np.empty(self.n, dtype=np.int64)
         preorder[tin] = self.order[t]
         pre = preorder.tolist()
+        if nodes is not None:
+            pre = [nodes[x] for x in pre]
         # A tree edge's bottom node is the later of its ends in BFS order.
         pos = self.pos[t]
         intervals = [

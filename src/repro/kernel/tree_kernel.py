@@ -1,31 +1,30 @@
-"""Flat-array tree kernel: the shared fast path under every tree algorithm.
+"""Flat-array view of one rooted tree: a one-row :class:`TreeStack`.
 
 A :class:`TreeKernel` is built once (lazily) per :class:`RootedTree` and
 replaces per-node pointer chasing with contiguous numpy arrays:
 
 * nodes are mapped to dense indices in BFS order (index 0 = root, so a
   node's parent always has a smaller index);
-* an Euler tour assigns half-open intervals ``[tin, tout)`` such that the
+* the parents and the half-open Euler intervals ``[tin, tout)`` come from
+  the one Euler-interval builder,
+  :func:`~repro.kernel.forest.stacked_tree_arrays`, fed the tree's
+  ``(parent index, child index)`` pairs in BFS order and rooted at 0, so
+  the node ids of the one-row ``stack`` *are* the BFS indices.  The
   descendants of ``v`` are exactly the preorder positions in ``v``'s
-  interval -- ancestry tests become two integer comparisons and subtree
-  enumeration becomes a list slice;
-* a binary-lifting table gives O(log n) LCA for single queries and, more
-  importantly, *vectorized* LCA for whole arrays of node pairs at once
-  (:func:`euler_lca`: one numpy pass per lifting level, over one tree or
-  a whole stack of trees);
-* subtree sums of any node vector reduce to one cumulative sum over the
-  preorder permutation (``sum over [tin, tout)``), which is how the cover
-  kernel gets its O(n + m) 1-respecting pass.
-
-The preorder comes from a stack walk (children pushed in order, popped
-LIFO); ``RootedTree.subtree_nodes`` returns slices of it.
+  interval: ancestry tests are two integer comparisons;
+* a binary-lifting table gives *vectorized* LCA for whole arrays of node
+  pairs at once (:func:`euler_lca`: one numpy pass per lifting level,
+  over one tree or a whole stack of trees); a single query is its
+  length-1 case.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
+
+from repro.kernel.forest import stacked_tree_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.trees.rooted import RootedTree
@@ -42,16 +41,17 @@ class TreeKernel:
         Node objects in BFS order; ``nodes[i]`` is the node with index ``i``.
     index:
         Inverse mapping node -> dense index.
+    stack:
+        The tree as a one-row :class:`~repro.kernel.forest.TreeStack`
+        whose node ids are the BFS indices.
     parent:
         ``parent[i]`` = index of ``i``'s parent; the root points at itself
-        (which clamps binary lifting at the root).
+        (which clamps binary lifting at the root).  A view of ``stack``.
     depth:
         Tree depth per index.
     tin / tout:
         Half-open Euler interval per index: descendants of ``i`` occupy
-        preorder positions ``tin[i] .. tout[i] - 1``.
-    preorder_nodes:
-        Node objects in that preorder.
+        preorder positions ``tin[i] .. tout[i] - 1``.  Views of ``stack``.
     """
 
     def __init__(self, tree: "RootedTree"):
@@ -60,49 +60,24 @@ class TreeKernel:
         self.index: dict[Node, int] = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)
         self.n = n
-        index = self.index
-
-        parent = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            parent[i] = index[tree.parent[nodes[i]]]
-        self.parent = parent
+        index, parent = self.index, tree.parent
+        above = np.fromiter(
+            (index[parent[node]] for node in nodes[1:]), dtype=np.int64, count=n - 1
+        )
+        child = np.arange(1, n, dtype=np.int64)
+        (self.stack,) = stacked_tree_arrays([n], [[(above, child)]], [0])
+        self.parent = self.stack.parent[0]
+        self.tin = self.stack.tin[0]
+        self.tout = self.stack.tout[0]
         self.depth = np.fromiter(
             (tree.depth[node] for node in nodes), dtype=np.int64, count=n
         )
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        for node, kids in tree.children.items():
-            children[index[node]] = [index[child] for child in kids]
-
-        # Euler tour (stack order: children pushed in order, LIFO).
-        tin = np.empty(n, dtype=np.int64)
-        tout = np.empty(n, dtype=np.int64)
-        preorder = np.empty(n, dtype=np.int64)
-        timer = 0
-        stack: list[int] = [0]
-        # ~v (< 0) marks the post-visit sentinel of v.
-        while stack:
-            v = stack.pop()
-            if v < 0:
-                tout[~v] = timer
-                continue
-            tin[v] = timer
-            preorder[timer] = v
-            timer += 1
-            stack.append(~v)
-            stack.extend(children[v])
-        self.tin = tin
-        self.tout = tout
-        #: node objects in preorder -- subtree slices come straight off this
-        self.preorder_nodes: list[Node] = [nodes[i] for i in preorder]
-
         # Binary lifting is the only O(n log n) piece, and interval tests /
-        # subtree slices / subtree sums never need it -- build it on the
-        # first LCA query instead of up front.
+        # subtree slices never need it -- build it on the first LCA query.
         max_depth = int(self.depth.max()) if n else 0
         self.log = max(1, max_depth.bit_length())
         self._up: np.ndarray | None = None
-        self._inverse: np.ndarray | None = None
 
     @property
     def up(self) -> np.ndarray:
@@ -111,83 +86,33 @@ class TreeKernel:
             self._up = lifting_table(self.parent, self.log)
         return self._up
 
-    # ------------------------------------------------------------------
-    # Scalar queries (node-index domain)
-    # ------------------------------------------------------------------
     def lca_idx(self, u: int, v: int) -> int:
-        """Index of the LCA of two node indices, via binary lifting."""
-        depth, up = self.depth, self.up
-        if depth[u] < depth[v]:
-            u, v = v, u
-        diff = int(depth[u] - depth[v])
-        k = 0
-        while diff:
-            if diff & 1:
-                u = int(up[k][u])
-            diff >>= 1
-            k += 1
-        if u == v:
-            return u
-        for k in range(self.log - 1, -1, -1):
-            if up[k][u] != up[k][v]:
-                u = int(up[k][u])
-                v = int(up[k][v])
-        return int(self.parent[u])
-
-    def is_ancestor_idx(self, a: int, b: int) -> bool:
-        """``a`` on the root-to-``b`` path (inclusive) -- O(1) interval test."""
-        return bool(self.tin[a] <= self.tin[b] and self.tout[b] <= self.tout[a])
-
-    def subtree_size_idx(self, v: int) -> int:
-        return int(self.tout[v] - self.tin[v])
+        """Index of the LCA of two node indices (:func:`euler_lca` on one
+        pair)."""
+        pair = euler_lca(
+            self.up, self.tin, self.tout,
+            np.array([u], dtype=np.int64), np.array([v], dtype=np.int64),
+        )
+        return int(pair[0])
 
     # ------------------------------------------------------------------
-    # Scalar queries (node-object domain)
+    # Node-object queries
     # ------------------------------------------------------------------
     def lca(self, u: Node, v: Node) -> Node:
         return self.nodes[self.lca_idx(self.index[u], self.index[v])]
 
     def is_ancestor(self, ancestor: Node, node: Node) -> bool:
-        return self.is_ancestor_idx(self.index[ancestor], self.index[node])
+        """``ancestor`` on the root-to-``node`` path (inclusive)."""
+        a, b = self.index[ancestor], self.index[node]
+        return bool(self.tin[a] <= self.tin[b] and self.tout[b] <= self.tout[a])
 
     def subtree_nodes(self, node: Node) -> list[Node]:
-        """Descendants of ``node`` (inclusive) -- a single list slice."""
+        """Descendants of ``node`` (inclusive), in preorder."""
         i = self.index[node]
-        return self.preorder_nodes[self.tin[i] : self.tout[i]]
-
-    # ------------------------------------------------------------------
-    # Vectorized queries
-    # ------------------------------------------------------------------
-    def indices_of(self, nodes: Sequence[Node]) -> np.ndarray:
-        index = self.index
-        return np.fromiter(
-            (index[node] for node in nodes), dtype=np.int64, count=len(nodes)
-        )
-
-    def inverse_order(self, n: int) -> np.ndarray:
-        """Label -> kernel index, for dense integer labels ``0..n-1``.
-
-        The inverse permutation of ``nodes`` as one numpy scatter -- the
-        zero-loop remap the CSR pipeline uses in place of per-node dict
-        lookups (only valid when the node labels are their own indices).
-        """
-        if self._inverse is None:
-            order = np.asarray(self.nodes, dtype=np.int64)
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[order] = np.arange(self.n, dtype=np.int64)
-            self._inverse = inverse
-        return self._inverse
-
-    def lca_indices(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """LCA indices for aligned arrays of node indices, all at once
-        (the one-tree case of :func:`euler_lca`)."""
-        return euler_lca(
-            self.up,
-            self.tin,
-            self.tout,
-            np.asarray(u, dtype=np.int64),
-            np.asarray(v, dtype=np.int64),
-        )
+        preorder = np.empty(self.n, dtype=np.int64)
+        preorder[self.tin] = np.arange(self.n, dtype=np.int64)
+        nodes = self.nodes
+        return [nodes[j] for j in preorder[self.tin[i] : self.tout[i]].tolist()]
 
 
 def lifting_table(parent: np.ndarray, levels: int) -> np.ndarray:

@@ -138,7 +138,8 @@ class Histogram:
         """Upper-edge estimate of the ``q``-quantile (``0 < q <= 1``).
 
         The boundary of the first bucket whose running count reaches
-        ``q * count``; past the last boundary, the largest observation.
+        ``q * count``, clamped to the largest observation (no quantile
+        lies above it); past the last boundary, the largest observation.
         """
         with self._registry._lock:
             if not self.count:
@@ -148,7 +149,7 @@ class Histogram:
             for edge, bucket_count in zip(self.boundaries, self.counts):
                 seen += bucket_count
                 if seen >= target:
-                    return edge
+                    return min(edge, float(self.max))
             return self.max
 
     def as_dict(self) -> dict:

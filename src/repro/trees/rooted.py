@@ -161,9 +161,9 @@ class RootedTree:
     def subtree_nodes(self, node: Node) -> list[Node]:
         """All descendants of ``node`` (inclusive), preorder.
 
-        A single slice of the kernel's cached preorder sequence: its Euler
-        tour pops a stack and pushes each node's children in order, so a
-        node's children are visited last-child first.
+        A slice of the kernel's preorder (a stack walk that pushes each
+        node's children in order, so they are visited last-child first),
+        read off its Euler intervals.
         """
         return self.kernel.subtree_nodes(node)
 

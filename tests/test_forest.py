@@ -4,19 +4,23 @@
 of the oracle's schedule makes one
 :func:`~repro.kernel.forest.stacked_tree_arrays` call over the next
 batch of every unsettled graph, whatever the graphs' node counts.  Every
-built row must equal its tree's one-graph build and the per-tree
-:class:`TreeKernel` fields element for element, and each result must
-equal a looped ``minimum_cut`` bit for bit.  The batch mixes 16 distinct
+built row must equal its tree's one-graph build and a pure-Python
+reference (the tree's ``RootedTree`` BFS and a LIFO stack walk, written
+out here and sharing no code with the builder) element for element, and
+each result must equal a looped ``minimum_cut`` bit for bit.  The batch mixes 16 distinct
 node counts, including n=3, path-shaped trees from cycles, and a
 labelled graph whose root is not node index 0.  The builder itself is
 checked on deep paths, stars, caterpillars, shuffled edge orders and
-the smallest trees, and the witness read off a stack row
+the smallest trees and a ragged forest shaped like the recursion's
+leaf batches, and the witness read off a stack row
 (:meth:`TreeStack.cut_side`) against ``cut_partition`` on the tree's
-``RootedTree``.
+``RootedTree`` and against the components of the tree with the cut
+edges removed.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,8 +28,7 @@ import repro
 from repro.core import session as session_module
 from repro.core.cut_values import cut_partition
 from repro.graphs import CSR_FAMILY_BUILDERS, CSRGraph
-from repro.kernel.forest import stacked_tree_arrays
-from repro.kernel.tree_kernel import TreeKernel
+from repro.kernel.forest import _flat_forest, stacked_tree_arrays
 from repro.trees.rooted import RootedTree
 
 FAMILIES = sorted(CSR_FAMILY_BUILDERS)
@@ -79,6 +82,30 @@ def mixed_sweep():
     finally:
         session_module.stacked_tree_arrays = original
     return graphs, seeds, results, calls
+
+
+def _reference(tree: RootedTree):
+    """``(order, pos, parent, tin, tout)`` of ``tree`` as lists: BFS
+    indices from the tree's BFS order, ``pos`` over node indices
+    ``0..n-1``, and the preorder of a stack walk that pushes each node's
+    children in order and pops them LIFO."""
+    nodes = tree.order
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    parent = [0] + [index[tree.parent[node]] for node in nodes[1:]]
+    children = [[index[child] for child in tree.children[node]] for node in nodes]
+    tin, tout = [0] * n, [0] * n
+    timer, stack = 0, [0]
+    while stack:
+        v = stack.pop()
+        if v < 0:  # ~v: v's subtree is done
+            tout[~v] = timer
+            continue
+        tin[v] = timer
+        timer += 1
+        stack.append(~v)
+        stack.extend(children[v])
+    return list(nodes), [index[x] for x in range(n)], parent, tin, tout
 
 
 def _stack_arrays(stack):
@@ -155,19 +182,22 @@ class TestMixedSizeForest:
                 assert np.array_equal(got, want)
 
     def test_each_row_equals_its_tree_kernel(self, mixed_sweep):
+        """Each row equals the reference walk of its ``RootedTree``, and
+        so does that tree's ``TreeKernel`` (a one-row build fed the
+        tree's BFS-index pairs rather than the packed edge arrays)."""
         graphs, _seeds, results, calls = mixed_sweep
         roots = {n: root for sizes, rs, _ in calls for n, root in zip(sizes, rs)}
         for graph, result, arrays in zip(graphs, results, _built(graphs, calls)):
             n, packing = graph.n, result.packing
-            order, pos, parent, tin, tout = arrays
-            for t in range(len(order)):
-                kernel = TreeKernel(packing.rooted_tree(t, roots[n]))
-                assert order[t].tolist() == kernel.nodes
-                assert parent[t].tolist() == kernel.parent.tolist()
-                assert tin[t].tolist() == kernel.tin.tolist()
-                assert tout[t].tolist() == kernel.tout.tolist()
-                remap = [kernel.index[node] for node in range(n)]
-                assert pos[t].tolist() == remap
+            for t in range(len(arrays[0])):
+                tree = packing.rooted_tree(t, roots[n])
+                want = _reference(tree)
+                assert [row[t].tolist() for row in arrays] == list(want)
+                kernel = tree.kernel
+                assert kernel.nodes == want[0]
+                assert kernel.parent.tolist() == want[2]
+                assert kernel.tin.tolist() == want[3]
+                assert kernel.tout.tolist() == want[4]
 
     def test_results_bit_identical_to_looped_minimum_cut(self, mixed_sweep):
         graphs, seeds, results, _calls = mixed_sweep
@@ -182,26 +212,22 @@ class TestMixedSizeForest:
             assert result.stats["accountant"] == alone.stats["accountant"]
 
 
-def _kernel(n, edge_u, edge_v, root) -> TreeKernel:
+def _walk(n, edge_u, edge_v, root):
     """The per-tree reference: a RootedTree over the edges in insertion
-    order (what the packing hands it) and its kernel."""
+    order (what the packing hands it) and its :func:`_reference` walk."""
     adjacency: dict = {node: [] for node in range(n)}
     for u, v in zip(edge_u.tolist(), edge_v.tolist()):
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return TreeKernel(RootedTree(adjacency, root))
+    return _reference(RootedTree(adjacency, root))
 
 
 def _assert_rows_match(n, trees, root):
     (stack,) = stacked_tree_arrays([n], [trees], [root])
     assert stack.order.shape == (len(trees), n)
     for t, (edge_u, edge_v) in enumerate(trees):
-        kernel = _kernel(n, edge_u, edge_v, root)
-        assert stack.order[t].tolist() == kernel.nodes
-        assert stack.parent[t].tolist() == kernel.parent.tolist()
-        assert stack.tin[t].tolist() == kernel.tin.tolist()
-        assert stack.tout[t].tolist() == kernel.tout.tolist()
-        assert stack.pos[t].tolist() == [kernel.index[x] for x in range(n)]
+        got = [row[t].tolist() for row in _stack_arrays(stack)]
+        assert got == list(_walk(n, edge_u, edge_v, root))
     return stack
 
 
@@ -304,6 +330,56 @@ class TestEulerTourBuilder:
                 _assert_rows_match(n, group, root)
 
 
+    def test_ragged_forest_of_leaf_batch_trees(self):
+        """The recursion's leaf batches call the flat builder directly: a
+        forest of trees of 1-9 nodes (depth up to 8) in one slot space,
+        every tree rooted at its local node 0, its edges shuffled."""
+        rng = np.random.default_rng(29)
+        sizes = [1, 9] + [int(rng.integers(1, 10)) for _ in range(40)]
+        trees = [(np.zeros(0, np.int64), np.zeros(0, np.int64)), _path(9)]
+        for n in sizes[2:]:
+            parents = np.asarray(
+                [int(rng.integers(0, i)) for i in range(1, n)], dtype=np.int64
+            )
+            trees.append(_shuffled(rng, n, parents, np.arange(1, n)))
+        offset = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offset[1:])
+        shift = np.repeat(offset[:-1], np.subtract(sizes, 1))
+        flat = _flat_forest(
+            np.concatenate([edge_u for edge_u, _v in trees]) + shift,
+            np.concatenate([edge_v for _u, edge_v in trees]) + shift,
+            np.zeros(len(sizes), dtype=np.int64),
+            offset,
+        )
+        depths = []
+        for j, (n, (edge_u, edge_v)) in enumerate(zip(sizes, trees)):
+            block = slice(int(offset[j]), int(offset[j + 1]))
+            got = [array[block].tolist() for array in flat]
+            want = _walk(n, edge_u, edge_v, 0)
+            assert got == list(want)
+            depth = [0] * n
+            for i in range(1, n):
+                depth[i] = depth[want[2][i]] + 1
+            depths.append(max(depth))
+        assert max(depths) == 8 and sizes[0] == 1
+
+
+def _middle_component(tree: RootedTree, cut) -> set:
+    """The side a respecting cut separates, from the components of the
+    tree minus the cut edges: one edge's bottom side, or the component
+    that touches both of two edges."""
+    forest = nx.Graph(list(tree.edges()))
+    forest.remove_edges_from(cut)
+    if len(cut) == 1:
+        return nx.node_connected_component(forest, tree.bottom(cut[0]))
+    (side,) = [
+        component
+        for component in map(set, nx.connected_components(forest))
+        if all(u in component or v in component for u, v in cut)
+    ]
+    return side
+
+
 class TestStackWitness:
     """:meth:`TreeStack.cut_side` equals ``cut_partition`` on the tree's
     ``RootedTree`` for every candidate kind: one edge, two nested edges
@@ -327,6 +403,7 @@ class TestStackWitness:
                 want = cut_partition(tree, cut)
                 got = stack.cut_side(t, cut)
                 assert got == want and list(got) == list(want)
+                assert set(got) == _middle_component(tree, cut)
                 if len(cut) == 2:
                     b = [tree.bottom(e) for e in cut]
                     nested = tree.is_ancestor(b[0], b[1]) or tree.is_ancestor(b[1], b[0])

@@ -38,6 +38,7 @@ from repro.core.cut_values import (
 from repro.core.one_respecting import one_respecting_cuts_fast
 from repro.graphs import CSRGraph, random_connected_gnm, random_spanning_tree
 from repro.kernel import GraphArrays
+from repro.kernel.tree_kernel import euler_lca
 from repro.trees.rooted import RootedTree
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ class TestTreePrimitives:
         n = kernel.n
         us = np.array([rng.randrange(n) for _ in range(200)])
         vs = np.array([rng.randrange(n) for _ in range(200)])
-        lcas = kernel.lca_indices(us, vs)
+        lcas = euler_lca(kernel.up, kernel.tin, kernel.tout, us, vs)
         for u, v, l in zip(us, vs, lcas):
             meet = walk_lca(tree, kernel.nodes[u], kernel.nodes[v])
             assert kernel.nodes[int(l)] == meet

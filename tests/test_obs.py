@@ -208,6 +208,19 @@ class TestMetrics:
         assert histogram.counts[-1] == 2
         assert histogram.percentile(1.0) == 5.0
 
+    def test_histogram_percentile_never_exceeds_the_largest_observation(self):
+        histogram = metrics.MetricsRegistry().histogram(
+            "latency", (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
+        )
+        for value in (11.0, 11.5, 12.0, 12.5, 13.0):
+            histogram.observe(value)
+        # Every observation sits in the (10, 20] bucket: its upper edge
+        # would overstate every quantile.
+        assert histogram.percentile(0.5) <= 13.0
+        assert histogram.percentile(0.99) <= 13.0
+        assert histogram.percentile(0.99) == 13.0
+        assert isinstance(histogram.percentile(0.5), float)
+
     def test_counter_gauge_histogram(self):
         with trace.tracing():
             metrics.counter("c").inc()
