@@ -2,8 +2,10 @@
 """Gate: disabled-mode tracing plus the always-on metrics must cost under 2%.
 
 The observability layer (:mod:`repro.obs`) promises that with tracing
-disabled every span collapses to one function call and one flag read,
-and that its metric instruments -- always on, one lock-protected update
+disabled every span collapses to a shared no-op: each call still builds
+its keyword dict, reads the flag and enters and exits the no-op span,
+measured at 395-423 ns per disabled span on a loaded 2-vCPU VM.  Its
+metric instruments -- always on, one lock-protected update
 each -- are cheap enough to leave on.  This script *measures* both
 promises on three workloads -- the E10
 deterministic-primitives workload (the Minor-Aggregation engine is the

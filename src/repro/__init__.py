@@ -43,90 +43,63 @@ session API and the CLI's ``--solver`` flag alike.
 Migration note: the legacy one-shot call ``repro.minimum_cut(G, seed=1,
 solver="oracle")`` keeps working -- it is a thin wrapper over a default
 session and returns bit-identical results (value, witness, partition,
-round ledger).  The networkx boundary stays supported too:
-``random_connected_gnm`` returns the same weighted graph as a
-``networkx.Graph`` and every entry point accepts either type.
+round ledger).
+
+The networkx boundary stays supported: ``random_connected_gnm`` returns
+the same weighted graph as a ``networkx.Graph``, and every entry point
+accepts either type and converts a networkx input once with
+``CSRGraph.from_networkx``.  networkx itself is imported only there:
+by the functions that build, read or convert a networkx graph, never
+by a CSR solve.
+
+Cold start: ``import repro`` loads this module and nothing else (no
+numpy, networkx or scipy).  Each public name below is served by the
+PEP 562 ``__getattr__`` of :mod:`repro._lazy`, which imports the one
+submodule that defines it on first access and caches it here, so a CSR
+``oracle`` solve loads only the modules it runs.
 """
 
-from repro.accounting import CostModel, RoundAccountant
-from repro.certify import Certificate, certify_cut, certify_result
-from repro.errors import (
-    BudgetExceeded,
-    CandidateBelowMinCutError,
-    CertificationError,
-    FaultPlanError,
-    GraphValidationError,
-    NumericalRangeError,
-    PackingError,
-    ReproError,
-    SolverError,
-    TransportTimeout,
-)
-from repro.faults import FaultPlan
-from repro.graphs import CSRGraph
-from repro.core import (
-    CutCandidate,
-    GraphPacking,
-    MinCutResult,
-    MinCutSolver,
-    SolverConfig,
-    SweepFailure,
-    minimum_cut,
-    minimum_cut_many,
-    one_respecting_cuts,
-    one_respecting_min_cut,
-    pack_trees,
-    pack_trees_many,
-    register_solver,
-    registered_solvers,
-    solver_descriptions,
-    two_respecting_min_cut,
-    two_respecting_oracle,
-    unregister_solver,
-)
-from repro.kernel import TreeKernel
-from repro.ma import MinorAggregationEngine, congest_estimates
+from repro import _lazy
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "CSRGraph",
-    "FaultPlan",
-    "Certificate",
-    "certify_cut",
-    "certify_result",
-    "ReproError",
-    "GraphValidationError",
-    "SolverError",
-    "NumericalRangeError",
-    "CandidateBelowMinCutError",
-    "FaultPlanError",
-    "PackingError",
-    "BudgetExceeded",
-    "CertificationError",
-    "TransportTimeout",
-    "SweepFailure",
-    "TreeKernel",
-    "CostModel",
-    "RoundAccountant",
-    "CutCandidate",
-    "MinCutResult",
-    "MinCutSolver",
-    "SolverConfig",
-    "GraphPacking",
-    "minimum_cut",
-    "minimum_cut_many",
-    "register_solver",
-    "registered_solvers",
-    "unregister_solver",
-    "solver_descriptions",
-    "one_respecting_cuts",
-    "one_respecting_min_cut",
-    "pack_trees",
-    "pack_trees_many",
-    "two_respecting_min_cut",
-    "two_respecting_oracle",
-    "MinorAggregationEngine",
-    "congest_estimates",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".graphs.csr": ("CSRGraph",),
+    ".faults": ("FaultPlan",),
+    ".certify": ("Certificate", "certify_cut", "certify_result"),
+    ".errors": (
+        "ReproError",
+        "GraphValidationError",
+        "SolverError",
+        "NumericalRangeError",
+        "CandidateBelowMinCutError",
+        "FaultPlanError",
+        "PackingError",
+        "BudgetExceeded",
+        "CertificationError",
+        "TransportTimeout",
+    ),
+    ".core.session": (
+        "SweepFailure",
+        "MinCutSolver",
+        "SolverConfig",
+        "GraphPacking",
+        "minimum_cut_many",
+    ),
+    ".kernel.tree_kernel": ("TreeKernel",),
+    ".accounting": ("CostModel", "RoundAccountant"),
+    ".core.cut_values": ("CutCandidate", "two_respecting_oracle"),
+    ".core.mincut": ("MinCutResult", "minimum_cut"),
+    ".core.registry": (
+        "register_solver",
+        "registered_solvers",
+        "unregister_solver",
+        "solver_descriptions",
+    ),
+    ".core.one_respecting": ("one_respecting_cuts", "one_respecting_min_cut"),
+    ".core.tree_packing": ("pack_trees", "pack_trees_many"),
+    ".core.general": ("two_respecting_min_cut",),
+    ".ma.engine": ("MinorAggregationEngine",),
+    ".ma.simulation": ("congest_estimates",),
+})
+__all__ += ["__version__"]

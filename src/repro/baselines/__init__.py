@@ -13,16 +13,11 @@
   and Õ(D) guarantees clear.
 """
 
-from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-from repro.baselines.karger import karger_min_cut, karger_stein_min_cut
-from repro.baselines.reference import exact_min_cut_reference, reference_two_respecting
-from repro.baselines.naive_congest import naive_congest_min_cut
+from repro import _lazy
 
-__all__ = [
-    "stoer_wagner_min_cut",
-    "karger_min_cut",
-    "karger_stein_min_cut",
-    "exact_min_cut_reference",
-    "reference_two_respecting",
-    "naive_congest_min_cut",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".stoer_wagner": ("stoer_wagner_min_cut",),
+    ".karger": ("karger_min_cut", "karger_stein_min_cut"),
+    ".reference": ("exact_min_cut_reference", "reference_two_respecting"),
+    ".naive_congest": ("naive_congest_min_cut",),
+})

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 

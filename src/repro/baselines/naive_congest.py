@@ -9,14 +9,15 @@ series benchmark E11 reports.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.baselines.stoer_wagner import stoer_wagner_min_cut
 from repro.congest.algorithms import bfs_tree
 from repro.congest.network import CongestNetwork, NodeContext, NodeProgram
 from repro.trees.rooted import edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
@@ -75,6 +76,8 @@ def naive_congest_min_cut(
     transport: the computed cut stays bit-identical to the lossless run
     and the extra physical rounds appear under ``transport``.
     """
+    import networkx as nx
+
     if root is None:
         root = min(graph.nodes(), key=lambda v: (type(v).__name__, str(v)))
     network = CongestNetwork(graph)

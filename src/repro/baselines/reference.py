@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.cut_values import CutCandidate, two_respecting_oracle
 from repro.trees.rooted import RootedTree
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 
 def reference_two_respecting(
@@ -24,6 +27,8 @@ def reference_two_respecting(
 def exact_min_cut_reference(graph: nx.Graph) -> float:
     """Exact min-cut value, cross-checked between our Stoer-Wagner and
     networkx's implementation (belt and braces for the test suite)."""
+    import networkx as nx
+
     from repro.baselines.stoer_wagner import stoer_wagner_min_cut
 
     ours, _partition = stoer_wagner_min_cut(graph)

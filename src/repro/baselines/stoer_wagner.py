@@ -13,11 +13,12 @@ cross-check two independent implementations against each other.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.graphs.csr import CSRGraph
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
@@ -37,6 +38,8 @@ def stoer_wagner_min_cut(
         if not graph.is_connected():
             raise ValueError("graph must be connected")
         return csr_stoer_wagner(graph)
+
+    import networkx as nx
 
     n = graph.number_of_nodes()
     if n < 2:

@@ -42,13 +42,15 @@ import argparse
 import json
 import sys
 import time
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 import repro
 from repro.core.registry import registered_solvers, solver_descriptions
 from repro.errors import ReproError
 from repro.graphs import CSR_FAMILY_BUILDERS, CSRGraph
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 
 def _networkx_family(builder):

@@ -15,20 +15,9 @@ stays bit-identical to the lossless run, with the physical-round overhead
 reported on ``network.transport``.
 """
 
-from repro.congest.network import CongestNetwork, NodeProgram, NodeContext
-from repro.congest.algorithms import (
-    bfs_tree,
-    broadcast,
-    convergecast_sum,
-    leader_election,
-)
+from repro import _lazy
 
-__all__ = [
-    "CongestNetwork",
-    "NodeProgram",
-    "NodeContext",
-    "bfs_tree",
-    "broadcast",
-    "convergecast_sum",
-    "leader_election",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".network": ("CongestNetwork", "NodeProgram", "NodeContext"),
+    ".algorithms": ("bfs_tree", "broadcast", "convergecast_sum", "leader_election"),
+})

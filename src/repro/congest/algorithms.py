@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-import networkx as nx
-
 from repro.congest.network import CongestNetwork, NodeContext, NodeProgram
 
 Node = Hashable

@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
-import networkx as nx
-
 from repro.accounting import RoundAccountant, log2ceil
 from repro.errors import TransportTimeout
 from repro.graphs.csr import CSRGraph
@@ -54,6 +52,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
+
     from repro.faults import FaultPlan
 
 Node = Hashable
@@ -127,6 +127,8 @@ class CongestNetwork:
                 )
             self._edge_count = graph.m
         else:
+            import networkx as nx
+
             if not nx.is_connected(graph):
                 raise ValueError("CONGEST requires a connected graph")
             self.n = graph.number_of_nodes()

@@ -13,57 +13,34 @@ Solver chain, bottom-up:
 * :mod:`repro.core.mincut` -- Theorem 1, the end-to-end algorithm.
 """
 
-from repro.core.cut_values import (
-    CutCandidate,
-    cover_values,
-    cut_matrix,
-    cut_partition,
-    pair_cover_matrix,
-    two_respecting_oracle,
-)
-from repro.core.one_respecting import one_respecting_cuts, one_respecting_min_cut
-from repro.core.general import two_respecting_min_cut
-from repro.core.tree_packing import pack_trees, pack_trees_many
-from repro.core.mincut import MinCutResult, minimum_cut
-from repro.core.registry import (
-    SolverEntry,
-    get_solver,
-    register_solver,
-    registered_solvers,
-    solver_descriptions,
-    unregister_solver,
-)
-from repro.core.session import (
-    GraphPacking,
-    MinCutSolver,
-    SolverConfig,
-    SweepFailure,
-    minimum_cut_many,
-)
+from repro import _lazy
 
-__all__ = [
-    "CutCandidate",
-    "cover_values",
-    "cut_matrix",
-    "cut_partition",
-    "pair_cover_matrix",
-    "two_respecting_oracle",
-    "one_respecting_cuts",
-    "one_respecting_min_cut",
-    "two_respecting_min_cut",
-    "pack_trees",
-    "pack_trees_many",
-    "MinCutResult",
-    "minimum_cut",
-    "minimum_cut_many",
-    "MinCutSolver",
-    "SolverConfig",
-    "GraphPacking",
-    "SweepFailure",
-    "SolverEntry",
-    "register_solver",
-    "registered_solvers",
-    "unregister_solver",
-    "get_solver",
-    "solver_descriptions",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".cut_values": (
+        "CutCandidate",
+        "cover_values",
+        "cut_matrix",
+        "cut_partition",
+        "pair_cover_matrix",
+        "two_respecting_oracle",
+    ),
+    ".one_respecting": ("one_respecting_cuts", "one_respecting_min_cut"),
+    ".general": ("two_respecting_min_cut",),
+    ".tree_packing": ("pack_trees", "pack_trees_many"),
+    ".mincut": ("MinCutResult", "minimum_cut"),
+    ".session": (
+        "minimum_cut_many",
+        "MinCutSolver",
+        "SolverConfig",
+        "GraphPacking",
+        "SweepFailure",
+    ),
+    ".registry": (
+        "SolverEntry",
+        "register_solver",
+        "registered_solvers",
+        "unregister_solver",
+        "get_solver",
+        "solver_descriptions",
+    ),
+})

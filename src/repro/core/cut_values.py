@@ -33,9 +33,8 @@ component cuts of the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
-import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
@@ -46,6 +45,9 @@ from repro.kernel.cut_kernel import (
     partition_cut_weight_arrays,
 )
 from repro.trees.rooted import Edge, Node, RootedTree, edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,7 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate
@@ -44,6 +42,9 @@ from repro.core.tree_packing import TreePacking
 from repro.graphs.csr import CSRGraph
 from repro.ma.simulation import CongestEstimates
 from repro.trees.rooted import Edge, edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 

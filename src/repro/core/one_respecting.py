@@ -17,7 +17,7 @@ Minor-Aggregation engine exactly as the paper describes:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.accounting import RoundAccountant
 from repro.core.cut_values import CutCandidate, best_candidate
@@ -28,6 +28,9 @@ from repro.ma.operators import DICT_SUM, FIRST, SUM
 from repro.trees.hld import HeavyLightDecomposition, lca_from_hl_info
 from repro.trees.rooted import Edge, RootedTree
 from repro.trees.sums import subtree_sums
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 
 def one_respecting_cuts(

@@ -63,6 +63,7 @@ def register_solver(
     """
 
     def _register(fn: SolverFn) -> SolverFn:
+        _ensure_defaults()
         _REGISTRY[name] = SolverEntry(
             name=name,
             fn=fn,
@@ -108,6 +109,7 @@ def solver_descriptions() -> dict[str, str]:
 def _ensure_defaults() -> None:
     # The default entries live in repro.core.session; importing it
     # registers them.  Lazy so `import repro.core.registry` stays light
-    # and free of import cycles.
-    if not _REGISTRY:
-        import repro.core.session  # noqa: F401  (registration side effect)
+    # and free of import cycles.  Checked on every call, not only on an
+    # empty registry: a caller's entry registered first must neither
+    # hide the defaults nor be replaced by them later.
+    import repro.core.session  # noqa: F401  (registration side effect)

@@ -8,53 +8,31 @@ graph, edge for edge.  Edges carry integer weights in ``[1, poly(n)]`` (the
 paper's weight model, Section 3 "Graphs").
 """
 
-from repro.graphs.csr import CSRGraph, validate_weights
-from repro.graphs.generators import (
-    CSR_FAMILY_BUILDERS,
-    assign_random_weights,
-    barbell_graph,
-    csr_barbell_graph,
-    csr_cycle_graph,
-    csr_delaunay_planar_graph,
-    csr_expander_graph,
-    csr_grid_graph,
-    csr_planted_cut_graph,
-    csr_random_connected_gnm,
-    csr_tree_plus_chords,
-    csr_triangulated_grid_graph,
-    cycle_graph,
-    delaunay_planar_graph,
-    expander_graph,
-    grid_graph,
-    planted_cut_graph,
-    random_connected_gnm,
-    random_spanning_tree,
-    tree_plus_chords,
-    triangulated_grid_graph,
-)
+from repro import _lazy
 
-__all__ = [
-    "CSRGraph",
-    "validate_weights",
-    "CSR_FAMILY_BUILDERS",
-    "assign_random_weights",
-    "barbell_graph",
-    "csr_barbell_graph",
-    "csr_cycle_graph",
-    "csr_delaunay_planar_graph",
-    "csr_expander_graph",
-    "csr_grid_graph",
-    "csr_planted_cut_graph",
-    "csr_random_connected_gnm",
-    "csr_tree_plus_chords",
-    "csr_triangulated_grid_graph",
-    "cycle_graph",
-    "delaunay_planar_graph",
-    "expander_graph",
-    "grid_graph",
-    "planted_cut_graph",
-    "random_connected_gnm",
-    "random_spanning_tree",
-    "tree_plus_chords",
-    "triangulated_grid_graph",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".csr": ("CSRGraph", "validate_weights"),
+    ".generators": (
+        "CSR_FAMILY_BUILDERS",
+        "assign_random_weights",
+        "barbell_graph",
+        "csr_barbell_graph",
+        "csr_cycle_graph",
+        "csr_delaunay_planar_graph",
+        "csr_expander_graph",
+        "csr_grid_graph",
+        "csr_planted_cut_graph",
+        "csr_random_connected_gnm",
+        "csr_tree_plus_chords",
+        "csr_triangulated_grid_graph",
+        "cycle_graph",
+        "delaunay_planar_graph",
+        "expander_graph",
+        "grid_graph",
+        "planted_cut_graph",
+        "random_connected_gnm",
+        "random_spanning_tree",
+        "tree_plus_chords",
+        "triangulated_grid_graph",
+    ),
+})

@@ -12,29 +12,20 @@ These are the only implementations of the tree and cut primitives;
 ``tests/test_kernel.py`` checks them against brute-force component cuts.
 """
 
-from repro.kernel.batched import (
-    OracleJob,
-    batched_two_respecting_oracle,
-    batched_two_respecting_oracle_many,
-    env_batch_bytes,
-)
-from repro.kernel.cut_kernel import (
-    GraphArrays,
-    cover_values_kernel,
-    partition_cut_weight_arrays,
-)
-from repro.kernel.forest import TreeStack, stacked_tree_arrays
-from repro.kernel.tree_kernel import TreeKernel
+from repro import _lazy
 
-__all__ = [
-    "GraphArrays",
-    "OracleJob",
-    "batched_two_respecting_oracle",
-    "batched_two_respecting_oracle_many",
-    "env_batch_bytes",
-    "TreeKernel",
-    "TreeStack",
-    "stacked_tree_arrays",
-    "cover_values_kernel",
-    "partition_cut_weight_arrays",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".cut_kernel": (
+        "GraphArrays",
+        "cover_values_kernel",
+        "partition_cut_weight_arrays",
+    ),
+    ".batched": (
+        "OracleJob",
+        "batched_two_respecting_oracle",
+        "batched_two_respecting_oracle_many",
+        "env_batch_bytes",
+    ),
+    ".tree_kernel": ("TreeKernel",),
+    ".forest": ("TreeStack", "stacked_tree_arrays"),
+})

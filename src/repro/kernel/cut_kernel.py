@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable
 
-import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, validate_weights
 from repro.kernel.tree_kernel import TreeKernel, euler_lca, lifting_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    import networkx as nx
+
     from repro.kernel.forest import TreeStack
     from repro.trees.rooted import Edge, RootedTree
 

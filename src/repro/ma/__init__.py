@@ -13,57 +13,28 @@
 * :mod:`repro.ma.simulation` — Theorem 17 compile-down cost model to CONGEST.
 """
 
-from repro.ma.engine import (
-    MinorAggregationEngine,
-    MARoundResult,
-    node_order_key,
-)
-from repro.ma.compiled import (
-    CompiledMinorAggregationEngine,
-    compiled_boruvka_rows,
-)
-from repro.ma.operators import (
-    AND,
-    DICT_SUM,
-    FIRST,
-    MAX,
-    MIN,
-    OR,
-    SET_UNION,
-    SUM,
-    ArrayMessage,
-    MisraGries,
-    NumericForm,
-    Operator,
-    estimate_bits,
-    misra_gries_operator,
-)
-from repro.ma.virtual import VirtualGraph
-from repro.ma.boruvka import boruvka_mst
-from repro.ma.simulation import CongestEstimates, congest_estimates
+from repro import _lazy
 
-__all__ = [
-    "MinorAggregationEngine",
-    "CompiledMinorAggregationEngine",
-    "MARoundResult",
-    "compiled_boruvka_rows",
-    "node_order_key",
-    "Operator",
-    "NumericForm",
-    "ArrayMessage",
-    "SUM",
-    "MIN",
-    "MAX",
-    "OR",
-    "AND",
-    "FIRST",
-    "SET_UNION",
-    "DICT_SUM",
-    "MisraGries",
-    "misra_gries_operator",
-    "estimate_bits",
-    "VirtualGraph",
-    "boruvka_mst",
-    "CongestEstimates",
-    "congest_estimates",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".engine": ("MinorAggregationEngine", "MARoundResult", "node_order_key"),
+    ".compiled": ("CompiledMinorAggregationEngine", "compiled_boruvka_rows"),
+    ".operators": (
+        "Operator",
+        "NumericForm",
+        "ArrayMessage",
+        "SUM",
+        "MIN",
+        "MAX",
+        "OR",
+        "AND",
+        "FIRST",
+        "SET_UNION",
+        "DICT_SUM",
+        "MisraGries",
+        "misra_gries_operator",
+        "estimate_bits",
+    ),
+    ".virtual": ("VirtualGraph",),
+    ".boruvka": ("boruvka_mst",),
+    ".simulation": ("CongestEstimates", "congest_estimates"),
+})

@@ -23,14 +23,15 @@ the Minor-Aggregation engine's result bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.congest.network import CongestNetwork, NodeContext, NodeProgram
 from repro.ma.engine import MARoundResult, MinorAggregationEngine, node_order_key
 from repro.ma.operators import Operator
 from repro.trees.rooted import edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
@@ -208,6 +209,8 @@ def _partwise_aggregate_congest(
 ) -> tuple[dict[Node, Any], int, int]:
     """Solve part-wise aggregation by in-part flooding; returns
     (value per node, measured rounds, messages)."""
+    import networkx as nx
+
     in_part = lambda u, v: supernode[u] == supernode[v]
     # Budget: the largest induced part diameter (what naive PA costs).
     diameter = 1
@@ -242,6 +245,8 @@ def compile_ma_round(
     the returned :class:`MARoundResult` is validated by the test suite to
     equal the engine's output exactly.
     """
+    import networkx as nx
+
     contracted = {edge_key(u, v) for (u, v) in (contract or set())}
     uf = nx.utils.UnionFind(graph.nodes())
     for u, v in contracted:

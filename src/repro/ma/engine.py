@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.accounting import RoundAccountant
 from repro.errors import SolverError
@@ -31,6 +29,9 @@ from repro.ma.operators import FIRST, ArrayMessage, Operator, estimate_bits
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.trees.rooted import edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 Edge = tuple
@@ -144,6 +145,8 @@ class MinorAggregationEngine:
         else:
             if graph.number_of_nodes() == 0:
                 raise ValueError("empty graph")
+            import networkx as nx
+
             if not nx.is_connected(graph):
                 raise ValueError("Minor-Aggregation requires a connected graph")
             self.node_list = list(graph.nodes())
@@ -226,6 +229,8 @@ class MinorAggregationEngine:
 
     # ------------------------------------------------------------------
     def _supernodes(self, contracted: set[Edge]) -> dict[Node, Node]:
+        import networkx as nx
+
         uf = nx.utils.UnionFind(self.node_list)
         for u, v in contracted:
             uf.union(u, v)

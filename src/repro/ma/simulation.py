@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.accounting import log2ceil
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,8 @@ def congest_estimates(
         else:
             n = graph.number_of_nodes()
             if diameter is None:
+                import networkx as nx
+
                 diameter = nx.diameter(graph)
     if n is None or diameter is None:
         raise ValueError("need a graph, or both n and diameter")

@@ -17,9 +17,10 @@ overhead factor).
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 _virtual_counter = itertools.count()
 
@@ -64,6 +65,8 @@ class VirtualGraph:
     def real_part_connected(self) -> bool:
         """Whether virtual nodes can be eliminated without cascade (the
         de-virtualization precondition used in Lemma 23 and Theorem 40)."""
+        import networkx as nx
+
         real = self.real_subgraph()
         return real.number_of_nodes() > 0 and nx.is_connected(real)
 

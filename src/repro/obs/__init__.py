@@ -17,32 +17,22 @@ the disabled spans plus the always-on metrics stays under 2% (enforced
 by ``scripts/check_trace_overhead.py``).
 """
 
-from repro.obs import metrics, profile, trace
-from repro.obs.profile import build_profile, format_bytes, render_profile
-from repro.obs.trace import (
-    Span,
-    enabled,
-    export_chrome,
-    export_ndjson,
-    last_error_span,
-    set_enabled,
-    span,
-    tracing,
-)
+from repro import _lazy
 
-__all__ = [
-    "trace",
-    "metrics",
-    "profile",
-    "Span",
-    "span",
-    "tracing",
-    "enabled",
-    "set_enabled",
-    "last_error_span",
-    "export_ndjson",
-    "export_chrome",
-    "build_profile",
-    "render_profile",
-    "format_bytes",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        ".trace": (
+            "Span",
+            "span",
+            "tracing",
+            "enabled",
+            "set_enabled",
+            "last_error_span",
+            "export_ndjson",
+            "export_chrome",
+        ),
+        ".profile": ("build_profile", "render_profile", "format_bytes"),
+    },
+    submodules=("trace", "metrics", "profile"),
+)

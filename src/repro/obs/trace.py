@@ -7,9 +7,10 @@ Every stage of the min-cut pipeline calls :func:`span` around its work::
 
 When tracing is **disabled** (the default) ``span()`` returns a shared
 no-op singleton -- no record is allocated, no clock is read, no lock is
-taken; the only cost at a call site is one function call plus the keyword
-dict, a few hundred nanoseconds (``scripts/check_trace_overhead.py``
-asserts the end-to-end overhead stays under 2%).  When **enabled** --
+taken.  A call site still pays the call, its keyword dict, the flag read
+and the no-op's ``__enter__``/``__exit__``: 395-423 ns per disabled span
+on a loaded 2-vCPU VM (``scripts/check_trace_overhead.py`` measures it
+and asserts the end-to-end overhead stays under 2%).  When **enabled** --
 via the ``REPRO_TRACE`` environment variable, :func:`set_enabled`, the
 :func:`tracing` context manager, or ``SolverConfig(trace=True)`` -- each
 span records its wall-clock interval (``time.perf_counter``), its

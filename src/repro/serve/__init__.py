@@ -37,48 +37,26 @@ every request terminates with that result or a typed
 :class:`~repro.errors.ServeError`, never a hang.
 """
 
-from repro.serve.batcher import Batcher, env_batch_ms
-from repro.serve.cache import PackingCache, env_cache_bytes, packing_nbytes
-from repro.serve.chaos import ChaosInjector, ChaosPlan, ChaosWorkerError
-from repro.serve.loadgen import ServeClient, make_workload, run_loadgen
-from repro.serve.resilience import (
-    AdmissionController,
-    CircuitBreaker,
-    Deadline,
-    ResilienceConfig,
-    RetryPolicy,
-)
-from repro.serve.server import (
-    MinCutServer,
-    error_to_wire,
-    graph_from_wire,
-    graph_to_wire,
-    result_to_wire,
-)
-from repro.serve.service import MinCutService, ServeConfig
+from repro import _lazy
 
-__all__ = [
-    "AdmissionController",
-    "Batcher",
-    "ChaosInjector",
-    "ChaosPlan",
-    "ChaosWorkerError",
-    "CircuitBreaker",
-    "Deadline",
-    "MinCutServer",
-    "MinCutService",
-    "PackingCache",
-    "ResilienceConfig",
-    "RetryPolicy",
-    "ServeClient",
-    "ServeConfig",
-    "env_batch_ms",
-    "env_cache_bytes",
-    "error_to_wire",
-    "graph_from_wire",
-    "graph_to_wire",
-    "make_workload",
-    "packing_nbytes",
-    "result_to_wire",
-    "run_loadgen",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".resilience": (
+        "AdmissionController",
+        "CircuitBreaker",
+        "Deadline",
+        "ResilienceConfig",
+        "RetryPolicy",
+    ),
+    ".batcher": ("Batcher", "env_batch_ms"),
+    ".chaos": ("ChaosInjector", "ChaosPlan", "ChaosWorkerError"),
+    ".server": (
+        "MinCutServer",
+        "error_to_wire",
+        "graph_from_wire",
+        "graph_to_wire",
+        "result_to_wire",
+    ),
+    ".service": ("MinCutService", "ServeConfig"),
+    ".cache": ("PackingCache", "env_cache_bytes", "packing_nbytes"),
+    ".loadgen": ("ServeClient", "make_workload", "run_loadgen"),
+})

@@ -9,18 +9,14 @@ congestion + dilation for a concrete partition) and the part-wise
 aggregation primitive those shortcuts accelerate.
 """
 
-from repro.shortcuts.quality import (
-    ShortcutAssignment,
-    greedy_shortcuts,
-    random_connected_partition,
-    shortcut_quality_upper_bound,
-)
-from repro.shortcuts.partwise import partwise_aggregation_rounds
+from repro import _lazy
 
-__all__ = [
-    "ShortcutAssignment",
-    "greedy_shortcuts",
-    "random_connected_partition",
-    "shortcut_quality_upper_bound",
-    "partwise_aggregation_rounds",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".quality": (
+        "ShortcutAssignment",
+        "greedy_shortcuts",
+        "random_connected_partition",
+        "shortcut_quality_upper_bound",
+    ),
+    ".partwise": ("partwise_aggregation_rounds",),
+})

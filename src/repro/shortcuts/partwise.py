@@ -12,16 +12,19 @@ Both costs are measured here so benchmarks can show the gap.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.shortcuts.quality import ShortcutAssignment, greedy_shortcuts
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
 
 def _induced_diameter(graph: nx.Graph, part: set) -> int:
+    import networkx as nx
+
     sub = graph.subgraph(part)
     if sub.number_of_nodes() <= 1:
         return 0

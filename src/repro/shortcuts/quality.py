@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.trees.rooted import edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
@@ -72,6 +73,8 @@ def random_connected_partition(
 
 def _part_center(graph: nx.Graph, part: set) -> Node:
     """Member minimizing eccentricity w.r.t. the part (BFS from a sample)."""
+    import networkx as nx
+
     sample = sorted(part, key=lambda v: (type(v).__name__, str(v)))[0]
     distances = nx.single_source_shortest_path_length(graph, sample)
     return min(part, key=lambda v: (distances.get(v, 0), str(v)))
@@ -79,6 +82,8 @@ def _part_center(graph: nx.Graph, part: set) -> Node:
 
 def greedy_shortcuts(graph: nx.Graph, parts: list[set]) -> ShortcutAssignment:
     """Build one BFS shortest-path helper tree per part and measure quality."""
+    import networkx as nx
+
     congestion_of: dict[tuple, int] = {}
     helpers: list[set] = []
     dilation = 0

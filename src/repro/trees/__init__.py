@@ -2,13 +2,9 @@
 primitives (Cole-Vishkin coloring, star-merging, prefix/subtree/ancestor
 sums), and centroid finding (paper Sections 3.1, 4.2 and Appendix A)."""
 
-from repro.trees.rooted import RootedTree, edge_key
-from repro.trees.hld import HeavyLightDecomposition, HLInfo, lca_from_hl_info
+from repro import _lazy
 
-__all__ = [
-    "RootedTree",
-    "edge_key",
-    "HeavyLightDecomposition",
-    "HLInfo",
-    "lca_from_hl_info",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    ".rooted": ("RootedTree", "edge_key"),
+    ".hld": ("HeavyLightDecomposition", "HLInfo", "lca_from_hl_info"),
+})

@@ -66,21 +66,21 @@ def build_hld_distributed(
 def _merge_schedule(
     tree: RootedTree, acct: RoundAccountant, max_iterations: int
 ) -> tuple[list[int], int]:
-    """The merge schedule, bookkept in the kernel's dense index space.
+    """The merge schedule, bookkept in the tree's BFS index space.
 
     Part membership lives in a flat array (one vectorized assignment
-    relabels a whole merged part) and the parent/depth lookups come off
-    the kernel arrays.  The parts handed to :func:`star_merge` keep their
-    *node-object* identifiers, so the Cole-Vishkin coloring -- and with it
-    the schedule, the iteration count, and the charged rounds -- is
-    bit-identical to the historical dict-based loop (and independent of
-    the kernel dispatch flag: this is plain bookkeeping, not a dispatched
-    computation, so there is deliberately only one implementation).
+    relabels a whole merged part) and the parent/depth lookups are lists
+    over ``tree.order``.  The parts handed to :func:`star_merge` keep
+    their *node-object* identifiers, so the Cole-Vishkin coloring -- and
+    with it the schedule, the iteration count, and the charged rounds --
+    is bit-identical to the historical dict-based loop.
     """
-    kernel = tree.kernel
-    n = kernel.n
-    nodes, index = kernel.nodes, kernel.index
-    parent, depth = kernel.parent, kernel.depth
+    nodes = tree.order
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    # Index 0 is the root; its entry in ``parent`` is never read.
+    parent = [0] + [index[tree.parent[node]] for node in nodes[1:]]
+    depth = [tree.depth[node] for node in nodes]
     part_of = np.arange(n, dtype=np.int64)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     #: shallowest node of each part (parts stay connected subtrees of T)

@@ -13,9 +13,9 @@ from collections import deque
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
+
     from repro.kernel.tree_kernel import TreeKernel
 
 Node = Hashable
@@ -231,6 +231,8 @@ class RootedTree:
         return cls(adjacency, root)
 
     def to_graph(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.order)
         graph.add_edges_from(self.edges())

@@ -98,3 +98,21 @@ class TestSchedulePinned:
         assert result.iterations == iterations
         assert result.part_counts == part_counts
         assert result.ma_rounds == ma_rounds
+
+
+def test_e15_builds_no_tree_kernel(monkeypatch):
+    """The merge schedule reads BFS order, parents and depths off the
+    ``RootedTree``: the whole E15 experiment builds no ``TreeKernel``."""
+    from repro.experiments import e15_hld_construction
+    from repro.kernel.tree_kernel import TreeKernel
+
+    built = []
+    original = TreeKernel.__init__
+
+    def counted(self, tree):
+        built.append(len(tree))
+        original(self, tree)
+
+    monkeypatch.setattr(TreeKernel, "__init__", counted)
+    assert e15_hld_construction.run(quick=True).holds
+    assert built == []
